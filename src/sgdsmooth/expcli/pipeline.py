@@ -1,30 +1,26 @@
 """Ensemble experiments, noise calibration and the smoothing-demo pipeline.
 
-The ensemble engine advances all trials in lockstep with batched oracle
-calls.  Per-trial noise is pre-drawn stage by stage from the trial's own
-Philox stream (key = (seed, TRIAL_STREAM_BASE + index)), exactly the
-layout `optimizer.sgd_run` uses, so a lockstep trial replays the
-sequential run for the same stream.
+Ensembles run on the library's one SGD engine, `optimizer.lockstep_run`,
+with trial i on its own Philox stream (key = (seed, TRIAL_STREAM_BASE +
+index)).  `optimizer.sgd_run` is a one-trial run of the same engine, so
+a lockstep trial replays `sgd_run` for the same stream by construction,
+divergence flag included.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from ..certifier import ScanReport, region_scan
 from ..noise import NoiseKernel, RngStream
-from ..objectives import Objective, SpikyParams
-from ..optimizer import StepSchedule, Trajectory
-from ..smoothing import (
-    smoothed_grad_closed,
-    smoothed_value_closed,
-    smoothed_value_mc,
-)
+from ..objectives import Objective, SpikyParams, make_spiky
+from ..optimizer import EnsembleResult, StepSchedule, lockstep_run
+from ..smoothing import smoothed_value_closed, smoothed_value_mc
 from .cluster import cluster_count
 from .config import ExperimentConfig, KernelSpec, StageSpec
 from .svg import emit_svg_histogram
@@ -46,128 +42,13 @@ TRIAL_STREAM_BASE = 1000
 INIT_STREAM = 0
 
 
-@dataclass
-class EnsembleResult:
-    """Raw lockstep history: axis 0 is the step index, axis 1 the trial."""
-
-    x_hist: np.ndarray      # (T+1, n, d)
-    y_hist: np.ndarray      # (T+1, n, d)
-    omegas: np.ndarray      # (n, T, d) noise applied leaving each step
-    etas: np.ndarray        # (T+1,)
-    stage_idx: np.ndarray   # (T+1,)
-    diverged: np.ndarray    # (n,) bool
-    target: Optional[np.ndarray]
-
-    @property
-    def n_trials(self) -> int:
-        return self.x_hist.shape[1]
-
-    @property
-    def finals_x(self) -> np.ndarray:
-        return self.x_hist[-1]
-
-    @property
-    def finals_y(self) -> np.ndarray:
-        return self.y_hist[-1]
-
-    def y_dist2_history(self, target) -> np.ndarray:
-        """(T+1, n) squared distances of the shadow points to `target`."""
-        diff = self.y_hist - np.asarray(target, dtype=float)[None, None, :]
-        return np.einsum("tnd,tnd->tn", diff, diff)
-
-    def trajectory(self, obj: Objective, i: int) -> Trajectory:
-        """Materialize trial i as a full Trajectory record."""
-        xs = self.x_hist[:, i, :].copy()
-        ys = self.y_hist[:, i, :].copy()
-        omegas = np.vstack([self.omegas[i], np.zeros((1, xs.shape[1]))])
-        grads = obj.grads_at(xs)
-        lo, hi = obj.domain_box
-        if obj.target is not None:
-            dx = xs - obj.target[None, :]
-            dy = ys - obj.target[None, :]
-            dist2 = np.einsum("ij,ij->i", dx, dx)
-            y_dist2 = np.einsum("ij,ij->i", dy, dy)
-        else:
-            dist2 = np.full(xs.shape[0], np.nan)
-            y_dist2 = np.full(xs.shape[0], np.nan)
-        return Trajectory(
-            xs=xs,
-            ys=ys,
-            omegas=omegas,
-            fs=obj.values_at(xs),
-            grad_norms=np.linalg.norm(grads, axis=1),
-            noise_norms=np.linalg.norm(omegas, axis=1),
-            dist2=dist2,
-            y_dist2=y_dist2,
-            stage_idx=self.stage_idx.copy(),
-            etas=self.etas.copy(),
-            out_of_box=np.any((xs < lo) | (xs > hi), axis=1),
-            diverged=bool(self.diverged[i]),
-            target=obj.target,
-        )
-
-
 def run_lockstep_ensemble(
-    obj: Objective,
-    schedule: StepSchedule,
-    x0s: np.ndarray,
-    seed: int,
+    obj: Objective, schedule: StepSchedule, x0s: np.ndarray, seed: int
 ) -> EnsembleResult:
-    """Advance n trials together; trial i draws noise from stream
-    (seed, TRIAL_STREAM_BASE + i).  Diverged trials freeze in place and
-    are flagged rather than aborting the ensemble."""
-    x0s = np.asarray(x0s, dtype=float)
-    n, d = x0s.shape
-    if d != obj.dimension:
-        raise ValueError("initial points do not match objective dimension")
-    total = schedule.total_steps
-
-    omegas = np.zeros((n, total, d))
-    for i in range(n):
-        gen = RngStream(seed, TRIAL_STREAM_BASE + i).generator()
-        t0 = 0
-        for stage in schedule.stages:
-            omegas[i, t0 : t0 + stage.steps] = stage.kernel.sample_batch(stage.steps, gen)
-            t0 += stage.steps
-
-    x_hist = np.zeros((total + 1, n, d))
-    y_hist = np.zeros((total + 1, n, d))
-    etas = np.zeros(total + 1)
-    stage_idx = np.zeros(total + 1, dtype=int)
-    active = np.ones(n, dtype=bool)
-
-    x = x0s.copy()
-    t = 0
-    for si, stage in enumerate(schedule.stages):
-        eta = stage.eta
-        for _ in range(stage.steps):
-            g = obj.grads_at(x)
-            y = x - eta * g
-            x_hist[t] = x
-            y_hist[t] = y
-            etas[t] = eta
-            stage_idx[t] = si
-            ok = np.all(np.isfinite(x), axis=1) & (np.max(np.abs(x), axis=1) <= 1e6)
-            active &= ok
-            step = y - eta * omegas[:, t, :]
-            x = np.where(active[:, None], step, x)
-            t += 1
-
-    last = schedule.stages[-1]
-    x_hist[t] = x
-    y_hist[t] = x - last.eta * obj.grads_at(x)
-    etas[t] = last.eta
-    stage_idx[t] = len(schedule.stages) - 1
-
-    return EnsembleResult(
-        x_hist=x_hist,
-        y_hist=y_hist,
-        omegas=omegas,
-        etas=etas,
-        stage_idx=stage_idx,
-        diverged=~active,
-        target=obj.target,
-    )
+    """Advance n trials together with `optimizer.lockstep_run`; trial i
+    draws noise from stream (seed, TRIAL_STREAM_BASE + i)."""
+    streams = [RngStream(seed, TRIAL_STREAM_BASE + i) for i in range(len(x0s))]
+    return lockstep_run(obj, schedule, x0s, streams)
 
 
 @dataclass(frozen=True)
@@ -213,8 +94,7 @@ def summarize_ensemble(
         success = float(np.mean(dist2 <= stay_radius2))
     else:
         success = math.nan
-    scalars = finals_x[:, 0] if finals_x.shape[1] == 1 else np.linalg.norm(finals_x, axis=1)
-    counts, edges = np.histogram(scalars, bins=bins)
+    counts, edges = np.histogram(_histogram_scalars(finals_x), bins=bins)
     return EnsembleReport(
         finals_x=finals_x,
         finals_y=finals_y,
@@ -227,6 +107,11 @@ def summarize_ensemble(
         histogram_edges=edges,
         diverged_count=int(result.diverged.sum()),
     )
+
+
+def _histogram_scalars(finals_x: np.ndarray) -> np.ndarray:
+    """What the finals histogram bins: the coordinate in 1-d, else the norm."""
+    return finals_x[:, 0] if finals_x.shape[1] == 1 else np.linalg.norm(finals_x, axis=1)
 
 
 def draw_inits(n: int, dimension: int, box: tuple[float, float], seed: int) -> np.ndarray:
@@ -260,13 +145,8 @@ def persist_ensemble(out_dir, obj: Objective, result: EnsembleResult, report: En
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(report.summary_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    scalars = (
-        report.finals_x[:, 0]
-        if report.finals_x.shape[1] == 1
-        else np.linalg.norm(report.finals_x, axis=1)
-    )
     emit_svg_histogram(
-        scalars, len(report.histogram_counts), os.path.join(out_dir, "finals.svg"),
+        _histogram_scalars(report.finals_x), len(report.histogram_counts), os.path.join(out_dir, "finals.svg"),
         title="final iterates",
     )
 
@@ -343,8 +223,6 @@ def smoothing_curve(
 ) -> dict[str, np.ndarray]:
     """Columns for one smoothed-curve panel: raw f, MC estimate of the
     convolved value, its closed form and the Hoeffding halfwidth."""
-    from ..objectives import make_spiky
-
     obj = make_spiky(params)
     kernel = NoiseKernel("uniform-ball", r, 1)
     f = np.empty_like(ys)
@@ -456,6 +334,4 @@ def figure3(config: ExperimentConfig, persist: bool = True) -> Figure3Report:
 
 
 def _replace_stages(config: ExperimentConfig, stages, out_dir) -> ExperimentConfig:
-    from dataclasses import replace
-
     return replace(config, stages=tuple(stages), out_dir=out_dir)

@@ -1,4 +1,4 @@
-"""SGD / GD runner with shadow-sequence bookkeeping.
+"""Staged SGD / GD engine with shadow-sequence bookkeeping.
 
 The iterate update is split exactly as x_{t+1} = y_t - eta*omega_t with
 y_t = x_t - eta*grad f(x_t), so the recorded shadow sequence satisfies
@@ -6,15 +6,21 @@ the one-step identity
 
     y_{t+1} = y_t - eta*omega_t - eta*grad f(y_t - eta*omega_t)
 
-bitwise within any constant-eta stage.  Noise for a stage is drawn in a
-single batch up front; this fixes the stream layout so the vectorized
-ensemble engine in expcli replays identical trajectories.
+bitwise within any constant-eta stage.
+
+`lockstep_run` is the only stepping loop.  It advances n trials together
+with batched oracle calls, and each trial pre-draws its noise from its
+own stream, one batch per stage.  `sgd_run` is a one-trial lockstep run,
+so a lockstep trial replays `sgd_run` for the same stream by
+construction.  One predicate flags divergence at every recorded iterate,
+the final one included, and `EnsembleResult.trajectory` is the one place
+a `Trajectory` record is built.
 """
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,7 +28,10 @@ import numpy as np
 from .noise import NoiseKernel, RngStream
 from .objectives import Objective, as_point
 
-__all__ = ["Stage", "StepSchedule", "Trajectory", "sgd_run", "gd_run", "shadow_check"]
+__all__ = [
+    "Stage", "StepSchedule", "Trajectory", "EnsembleResult",
+    "lockstep_run", "sgd_run", "gd_run", "shadow_check",
+]
 
 DIVERGENCE_CUTOFF = 1e6
 
@@ -137,98 +146,143 @@ def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     return cols
 
 
-def _allocate(total: int, d: int) -> Trajectory:
-    n = total + 1
-    return Trajectory(
-        xs=np.zeros((n, d)),
-        ys=np.zeros((n, d)),
-        omegas=np.zeros((n, d)),
-        fs=np.zeros(n),
-        grad_norms=np.zeros(n),
-        noise_norms=np.zeros(n),
-        dist2=np.full(n, np.nan),
-        y_dist2=np.full(n, np.nan),
-        stage_idx=np.zeros(n, dtype=int),
-        etas=np.zeros(n),
-        out_of_box=np.zeros(n, dtype=bool),
+def _bounded(xs: np.ndarray) -> np.ndarray:
+    """Divergence predicate over the last axis: True where every coordinate
+    is finite and at most DIVERGENCE_CUTOFF in absolute value (a NaN
+    maximum compares False)."""
+    return np.max(np.abs(xs), axis=-1) <= DIVERGENCE_CUTOFF
+
+
+@dataclass
+class EnsembleResult:
+    """Raw lockstep history: axis 0 is the step index, axis 1 the trial.
+
+    `omegas[t]` is the noise applied when leaving step t, with a zero row
+    at the end, so the three histories share one (T+1, n, d) layout.  A
+    diverged trial stays frozen at its first iterate beyond the cutoff.
+    """
+
+    x_hist: np.ndarray      # (T+1, n, d)
+    y_hist: np.ndarray      # (T+1, n, d)
+    omegas: np.ndarray      # (T+1, n, d)
+    etas: np.ndarray        # (T+1,)
+    stage_idx: np.ndarray   # (T+1,)
+    diverged: np.ndarray    # (n,) bool
+    target: Optional[np.ndarray]
+
+    @property
+    def n_trials(self) -> int:
+        return self.x_hist.shape[1]
+
+    @property
+    def finals_x(self) -> np.ndarray:
+        return self.x_hist[-1]
+
+    @property
+    def finals_y(self) -> np.ndarray:
+        return self.y_hist[-1]
+
+    def y_dist2_history(self, target) -> np.ndarray:
+        """(T+1, n) squared distances of the shadow points to `target`."""
+        diff = self.y_hist - np.asarray(target, dtype=float)[None, None, :]
+        return np.einsum("tnd,tnd->tn", diff, diff)
+
+    def trajectory(self, obj: Objective, i: int) -> Trajectory:
+        """Materialize trial i as a Trajectory record.
+
+        The iterate, shadow, noise, eta and stage arrays are views of the
+        history.  A diverged trial's record ends at the iterate that froze
+        it, its first one beyond the cutoff.
+        """
+        xs = self.x_hist[:, i]
+        end = int(np.argmin(_bounded(xs))) + 1 if self.diverged[i] else len(xs)
+        xs, ys, omegas = xs[:end], self.y_hist[:end, i], self.omegas[:end, i]
+        lo, hi = obj.domain_box
+        # an unknown target is NaN, so both distances come out NaN
+        target = np.full(obj.dimension, np.nan) if obj.target is None else obj.target
+        dx, dy = xs - target, ys - target
+        return Trajectory(
+            xs=xs,
+            ys=ys,
+            omegas=omegas,
+            fs=obj.values_at(xs),
+            grad_norms=np.linalg.norm(obj.grads_at(xs), axis=1),
+            noise_norms=np.linalg.norm(omegas, axis=1),
+            dist2=np.einsum("ij,ij->i", dx, dx),
+            y_dist2=np.einsum("ij,ij->i", dy, dy),
+            stage_idx=self.stage_idx[:end],
+            etas=self.etas[:end],
+            out_of_box=np.any((xs < lo) | (xs > hi), axis=1),
+            diverged=bool(self.diverged[i]),
+            target=obj.target,
+        )
+
+
+def lockstep_run(
+    obj: Objective, schedule: StepSchedule, x0s: np.ndarray, streams: Sequence[RngStream]
+) -> EnsembleResult:
+    """Advance n trials of staged SGD together with batched oracle calls.
+
+    Trial i pre-draws its noise from `streams[i]`, one `sample_batch` per
+    stage.  Iterates are never projected.  Every recorded iterate, the
+    final one included, goes through the divergence predicate; a trial
+    that fails it freezes in place and is flagged rather than aborting
+    the others.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    n, d = x0s.shape
+    if d != obj.dimension or schedule.dimension != d:
+        raise ValueError("initial points or schedule do not match objective dimension")
+    if len(streams) != n:
+        raise ValueError(f"need one stream per trial, got {len(streams)} for {n} trials")
+    stages = schedule.stages
+    total = schedule.total_steps
+    rows = [s.steps for s in stages]
+    rows[-1] += 1  # the final point inherits the last stage
+    etas = np.repeat([s.eta for s in stages], rows)
+    stage_idx = np.repeat(np.arange(len(stages)), rows)
+
+    omegas = np.zeros((total + 1, n, d))
+    for i, stream in enumerate(streams):
+        gen = stream.generator()
+        t0 = 0
+        for stage in stages:
+            omegas[t0 : t0 + stage.steps, i] = stage.kernel.sample_batch(stage.steps, gen)
+            t0 += stage.steps
+
+    x_hist = np.empty((total + 1, n, d))
+    y_hist = np.empty((total + 1, n, d))
+    active = np.ones(n, dtype=bool)
+    x = x0s
+    for t, eta in enumerate(etas):
+        y = x - eta * obj.grads_at(x)
+        x_hist[t], y_hist[t] = x, y
+        active &= _bounded(x)
+        # the step leaving the final point uses its zero noise row and is discarded
+        x = np.where(active[:, None], y - eta * omegas[t], x)
+
+    return EnsembleResult(
+        x_hist=x_hist,
+        y_hist=y_hist,
+        omegas=omegas,
+        etas=etas,
+        stage_idx=stage_idx,
+        diverged=~active,
+        target=obj.target,
     )
 
 
-def _truncate(traj: Trajectory, n: int) -> None:
-    for name in (
-        "xs", "ys", "omegas", "fs", "grad_norms", "noise_norms",
-        "dist2", "y_dist2", "stage_idx", "etas", "out_of_box",
-    ):
-        setattr(traj, name, getattr(traj, name)[:n])
-
-
-def sgd_run(
-    obj: Objective,
-    schedule: StepSchedule,
-    x0,
-    rng: RngStream = RngStream(0),
-) -> Trajectory:
+def sgd_run(obj: Objective, schedule: StepSchedule, x0, rng: RngStream = RngStream(0)) -> Trajectory:
     """Run staged SGD from x0 and record the full trajectory.
 
-    Iterates are never projected; leaving the domain box only sets the
-    out_of_box flag.  A non-finite or > 1e6-norm iterate truncates the
-    trajectory and marks it diverged.
+    This is a one-trial `lockstep_run`, so an ensemble trial on the same
+    stream replays it bit for bit.  Leaving the domain box only sets the
+    out_of_box flag.  An iterate that is non-finite or has a coordinate
+    beyond DIVERGENCE_CUTOFF, the final one included, ends the record
+    and marks it diverged.
     """
-    d = obj.dimension
-    if schedule.dimension != d:
-        raise ValueError("schedule kernel dimension does not match objective")
-    x = as_point(x0, d).copy()
-    traj = _allocate(schedule.total_steps, d)
-    traj.target = obj.target
-    lo, hi = obj.domain_box
-    gen = rng.generator()
-
-    t = 0
-    for si, stage in enumerate(schedule.stages):
-        eta = stage.eta
-        omegas = stage.kernel.sample_batch(stage.steps, gen)
-        for k in range(stage.steps):
-            g = obj.grad(x)
-            y = x - eta * g
-            w = omegas[k]
-            _record(traj, t, x, y, g, w, obj, eta, si, lo, hi)
-            if not _finite_ok(x):
-                traj.diverged = True
-                _truncate(traj, t + 1)
-                return traj
-            x = y - eta * w
-            t += 1
-
-    # final point, no outgoing noise
-    last = schedule.stages[-1]
-    g = obj.grad(x)
-    y = x - last.eta * g
-    _record(traj, t, x, y, g, np.zeros(d), obj, last.eta, len(schedule.stages) - 1, lo, hi)
-    if not _finite_ok(x):
-        traj.diverged = True
-        _truncate(traj, t + 1)
-    return traj
-
-
-def _finite_ok(x: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(x))) and float(np.max(np.abs(x))) <= DIVERGENCE_CUTOFF
-
-
-def _record(traj, t, x, y, g, w, obj, eta, si, lo, hi) -> None:
-    traj.xs[t] = x
-    traj.ys[t] = y
-    traj.omegas[t] = w
-    traj.fs[t] = obj.value(x)
-    traj.grad_norms[t] = math.sqrt(float(g @ g))
-    traj.noise_norms[t] = math.sqrt(float(w @ w))
-    traj.stage_idx[t] = si
-    traj.etas[t] = eta
-    traj.out_of_box[t] = bool(np.any(x < lo) or np.any(x > hi))
-    if obj.target is not None:
-        dx = x - obj.target
-        dy = y - obj.target
-        traj.dist2[t] = float(dx @ dx)
-        traj.y_dist2[t] = float(dy @ dy)
+    x0 = as_point(x0, obj.dimension)
+    return lockstep_run(obj, schedule, x0[None, :], [rng]).trajectory(obj, 0)
 
 
 def gd_run(obj: Objective, eta: float, steps: int, x0) -> Trajectory:
@@ -242,15 +296,11 @@ def shadow_check(traj: Trajectory, obj: Objective) -> float:
     """Max residual of the shadow update identity over constant-eta pairs.
 
     Stage-boundary indices (where eta changes) are skipped: the identity
-    is only defined within a stage.
+    is only defined within a stage.  NaN residuals are ignored.
     """
-    worst = 0.0
-    for t in range(len(traj) - 1):
-        if traj.etas[t + 1] != traj.etas[t]:
-            continue
-        eta = traj.etas[t]
-        inner = traj.ys[t] - eta * traj.omegas[t]
-        predicted = inner - eta * obj.grad(inner)
-        residual = float(np.linalg.norm(traj.ys[t + 1] - predicted))
-        worst = max(worst, residual)
-    return worst
+    t = np.flatnonzero(traj.etas[1:] == traj.etas[:-1])
+    eta = traj.etas[t, None]
+    inner = traj.ys[t] - eta * traj.omegas[t]
+    predicted = inner - eta * obj.grads_at(inner)
+    residuals = np.linalg.norm(traj.ys[t + 1] - predicted, axis=1)
+    return float(np.fmax.reduce(residuals, initial=0.0))

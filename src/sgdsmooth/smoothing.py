@@ -43,6 +43,10 @@ def hoeffding_tail(n: int, value_range: float, t: float) -> float:
 
 def hoeffding_halfwidth(n: int, value_range: float, confidence: float) -> float:
     """Two-sided confidence halfwidth: sqrt(range^2 * ln(2/alpha) / (2n))."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if value_range < 0:
+        raise ValueError(f"range must be >= 0, got {value_range}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     alpha = 1.0 - confidence

@@ -7,7 +7,16 @@ import os
 import numpy as np
 import pytest
 
-from sgdsmooth import NoiseKernel, RngStream, SpikyParams, make_spiky, sgd_run
+from sgdsmooth import (
+    NoiseKernel,
+    RngStream,
+    SpikyParams,
+    Stage,
+    StepSchedule,
+    make_quadratic,
+    make_spiky,
+    sgd_run,
+)
 from sgdsmooth.expcli import (
     ConfigError,
     ExperimentConfig,
@@ -194,6 +203,14 @@ class TestLockstep:
         traj.write_csv(a)
         seq.write_csv(b)
         assert a.read_bytes() == b.read_bytes()
+        # d = 2: the derived f and norm columns must match to the last bit too
+        spiky_2d = make_spiky(SpikyParams(dimension=2))
+        sched_2d = StepSchedule((Stage(0.05, 300, NoiseKernel("uniform-ball", 1.0, 2)),))
+        x0s_2d = draw_inits(2, 2, cfg.init_box, cfg.seed)
+        result = run_lockstep_ensemble(spiky_2d, sched_2d, x0s_2d, cfg.seed)
+        result.trajectory(spiky_2d, 1).write_csv(a)
+        sgd_run(spiky_2d, sched_2d, x0s_2d[1], RngStream(cfg.seed, 1001)).write_csv(b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_diverged_trials_freeze(self):
         from sgdsmooth import make_quadratic
@@ -205,6 +222,25 @@ class TestLockstep:
         result = run_lockstep_ensemble(obj, sched, x0s, 1)
         assert bool(result.diverged[0]) and not bool(result.diverged[1])
         assert np.all(result.x_hist[-1, 1, :] == 0.0)
+
+    def test_final_iterate_divergence_flagged_by_both_engines(self):
+        # on f = x^2/2 with eta = 2.1, |x_t| = 1.1**t first passes the 1e6
+        # cutoff at the final iterate, t = 145
+        obj = make_quadratic(1)
+        sched = StepSchedule((Stage(2.1, 145, NoiseKernel("zero", 0.0, 1)),))
+        traj = sgd_run(obj, sched, [1.0], RngStream(0))
+        result = run_lockstep_ensemble(obj, sched, np.array([[1.0]]), 0)
+        assert np.all(np.abs(result.x_hist[:-1]) <= 1e6)
+        assert abs(result.x_hist[-1, 0, 0]) > 1e6
+        assert traj.diverged
+        assert bool(result.diverged[0])
+        assert len(traj) == 146
+        # a mid-run divergence ends the record at the first offending row:
+        # with eta = 3, |x_t| = 2**t first passes the cutoff at t = 20
+        sched = StepSchedule((Stage(3.0, 100, NoiseKernel("zero", 0.0, 1)),))
+        result = run_lockstep_ensemble(obj, sched, np.array([[1.0]]), 0)
+        traj = result.trajectory(obj, 0)
+        assert len(traj) == 21 and abs(traj.xs[-1, 0]) > 1e6 >= abs(traj.xs[-2, 0])
 
 
 class TestEnsemble:

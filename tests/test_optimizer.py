@@ -1,5 +1,6 @@
 """Runner semantics: contraction, shadow identity, persistence, divergence."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ from conftest import bisect_root
 
 def _zero_schedule(eta, steps, d=1):
     return StepSchedule((Stage(eta, steps, NoiseKernel("zero", 0.0, d)),))
+
+
+def _shadow_check_loop(traj, obj):
+    """Reference: the per-step loop over constant-eta pairs, scalar oracle."""
+    worst = 0.0
+    for t in range(len(traj) - 1):
+        if traj.etas[t + 1] != traj.etas[t]:
+            continue
+        eta = traj.etas[t]
+        inner = traj.ys[t] - eta * traj.omegas[t]
+        predicted = inner - eta * obj.grad(inner)
+        residual = float(np.linalg.norm(traj.ys[t + 1] - predicted))
+        worst = max(worst, residual)
+    return worst
 
 
 class TestGd:
@@ -110,6 +125,45 @@ class TestSgd:
         sched = _zero_schedule(0.1, 10, d=2)
         with pytest.raises(ValueError):
             sgd_run(spiky_default, sched, [1.0, 1.0], RngStream(0))
+
+
+class TestShadowCheck:
+    """The vectorized check against the per-step reference loop.  Checking
+    against a perturbed landscape makes the residuals nonzero."""
+
+    def _cases(self, d):
+        params = SpikyParams(dimension=d)
+        obj = make_spiky(params)
+        other = make_spiky(SpikyParams(amp=0.9, dimension=d))
+        staged = StepSchedule(
+            (
+                Stage(0.01, 200, NoiseKernel("uniform-ball", 2.0, d)),
+                Stage(0.005, 200, NoiseKernel("uniform-cube", 1.0, d)),
+            )
+        )
+        traj = sgd_run(obj, staged, np.ones(d), RngStream(41, 1000))
+        diverged = gd_run(make_quadratic(d), 3.0, 200, np.ones(d))
+        poisoned = replace(traj, ys=traj.ys.copy())
+        poisoned.ys[5] = np.nan  # its NaN residuals are skipped, as in the loop
+        return [
+            (poisoned, other),
+            (traj, obj),
+            (traj, other),
+            (traj, make_quadratic(d)),
+            (diverged, make_quadratic(d)),
+            (diverged, obj),
+            (gd_run(obj, 0.01, 1, np.ones(d)), other),
+        ]
+
+    def test_exact_in_1d(self):
+        for traj, obj in self._cases(1):
+            assert shadow_check(traj, obj) == _shadow_check_loop(traj, obj)
+
+    def test_within_4_ulp_in_2d(self):
+        # np.linalg.norm(axis=1) sums in a different order than the 1-d norm
+        for traj, obj in self._cases(2):
+            loop = _shadow_check_loop(traj, obj)
+            assert abs(shadow_check(traj, obj) - loop) <= 4 * np.spacing(loop)
 
 
 class TestScheduleValidation:

@@ -48,6 +48,10 @@ class TestHoeffding:
             hoeffding_tail(10, 0.0, 0.1)
         with pytest.raises(ValueError):
             hoeffding_halfwidth(10, 1.0, 1.5)
+        with pytest.raises(ValueError):
+            hoeffding_halfwidth(0, 1.0, 0.99)
+        with pytest.raises(ValueError):
+            hoeffding_halfwidth(10, -1.0, 0.99)
 
 
 class TestValueMc:
