@@ -177,13 +177,11 @@ def neighborhood_opc(
     For each sampled w the statistic is <-grad f(w), target - center>,
     probing whether the whole neighborhood points toward the target.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ctr = as_point(center, obj.dimension)
     tgt = as_point(target, obj.dimension)
-    ball = NoiseKernel("uniform-ball", radius, obj.dimension) if radius > 0 else NoiseKernel("zero", 0.0, obj.dimension)
+    ball = NoiseKernel("uniform-ball", radius, obj.dimension)
     pts = ctr[None, :] + ball.sample_batch(n, rng.generator())
     inners = np.einsum("ij,ij->i", -obj.grads_at(pts), np.broadcast_to(tgt - ctr, pts.shape))
     return NeighborhoodStats(float(inners.min()), float(inners.mean()), float(inners.max()), n)

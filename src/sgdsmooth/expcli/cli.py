@@ -19,7 +19,14 @@ from ..noise import RngStream
 from ..optimizer import sgd_run
 from ..theory import constants
 from .config import ConfigError, ExperimentConfig
-from .pipeline import ensemble, figure3, smoothing_curve, write_curve_csv
+from .pipeline import (
+    TRIAL_STREAM_BASE,
+    draw_inits,
+    ensemble,
+    figure3,
+    smoothing_curve,
+    write_curve_csv,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -52,9 +59,8 @@ def _require_out(cfg: ExperimentConfig) -> str:
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     obj = cfg.build_objective()
-    gen = RngStream(cfg.seed, 0).generator()
-    x0 = gen.uniform(cfg.init_box[0], cfg.init_box[1], size=obj.dimension)
-    traj = sgd_run(obj, cfg.build_schedule(), x0, RngStream(cfg.seed, 1000))
+    x0 = draw_inits(1, obj.dimension, cfg.init_box, cfg.seed)[0]
+    traj = sgd_run(obj, cfg.build_schedule(), x0, RngStream(cfg.seed, TRIAL_STREAM_BASE))
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
         traj.write_csv(os.path.join(cfg.out_dir, "trial_0.csv"))

@@ -116,10 +116,21 @@ class ExperimentConfig:
             raise ConfigError("n_trials must be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError("confidence must be in (0, 1)")
-        if self.init_box[0] >= self.init_box[1]:
-            raise ConfigError("init_box must be a non-empty interval")
+        if len(self.init_box) != 2 or self.init_box[0] >= self.init_box[1]:
+            raise ConfigError("init_box must be a non-empty interval [lo, hi]")
         if len(self.stages) == 0:
             raise ConfigError("at least one stage is required")
+        if not self.cluster_tol > 0:
+            raise ConfigError("cluster_tol must be > 0")
+        if self.histogram_bins < 1:
+            raise ConfigError("histogram_bins must be >= 1")
+        if self.cert_samples < 2:
+            raise ConfigError("cert_samples must be >= 2")
+        try:
+            self.build_objective()
+            self.build_schedule()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     # ---- construction helpers ----
 

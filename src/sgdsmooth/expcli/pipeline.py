@@ -122,7 +122,6 @@ def draw_inits(n: int, dimension: int, box: tuple[float, float], seed: int) -> n
 def ensemble(
     config: ExperimentConfig,
     stay_radius2: Optional[float] = None,
-    persist: bool = True,
 ) -> tuple[EnsembleResult, EnsembleReport]:
     """Run the configured ensemble; persist per-trial CSVs and a summary
     when the config names an output directory."""
@@ -133,7 +132,7 @@ def ensemble(
     report = summarize_ensemble(
         result, obj.target, config.cluster_tol, stay_radius2, config.histogram_bins
     )
-    if persist and config.out_dir is not None:
+    if config.out_dir is not None:
         persist_ensemble(config.out_dir, obj, result, report)
     return result, report
 
@@ -258,7 +257,7 @@ class Figure3Report:
     out_dir: Optional[str]
 
 
-def figure3(config: ExperimentConfig, persist: bool = True) -> Figure3Report:
+def figure3(config: ExperimentConfig) -> Figure3Report:
     """Reproduce the three-row smoothing demonstration at desk scale.
 
     Row 1: smoothed curves per noise level (MC + closed form).
@@ -273,7 +272,7 @@ def figure3(config: ExperimentConfig, persist: bool = True) -> Figure3Report:
     if len(config.stages) < 2:
         raise ValueError("figure3 needs at least 2 shrink stages")
     obj = config.build_objective()
-    out = config.out_dir if persist else None
+    out = config.out_dir
     if out is not None:
         os.makedirs(out, exist_ok=True)
 
@@ -296,7 +295,7 @@ def figure3(config: ExperimentConfig, persist: bool = True) -> Figure3Report:
     for j, r in enumerate((0.0, *config.noise_levels)):
         stage = StageSpec(base.eta, base.steps, KernelSpec(base.kernel.kind, r))
         panel_cfg = _replace_stages(config, (stage,), None)
-        result, report = ensemble(panel_cfg, persist=False)
+        result, report = ensemble(panel_cfg)
         row2.append(report)
         if out is not None:
             panel_dir = os.path.join(out, f"row2_level{j}")

@@ -1,8 +1,12 @@
 """Noise-convolved objective g(y) = E_w f(y - eta*w) and its gradient.
 
-Monte Carlo estimates come with Hoeffding confidence intervals; for the
-1-d spiky landscape under interval noise the convolution has a closed
-form (sinc attenuation of the spike term) used as an exact cross-oracle.
+Every Monte Carlo mean, here and in `theory`, is one estimator: draws from
+`perturbed_points`, then `bounded_mean`, a Hoeffding interval from a
+declared sample range, Bonferroni-split across a gradient's coordinates.
+A sample spread wider than that range (an understated smoothness) or a
+NaN/inf sample raises.  For the 1-d spiky landscape under interval noise
+the convolution has a closed form (sinc attenuation of the spike term)
+used as an exact cross-oracle.
 """
 from __future__ import annotations
 
@@ -17,6 +21,8 @@ from .objectives import Objective, SpikyParams, as_point
 
 __all__ = [
     "SmoothedEstimate",
+    "perturbed_points",
+    "bounded_mean",
     "smoothed_value_mc",
     "smoothed_grad_mc",
     "smoothed_value_closed",
@@ -27,6 +33,7 @@ __all__ = [
 
 DEFAULT_CONFIDENCE = 0.99
 DEFAULT_SAMPLES = 10_000
+RANGE_RTOL = 1e-9
 
 
 def hoeffding_tail(n: int, value_range: float, t: float) -> float:
@@ -64,15 +71,37 @@ class SmoothedEstimate:
     confidence: float
 
 
-def _sample_range(obj: Objective, eta: float, y: np.ndarray, radius: float) -> float:
-    """Width of the interval confining f(y - eta*w) around f(y).
+def perturbed_points(
+    obj: Objective, kernel: NoiseKernel, eta: float, y, n: int, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate n >= 1 and eta >= 0, coerce y to a point p, and return p with
+    the (n, d) batch p - eta*w of n draws w from one `sample_batch` call."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if eta < 0:
+        raise ValueError(f"eta must be >= 0, got {eta}")
+    p = as_point(y, obj.dimension)
+    return p, p[None, :] - eta * kernel.sample_batch(n, rng.generator())
 
-    Local bound: |f(y - eta*w) - f(y)| <= eta*r*|grad f(y)| + L/2 (eta*r)^2,
-    so the samples live in an interval of twice that halfwidth.
-    """
-    reach = eta * radius
-    halfwidth = reach * float(np.linalg.norm(obj.grad_at(y))) + 0.5 * obj.smoothness * reach**2
-    return 2.0 * halfwidth
+
+def bounded_mean(samples: np.ndarray, value_range: float, confidence: float) -> SmoothedEstimate:
+    """Mean of samples confined to an interval of width `value_range`, with its
+    two-sided Hoeffding halfwidth.  Samples of shape (n, k) give k means, each
+    at confidence 1 - (1 - confidence)/k (Bonferroni).  A column that spreads
+    wider than the range, or a NaN or inf sample, raises ValueError."""
+    n, cols = samples.shape[0], samples[0].size
+    lo, hi = samples.min(axis=0), samples.max(axis=0)
+    # rounding allowance scales with the range and the samples; NaN/inf makes `over` NaN
+    with np.errstate(invalid="ignore"):
+        spread = hi - lo
+        over = spread - RANGE_RTOL * (value_range + np.maximum(np.abs(lo), np.abs(hi)))
+    if not np.all(over <= value_range):
+        raise ValueError(f"samples spread over {np.max(spread):.6g}, beyond the declared range "
+                         f"{value_range:.6g} (understated smoothness or a non-finite sample)")
+    hw = hoeffding_halfwidth(n, value_range, 1.0 - (1.0 - confidence) / cols)
+    if samples.ndim == 1:
+        return SmoothedEstimate(float(samples.mean()), n, value_range, hw, confidence)
+    return SmoothedEstimate(samples.mean(axis=0), n, value_range, np.full(cols, hw), confidence)
 
 
 def smoothed_value_mc(
@@ -84,19 +113,12 @@ def smoothed_value_mc(
     rng: RngStream = RngStream(0),
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> SmoothedEstimate:
-    """Estimate g(y) = E f(y - eta*w) by averaging n noise draws."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    p = as_point(y, obj.dimension)
-    draws = kernel.sample_batch(n, rng.generator())
-    vals = obj.values_at(p[None, :] - eta * draws)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite objective value in smoothing sample")
-    rb = _sample_range(obj, eta, p, kernel.radius)
-    hw = hoeffding_halfwidth(n, rb, confidence) if rb > 0 else 0.0
-    return SmoothedEstimate(float(vals.mean()), n, rb, hw, confidence)
+    """Estimate g(y) = E f(y - eta*w) by averaging n noise draws.  Each sample
+    lies within eta*r*|grad f(y)| + L/2 (eta*r)^2 of f(y)."""
+    p, points = perturbed_points(obj, kernel, eta, y, n, rng)
+    reach = eta * kernel.radius
+    rb = 2.0 * (reach * float(np.linalg.norm(obj.grad_at(p))) + 0.5 * obj.smoothness * reach**2)
+    return bounded_mean(obj.values_at(points), rb, confidence)
 
 
 def smoothed_grad_mc(
@@ -114,22 +136,9 @@ def smoothed_grad_mc(
     coordinates; each coordinate's sample range uses the gradient-Lipschitz
     bound |grad f(y - eta*w) - grad f(y)|_i <= L * eta * r.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    p = as_point(y, obj.dimension)
-    draws = kernel.sample_batch(n, rng.generator())
-    grads = obj.grads_at(p[None, :] - eta * draws)
-    if not np.all(np.isfinite(grads)):
-        raise ValueError("non-finite gradient in smoothing sample")
+    _, points = perturbed_points(obj, kernel, eta, y, n, rng)
     rb = 2.0 * obj.smoothness * eta * kernel.radius
-    if rb > 0:
-        per_coord_conf = 1.0 - (1.0 - confidence) / obj.dimension
-        hw = np.full(obj.dimension, hoeffding_halfwidth(n, rb, per_coord_conf))
-    else:
-        hw = np.zeros(obj.dimension)
-    return SmoothedEstimate(grads.mean(axis=0), n, rb, hw, confidence)
+    return bounded_mean(obj.grads_at(points), rb, confidence)
 
 
 def _sinc(u: float) -> float:

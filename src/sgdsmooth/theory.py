@@ -18,7 +18,7 @@ import numpy as np
 from .noise import NoiseKernel, RngStream
 from .objectives import Objective, as_point
 from .optimizer import Trajectory
-from .smoothing import hoeffding_halfwidth
+from .smoothing import bounded_mean, perturbed_points
 
 __all__ = [
     "TheoremConstants",
@@ -141,43 +141,26 @@ def drift_check(
 
     The Hoeffding range for the squared-distance samples comes from the
     reach bound |y_next - y_next0| <= eta*r*(1 + eta*L) around the
-    noiseless step y_next0.
+    noiseless step y_next0; an understated L that samples exceed raises.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    p = as_point(y, obj.dimension)
+    p, inner = perturbed_points(obj, kernel, eta, y, n, rng)
     tgt = as_point(target, obj.dimension)
-    cons = constants(c, eta, L, kernel.radius, float((p - tgt) @ (p - tgt)), 1)
-
-    draws = kernel.sample_batch(n, rng.generator())
-    inner = p[None, :] - eta * draws
-    y_next = inner - eta * obj.grads_at(inner)
-    diffs = y_next - tgt[None, :]
-    samples = np.einsum("ij,ij->i", diffs, diffs)
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("non-finite evaluation in drift sample")
-    estimate = float(samples.mean())
-
-    y_next0 = p - eta * obj.grad_at(p)
-    d0 = float(np.linalg.norm(y_next0 - tgt))
-    reach = eta * kernel.radius * (1.0 + eta * L)
-    hi = (d0 + reach) ** 2
-    lo = max(0.0, d0 - reach) ** 2
-    rb = hi - lo
-    hw = hoeffding_halfwidth(n, rb, confidence) if rb > 0 else 0.0
-
     y_dist2 = float((p - tgt) @ (p - tgt))
+    cons = constants(c, eta, L, kernel.radius, y_dist2, 1)
+
+    diffs = inner - eta * obj.grads_at(inner) - tgt[None, :]
+    d0 = float(np.linalg.norm(p - eta * obj.grad_at(p) - tgt))
+    reach = eta * kernel.radius * (1.0 + eta * L)
+    rb = (d0 + reach) ** 2 - max(0.0, d0 - reach) ** 2
+    est = bounded_mean(np.einsum("ij,ij->i", diffs, diffs), rb, confidence)
+
     rhs = (1.0 - cons.lam) * y_dist2 + cons.b
     # rounding allowance so the exact-equality (noiseless) case passes
     slack = 1e-12 * max(1.0, abs(rhs))
-    return DriftReport(
-        estimate=estimate,
-        ci_halfwidth=hw,
-        rhs=rhs,
-        passed=estimate <= rhs + hw + slack,
-        y_dist2=y_dist2,
-        samples=n,
-    )
+    hw = est.confidence_halfwidth
+    return DriftReport(est.mean, hw, rhs, est.mean <= rhs + hw + slack, y_dist2, n)
 
 
 @dataclass(frozen=True)

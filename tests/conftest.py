@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def local_minima(params: SpikyParams, lo: float, hi: float) -> np.ndarray:
     roots = stationary_points(params, lo, hi)
     curv = q - a * b**2 * np.sin(b * roots)
     return roots[curv > 0.0]
+
+
+def poisoned(obj, bad: float):
+    """`obj` whose batch oracles return `bad` in the first row, as a broken
+    oracle would; the scalar oracles stay intact."""
+
+    def first_row(oracle):
+        def batch(xs):
+            out = np.array(oracle(xs), dtype=float)
+            out[0] = bad
+            return out
+
+        return batch
+
+    return replace(obj, value_batch=first_row(obj.values_at), grad_batch=first_row(obj.grads_at))
 
 
 @pytest.fixture

@@ -145,7 +145,7 @@ def test_4_multistage_shrinkage(capsys):
     assert etas == sorted(etas, reverse=True)
     assert radii == sorted(radii, reverse=True)
 
-    report = figure3(cfg, persist=False)
+    report = figure3(cfg)
     meds = report.row3_medians
     strictly_down = all(a > b for a, b in zip(meds, meds[1:]))
 

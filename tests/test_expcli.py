@@ -94,7 +94,7 @@ class TestCluster:
             n_trials=100,
             seed=20240,
         )
-        _, report = ensemble(cfg, persist=False)
+        _, report = ensemble(cfg)
         finals = report.finals_x[:, 0]
         minima = local_minima(SpikyParams(), -6.0, 6.0)
         occupied = {int(np.argmin(np.abs(minima - f))) for f in finals}
@@ -259,7 +259,7 @@ class TestEnsemble:
 
     def test_success_fraction_with_radius(self):
         cfg = _small_config()
-        _, report = ensemble(cfg, stay_radius2=1e9, persist=False)
+        _, report = ensemble(cfg, stay_radius2=1e9)
         assert report.success_fraction == 1.0
         assert 0 <= report.cluster_count <= cfg.n_trials
 
@@ -321,13 +321,12 @@ def _figure3_config(out_dir=None, **overrides):
 class TestFigure3:
     def test_requires_levels_and_stages(self):
         with pytest.raises(ValueError):
-            figure3(_figure3_config(noise_levels=(0.3,)), persist=False)
+            figure3(_figure3_config(noise_levels=(0.3,)))
         with pytest.raises(ValueError):
             figure3(
                 _figure3_config(
                     stages=(StageSpec(0.1, 10, KernelSpec("uniform-ball", 1.0)),)
-                ),
-                persist=False,
+                )
             )
 
     def test_full_tree_deterministic(self, tmp_path):
@@ -374,7 +373,7 @@ class TestFigure3:
                 assert abs(g_mc - closed) <= ci
 
     def test_row3_reports_per_stage(self):
-        report = figure3(_figure3_config(), persist=False)
+        report = figure3(_figure3_config())
         assert len(report.row3_reports) == 2
         assert len(report.row3_medians) == 2
         assert len(report.row2_reports) == len(report.noise_levels) + 1
@@ -402,6 +401,41 @@ class TestCli:
         path.write_text(_small_config().dumps())
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "trial_0.csv").exists()
+
+    def test_run_replays_ensemble_trial_0(self, tmp_path, capsys):
+        cfg = _small_config(
+            objective=ObjectiveSpec(kind="spiky", dimension=2),
+            stages=(
+                StageSpec(0.05, 40, KernelSpec("uniform-ball", 1.0)),
+                StageSpec(0.02, 30, KernelSpec("uniform-cube", 0.5)),
+            ),
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.dumps())
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+        args = ["ensemble", "--config", str(path), "--trials", "1", "--out", str(tmp_path / "e")]
+        assert main(args) == 0
+        assert filecmp.cmp(tmp_path / "r" / "trial_0.csv", tmp_path / "e" / "trial_0.csv", shallow=False)
+
+    @pytest.mark.parametrize(
+        "command, patch",
+        [
+            ("ensemble", {"stages": [{"eta": 0.05, "steps": 4, "kernel": {"kind": "blob"}}]}),
+            ("ensemble", {"stages": [{"eta": -0.2, "steps": 4, "kernel": {"radius": 1.0}}]}),
+            ("ensemble", {"cluster_tol": 0}),
+            ("ensemble", {"histogram_bins": 0}),
+            ("ensemble", {"init_box": [1]}),
+            ("certify", {"cert_samples": 1}),
+        ],
+        ids=["kernel-kind", "eta", "cluster-tol", "histogram-bins", "init-box", "cert-samples"],
+    )
+    def test_config_errors_exit_1(self, tmp_path, capsys, command, patch):
+        data = _small_config().to_json_dict()
+        data.update(patch)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "config error:" in capsys.readouterr().err
 
     def test_run_divergence_exit_code(self, tmp_path, capsys):
         cfg = _small_config(

@@ -1,5 +1,6 @@
 """Convolved-objective estimators against closed forms and hand values."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from sgdsmooth import (
     smoothed_value_closed,
     smoothed_value_mc,
 )
+
+from conftest import poisoned
 
 
 class TestHoeffding:
@@ -120,6 +123,30 @@ class TestGradMc:
         assert abs(float(np.asarray(est.mean)[0]) - closed) <= float(
             np.asarray(est.confidence_halfwidth)[0]
         )
+
+
+class TestBoundedMean:
+    def test_understated_smoothness_raises(self, spiky_default):
+        # L = 1 declares a range of 0.2; the spiky gradients spread over ~13
+        k = NoiseKernel("uniform-ball", 1.0, 1)
+        understated = replace(spiky_default, smoothness=1.0)
+        with pytest.raises(ValueError, match="declared range"):
+            smoothed_grad_mc(understated, k, 0.1, [0.4], n=5000, rng=RngStream(10))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("estimator", [smoothed_value_mc, smoothed_grad_mc])
+    def test_non_finite_sample_raises(self, spiky_default, estimator, bad):
+        k = NoiseKernel("uniform-ball", 1.0, 1)
+        with pytest.raises(ValueError, match="declared range"):
+            estimator(poisoned(spiky_default, bad), k, 0.1, [0.4], n=100, rng=RngStream(11))
+
+    def test_bonferroni_across_coordinates(self):
+        obj = make_quadratic(3)
+        k = NoiseKernel("uniform-cube", 1.0, 3)
+        n, eta = 2000, 0.3
+        est = smoothed_grad_mc(obj, k, eta, [0.5, -1.0, 2.0], n=n, rng=RngStream(12))
+        expect = hoeffding_halfwidth(n, 2.0 * obj.smoothness * eta * k.radius, 1 - (1 - 0.99) / 3)
+        assert np.array_equal(est.confidence_halfwidth, np.full(3, expect))
 
 
 class TestClosedForm:

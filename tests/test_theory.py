@@ -18,6 +18,8 @@ from sgdsmooth import (
     stay_validate,
 )
 
+from conftest import poisoned
+
 
 class TestConstants:
     def test_hand_values(self):
@@ -145,6 +147,22 @@ class TestDriftCheck:
         k = NoiseKernel("zero", 0.0, 1)
         with pytest.raises(ValueError):
             drift_check(quadratic_1d, k, 0.1, 1.0, 1.0, [1.0], [0.0], n=1)
+
+    def test_understated_smoothness_raises(self, spiky_default):
+        # L = 1 (the spiky objective's is 101) understates the reach bound
+        k = NoiseKernel("uniform-ball", 1.0, 1)
+        with pytest.raises(ValueError, match="declared range"):
+            drift_check(
+                spiky_default, k, 0.1, 0.3, 1.0, [0.4], spiky_default.target,
+                n=5000, rng=RngStream(63),
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_raises(self, spiky_default, bad):
+        obj = poisoned(spiky_default, bad)
+        k = NoiseKernel("uniform-ball", 1.0, 1)
+        with pytest.raises(ValueError, match="declared range"):
+            drift_check(obj, k, 0.1, 0.3, obj.smoothness, [0.4], obj.target, n=100, rng=RngStream(64))
 
 
 class TestStayValidate:
