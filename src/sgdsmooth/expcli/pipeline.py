@@ -5,6 +5,12 @@ with trial i on its own Philox stream (key = (seed, TRIAL_STREAM_BASE +
 index)).  `optimizer.sgd_run` is a one-trial run of the same engine, so
 a lockstep trial replays `sgd_run` for the same stream by construction,
 divergence flag included.
+
+An ensemble with an output directory persists three artifacts there:
+`trajectories.npy`, every trial's record as one streamed table (see
+`optimizer.table_dtype`), `summary.json` and the finals histogram
+`finals.svg`.  `figure3` writes one such directory per row-2 and row-3
+panel, next to its row-1 curve CSVs.
 """
 from __future__ import annotations
 
@@ -123,8 +129,8 @@ def ensemble(
     config: ExperimentConfig,
     stay_radius2: Optional[float] = None,
 ) -> tuple[EnsembleResult, EnsembleReport]:
-    """Run the configured ensemble; persist per-trial CSVs and a summary
-    when the config names an output directory."""
+    """Run the configured ensemble; persist its trajectory table, summary
+    and finals histogram when the config names an output directory."""
     obj = config.build_objective()
     schedule = config.build_schedule()
     x0s = draw_inits(config.n_trials, obj.dimension, config.init_box, config.seed)
@@ -138,9 +144,9 @@ def ensemble(
 
 
 def persist_ensemble(out_dir, obj: Objective, result: EnsembleResult, report: EnsembleReport) -> None:
+    """Write `trajectories.npy`, `summary.json` and `finals.svg` to out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    for i in range(result.n_trials):
-        result.trajectory(obj, i).write_csv(os.path.join(out_dir, f"trial_{i}.csv"))
+    result.write_table(obj, os.path.join(out_dir, "trajectories.npy"))
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(report.summary_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

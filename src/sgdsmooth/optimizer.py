@@ -14,7 +14,9 @@ own stream, one batch per stage.  `sgd_run` is a one-trial lockstep run,
 so a lockstep trial replays `sgd_run` for the same stream by
 construction.  One predicate flags divergence at every recorded iterate,
 the final one included, and `EnsembleResult.trajectory` is the one place
-a `Trajectory` record is built.
+a `Trajectory` record is built.  A record is persisted either alone, as a
+CSV (`Trajectory.write_csv`), or with every trial of an ensemble, as one
+streamed `.npy` trajectory table (`EnsembleResult.write_table`).
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .noise import NoiseKernel, RngStream
 from .objectives import Objective, as_point
 
 __all__ = [
-    "Stage", "StepSchedule", "Trajectory", "EnsembleResult",
+    "Stage", "StepSchedule", "Trajectory", "EnsembleResult", "table_dtype",
     "lockstep_run", "sgd_run", "gd_run", "shadow_check",
 ]
 
@@ -70,6 +72,17 @@ class StepSchedule:
     @property
     def dimension(self) -> int:
         return self.stages[0].kernel.dimension
+
+
+def table_dtype(dimension: int) -> np.dtype:
+    """Row type of the trajectory table: the trial index, then the columns
+    of `Trajectory.write_csv` (x as one (d,) field), in fixed little-endian
+    types."""
+    return np.dtype([
+        ("trial", "<i8"), ("t", "<i8"), ("stage", "<i8"), ("x", "<f8", (dimension,)),
+        ("f", "<f8"), ("grad_norm", "<f8"), ("noise_norm", "<f8"), ("dist2", "<f8"),
+        ("out_of_box", "|b1"),
+    ])
 
 
 @dataclass
@@ -135,6 +148,21 @@ class Trajectory:
                 ]
                 writer.writerow(row)
 
+    def table_rows(self, trial: int) -> np.ndarray:
+        """This record as `table_dtype` rows labelled with `trial`; each field
+        holds the same values as the matching CSV column."""
+        rows = np.empty(len(self), table_dtype(self.dimension))
+        rows["trial"] = trial
+        rows["t"] = np.arange(len(self))
+        rows["stage"] = self.stage_idx
+        rows["x"] = self.xs
+        rows["f"] = self.fs
+        rows["grad_norm"] = self.grad_norms
+        rows["noise_norm"] = self.noise_norms
+        rows["dist2"] = self.dist2
+        rows["out_of_box"] = self.out_of_box
+        return rows
+
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     """Read a persisted trajectory back into column arrays, losslessly."""
@@ -187,16 +215,21 @@ class EnsembleResult:
         diff = self.y_hist - np.asarray(target, dtype=float)[None, None, :]
         return np.einsum("tnd,tnd->tn", diff, diff)
 
+    def record_end(self, i: int) -> int:
+        """Row count of trial i's record.  A diverged trial's record ends at
+        the iterate that froze it, its first one beyond the cutoff."""
+        if not self.diverged[i]:
+            return self.x_hist.shape[0]
+        return int(np.argmin(_bounded(self.x_hist[:, i]))) + 1
+
     def trajectory(self, obj: Objective, i: int) -> Trajectory:
-        """Materialize trial i as a Trajectory record.
+        """Materialize trial i as a Trajectory record of `record_end(i)` rows.
 
         The iterate, shadow, noise, eta and stage arrays are views of the
-        history.  A diverged trial's record ends at the iterate that froze
-        it, its first one beyond the cutoff.
+        history.
         """
-        xs = self.x_hist[:, i]
-        end = int(np.argmin(_bounded(xs))) + 1 if self.diverged[i] else len(xs)
-        xs, ys, omegas = xs[:end], self.y_hist[:end, i], self.omegas[:end, i]
+        end = self.record_end(i)
+        xs, ys, omegas = self.x_hist[:end, i], self.y_hist[:end, i], self.omegas[:end, i]
         lo, hi = obj.domain_box
         # an unknown target is NaN, so both distances come out NaN
         target = np.full(obj.dimension, np.nan) if obj.target is None else obj.target
@@ -216,6 +249,23 @@ class EnsembleResult:
             diverged=bool(self.diverged[i]),
             target=obj.target,
         )
+
+    def write_table(self, obj: Objective, path) -> None:
+        """Write every trial's record to `path` as one `.npy` table of
+        `table_dtype` rows, trials in order.
+
+        The header states the total row count, summed over `record_end`;
+        the rows then follow one trial at a time, each built by
+        `trajectory`, so only one trial's record is in memory at once.
+        """
+        fmt = np.lib.format
+        rows = sum(self.record_end(i) for i in range(self.n_trials))
+        dtype = table_dtype(self.x_hist.shape[2])
+        header = {"descr": fmt.dtype_to_descr(dtype), "fortran_order": False, "shape": (rows,)}
+        with open(path, "wb") as fh:
+            fmt.write_array_header_1_0(fh, header)
+            for i in range(self.n_trials):
+                fh.write(self.trajectory(obj, i).table_rows(i).tobytes())
 
 
 def lockstep_run(

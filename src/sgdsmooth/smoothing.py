@@ -87,8 +87,12 @@ def perturbed_points(
 def bounded_mean(samples: np.ndarray, value_range: float, confidence: float) -> SmoothedEstimate:
     """Mean of samples confined to an interval of width `value_range`, with its
     two-sided Hoeffding halfwidth.  Samples of shape (n, k) give k means, each
-    at confidence 1 - (1 - confidence)/k (Bonferroni).  A column that spreads
-    wider than the range, or a NaN or inf sample, raises ValueError."""
+    at confidence 1 - (1 - confidence)/k (Bonferroni).  A confidence outside
+    (0, 1), a column that spreads wider than the range, or a NaN or inf
+    sample raises ValueError."""
+    # checked before the split: for k >= 2 the per-column level of c <= 0 is still positive
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     n, cols = samples.shape[0], samples[0].size
     lo, hi = samples.min(axis=0), samples.max(axis=0)
     # rounding allowance scales with the range and the samples; NaN/inf makes `over` NaN

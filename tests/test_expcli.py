@@ -3,6 +3,7 @@ import filecmp
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,10 +35,11 @@ from sgdsmooth.expcli import (
     figure3,
     run_lockstep_ensemble,
     smoothing_curve,
+    summarize_ensemble,
     svg_histogram_string,
 )
 from sgdsmooth.expcli.cli import main
-from sgdsmooth.expcli.pipeline import draw_inits, write_curve_csv
+from sgdsmooth.expcli.pipeline import draw_inits, persist_ensemble, write_curve_csv
 from sgdsmooth.optimizer import read_trajectory_csv
 from sgdsmooth.smoothing import smoothed_value_closed
 
@@ -243,19 +245,72 @@ class TestLockstep:
         assert len(traj) == 21 and abs(traj.xs[-1, 0]) > 1e6 >= abs(traj.xs[-2, 0])
 
 
+def _same_bits(expected, column) -> bool:
+    """Bitwise equality of a table column with a record array (NaN equals NaN)."""
+    expected = np.asarray(expected, dtype=column.dtype)
+    return expected.shape == column.shape and expected.tobytes() == column.tobytes()
+
+
 class TestEnsemble:
     def test_persisted_artifacts(self, tmp_path):
         cfg = _small_config(out_dir=str(tmp_path / "run"))
         _, report = ensemble(cfg)
         out = tmp_path / "run"
-        assert (out / "summary.json").exists()
-        assert (out / "finals.svg").exists()
-        trials = sorted(p.name for p in out.glob("trial_*.csv"))
-        assert len(trials) == cfg.n_trials
-        cols = read_trajectory_csv(out / "trial_0.csv")
-        assert len(cols["t"]) == 41
+        assert sorted(p.name for p in out.iterdir()) == ["finals.svg", "summary.json", "trajectories.npy"]
+        tab = np.load(out / "trajectories.npy")
+        assert np.array_equal(np.unique(tab["trial"]), np.arange(cfg.n_trials))
+        assert np.all(np.diff(tab["trial"]) >= 0)
+        assert np.count_nonzero(tab["trial"] == 0) == 41
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_trials"] == cfg.n_trials
+
+    def test_table_rows_end_at_the_record_end(self, tmp_path):
+        # on f = x^2/2 with eta = 3, |x_t| = 2**t first passes the cutoff at
+        # t = 20, so trial 0 keeps 21 rows; trial 1 sits at the minimum
+        obj = make_quadratic(1)
+        sched = StepSchedule((Stage(3.0, 100, NoiseKernel("zero", 0.0, 1)),))
+        result = run_lockstep_ensemble(obj, sched, np.array([[1.0], [0.0]]), 1)
+        assert [result.record_end(0), result.record_end(1)] == [21, 101]
+        result.write_table(obj, tmp_path / "t.npy")
+        tab = np.load(tmp_path / "t.npy")
+        assert np.count_nonzero(tab["trial"] == 0) == 21
+        assert np.count_nonzero(tab["trial"] == 1) == 101
+        assert len(tab) == 122
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_table_round_trips_every_trial(self, tmp_path, dimension):
+        obj = make_spiky(SpikyParams(dimension=dimension))
+        if dimension == 2:
+            obj = replace(obj, target=None)  # the distance column is then all NaN
+        # a short eta = 2.5 stage amplifies |x| by about 1.5 per step: the
+        # trial from 1e5 diverges mid-run and the one from 2e6 at t = 0
+        sched = StepSchedule((
+            Stage(0.05, 30, NoiseKernel("uniform-ball", 1.0, dimension)),
+            Stage(2.5, 12, NoiseKernel("uniform-ball", 1.0, dimension)),
+        ))
+        x0s = np.vstack([draw_inits(3, dimension, (-3.0, 3.0), 5), np.full((2, dimension), 1e5)])
+        x0s[4, 0] = 2e6
+        result = run_lockstep_ensemble(obj, sched, x0s, 5)
+        ends = [result.record_end(i) for i in range(5)]
+        assert list(result.diverged) == [False, False, False, True, True]
+        assert 1 < ends[3] < 43 and ends[4] == 1
+        report = summarize_ensemble(result, obj.target, 0.05)
+        persist_ensemble(tmp_path, obj, result, report)
+        tab = np.load(tmp_path / "trajectories.npy")
+        assert len(tab) == sum(ends)
+        for i in range(5):
+            traj = result.trajectory(obj, i)
+            rows = tab[tab["trial"] == i]
+            assert len(rows) == ends[i] == len(traj)
+            assert _same_bits(np.arange(len(traj)), rows["t"])
+            assert _same_bits(traj.stage_idx, rows["stage"])
+            assert _same_bits(traj.xs, rows["x"])
+            assert _same_bits(traj.fs, rows["f"])
+            assert _same_bits(traj.grad_norms, rows["grad_norm"])
+            assert _same_bits(traj.noise_norms, rows["noise_norm"])
+            assert _same_bits(traj.dist2, rows["dist2"])
+            assert _same_bits(traj.out_of_box, rows["out_of_box"])
+        assert np.all(np.isnan(tab["dist2"])) == (dimension == 2)
 
     def test_success_fraction_with_radius(self):
         cfg = _small_config()
@@ -415,7 +470,13 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
         args = ["ensemble", "--config", str(path), "--trials", "1", "--out", str(tmp_path / "e")]
         assert main(args) == 0
-        assert filecmp.cmp(tmp_path / "r" / "trial_0.csv", tmp_path / "e" / "trial_0.csv", shallow=False)
+        cols = read_trajectory_csv(tmp_path / "r" / "trial_0.csv")
+        rows = np.load(tmp_path / "e" / "trajectories.npy")
+        assert np.all(rows["trial"] == 0)
+        for name in ("t", "stage", "f", "grad_norm", "noise_norm", "dist2", "out_of_box"):
+            assert _same_bits(cols[name], rows[name].astype(float)), name
+        for k in range(2):
+            assert _same_bits(cols[f"x_{k}"], rows["x"][:, k]), k
 
     @pytest.mark.parametrize(
         "command, patch",

@@ -148,6 +148,15 @@ class TestBoundedMean:
         expect = hoeffding_halfwidth(n, 2.0 * obj.smoothness * eta * k.radius, 1 - (1 - 0.99) / 3)
         assert np.array_equal(est.confidence_halfwidth, np.full(3, expect))
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    def test_confidence_checked_before_the_split(self, confidence):
+        # with d = 3 the per-coordinate level 1 - (1 - 0)/3 = 2/3 is valid,
+        # so a check after the Bonferroni split lets confidence 0 through
+        k = NoiseKernel("uniform-ball", 1.0, 3)
+        with pytest.raises(ValueError, match="confidence"):
+            smoothed_grad_mc(make_quadratic(3), k, 0.1, [0.5, -1.0, 2.0], n=100,
+                             rng=RngStream(13), confidence=confidence)
+
 
 class TestClosedForm:
     def test_eta_zero_recovers_f(self, spiky_default):
