@@ -7,7 +7,8 @@ reason.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,27 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+def _keys(data, spec, where: str) -> dict:
+    """`data` as a JSON object whose every key names a field of `spec`."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    names = {f.name for f in fields(spec)}
+    for key in data:
+        if key not in names:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    return data
+
+
+def _integer(value, name: str) -> int:
+    """An integral number as an int; 2.5 or "3" are rejected, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str = "uniform-ball"
@@ -45,6 +67,19 @@ class StageSpec:
     eta: float
     steps: int
     kernel: KernelSpec
+
+
+def _stage_spec(data, where: str) -> StageSpec:
+    data = _keys(data, StageSpec, where)
+    kernel = _keys(data["kernel"], KernelSpec, where + ".kernel")
+    return StageSpec(
+        eta=float(data["eta"]),
+        steps=_integer(data["steps"], where + " steps"),
+        kernel=KernelSpec(
+            kind=kernel.get("kind", "uniform-ball"),
+            radius=float(kernel.get("radius", 0.0)),
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -75,9 +110,14 @@ class GridSpec:
     hi: float = 3.0
     count: int = 50
 
-    def points(self) -> np.ndarray:
+    def __post_init__(self):
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
+        object.__setattr__(self, "count", _integer(self.count, "cert_grid count"))
         if self.count < 1:
             raise ConfigError("grid count must be >= 1")
+
+    def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
 
 
@@ -131,6 +171,13 @@ class ExperimentConfig:
             self.build_schedule()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        try:
+            levels = tuple(float(r) for r in self.noise_levels)
+            for r in levels:
+                KernelSpec(self.stages[0].kernel.kind, r).build(self.objective.dimension)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"noise_levels: {exc}") from exc
+        object.__setattr__(self, "noise_levels", levels)
 
     # ---- construction helpers ----
 
@@ -195,45 +242,40 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
         try:
-            obj = data.get("objective", {})
+            data = _keys(data, cls, "config")
+            obj = _keys(data.get("objective", {}), ObjectiveSpec, "objective")
             theorem = data.get("theorem")
+            if theorem is not None:
+                theorem = _keys(theorem, TheoremSpec, "theorem")
             return cls(
                 objective=ObjectiveSpec(
                     kind=obj.get("kind", "spiky"),
-                    dimension=int(obj.get("dimension", 1)),
+                    dimension=_integer(obj.get("dimension", 1), "dimension"),
                     quad=float(obj.get("quad", 1.0)),
                     amp=float(obj.get("amp", 1.0)),
                     freq=float(obj.get("freq", 10.0)),
                     center=tuple(obj.get("center", (0.0,))),
                 ),
                 stages=tuple(
-                    StageSpec(
-                        eta=float(s["eta"]),
-                        steps=int(s["steps"]),
-                        kernel=KernelSpec(
-                            kind=s["kernel"].get("kind", "uniform-ball"),
-                            radius=float(s["kernel"].get("radius", 0.0)),
-                        ),
-                    )
-                    for s in data.get("stages", [])
+                    _stage_spec(s, f"stages[{i}]") for i, s in enumerate(data.get("stages", []))
                 ),
-                n_trials=int(data.get("n_trials", 100)),
-                init_box=tuple(data.get("init_box", (-5.0, 5.0))),
-                seed=int(data.get("seed", 20240)),
+                n_trials=_integer(data.get("n_trials", 100), "n_trials"),
+                init_box=tuple(float(v) for v in data.get("init_box", (-5.0, 5.0))),
+                seed=_integer(data.get("seed", 20240), "seed"),
                 out_dir=data.get("out_dir"),
-                cert_grid=GridSpec(**data.get("cert_grid", {})),
+                cert_grid=GridSpec(**_keys(data.get("cert_grid", {}), GridSpec, "cert_grid")),
                 confidence=float(data.get("confidence", 0.99)),
-                cert_samples=int(data.get("cert_samples", 100_000)),
+                cert_samples=_integer(data.get("cert_samples", 100_000), "cert_samples"),
                 noise_levels=tuple(data.get("noise_levels", ())),
                 cluster_tol=float(data.get("cluster_tol", 0.05)),
-                histogram_bins=int(data.get("histogram_bins", 40)),
+                histogram_bins=_integer(data.get("histogram_bins", 40), "histogram_bins"),
                 theorem=None if theorem is None else TheoremSpec(
                     c=float(theorem["c"]),
                     eta=float(theorem["eta"]),
                     L=float(theorem["L"]),
                     r=float(theorem["r"]),
                     y0_dist2=float(theorem["y0_dist2"]),
-                    T2=int(theorem["T2"]),
+                    T2=_integer(theorem["T2"], "theorem T2"),
                 ),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -193,6 +193,9 @@ def calibrate_noise(
     c >= c_min over the grid at the given confidence."""
     if obj.target is None:
         raise ValueError("calibration needs an objective with a target")
+    r_candidates = list(r_candidates)
+    if not r_candidates:
+        raise ValueError("r_candidates must be non-empty")
     tried: list[float] = []
     reports: list[ScanReport] = []
     for j, r in enumerate(r_candidates):
@@ -230,7 +233,7 @@ def smoothing_curve(
     convolved value, its closed form and the Hoeffding halfwidth."""
     obj = make_spiky(params)
     kernel = NoiseKernel("uniform-ball", r, 1)
-    f = np.empty_like(ys)
+    f = obj.values_at(np.reshape(ys, (-1, 1)))
     g_mc = np.empty_like(ys)
     g_closed = np.empty_like(ys)
     ci = np.empty_like(ys)
@@ -239,7 +242,6 @@ def smoothing_curve(
             obj, kernel, eta, [y], n=n,
             rng=RngStream(seed, 900_000 + i), confidence=confidence,
         )
-        f[i] = obj.value_at([y])
         g_mc[i] = est.mean
         g_closed[i] = smoothed_value_closed(params, r, eta, [y])
         ci[i] = est.confidence_halfwidth

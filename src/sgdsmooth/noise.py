@@ -49,7 +49,7 @@ class NoiseKernel:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.radius < 0:
+        if not self.radius >= 0:  # NaN fails too
             raise ValueError(f"radius must be >= 0, got {self.radius}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")

@@ -1,13 +1,14 @@
 """Differentiable test landscapes with known smoothness constants.
 
-Every objective carries analytic value/gradient oracles, a declared
-smoothness bound L, a rectangular evaluation box and (when known) a
-canonical target point.  These serve as ground truth for the smoothing,
-certification and drift checks elsewhere in the package.
+Every objective carries analytic value/gradient batch oracles over an
+(n, d) array of points, a declared smoothness bound L, a rectangular
+evaluation box and (when known) a canonical target point.  These serve
+as ground truth for the smoothing, certification and drift checks
+elsewhere in the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,54 +40,46 @@ def as_point(x, dimension: Optional[int] = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Objective:
-    """A differentiable loss with analytic oracles.
+    """A differentiable loss with analytic batch oracles.
 
-    `value` and `grad` must accept a 1-d array of length `dimension`.
-    `smoothness` is an upper bound L on the gradient Lipschitz constant,
-    so the descent lemma f(y) <= f(x) + <grad f(x), y-x> + L/2 |y-x|^2
-    holds everywhere in `domain_box`.
+    `value` maps an (n, d) batch of points, d = `dimension`, to n values
+    and `grad` maps it to the (n, d) array of their gradients; these are
+    the only oracles, and the one-point `value_at`/`grad_at` evaluate a
+    one-row batch.  `smoothness` is an upper bound L on the gradient
+    Lipschitz constant, so the descent lemma
+    f(y) <= f(x) + <grad f(x), y-x> + L/2 |y-x|^2 holds everywhere in
+    `domain_box`.
     """
 
     dimension: int
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     smoothness: float
     domain_box: tuple[float, float] = (-DEFAULT_BOX_HALFWIDTH, DEFAULT_BOX_HALFWIDTH)
     target: Optional[np.ndarray] = None
     name: str = "objective"
-    # Optional vectorized oracles over an (n, d) batch; fall back to a loop.
-    value_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    grad_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def value_at(self, x) -> float:
-        return float(self.value(as_point(x, self.dimension)))
+        return float(self.values_at(as_point(x, self.dimension)[None, :])[0])
 
     def grad_at(self, x) -> np.ndarray:
-        g = np.asarray(self.grad(as_point(x, self.dimension)), dtype=float)
-        if g.shape != (self.dimension,):
-            raise ValueError(f"gradient oracle returned shape {g.shape}")
-        return g
+        return self.grads_at(as_point(x, self.dimension)[None, :])[0]
 
     def values_at(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dimension:
-            raise ValueError(f"expected batch of shape (n, {self.dimension})")
-        if self.value_batch is not None:
-            return np.asarray(self.value_batch(xs), dtype=float)
-        return np.array([self.value(x) for x in xs], dtype=float)
+        return np.asarray(self.value(self._batch(xs)), dtype=float)
 
     def grads_at(self, xs: np.ndarray) -> np.ndarray:
+        xs = self._batch(xs)
+        g = np.asarray(self.grad(xs), dtype=float)
+        if g.shape != xs.shape:
+            raise ValueError(f"gradient oracle returned shape {g.shape}, expected {xs.shape}")
+        return g
+
+    def _batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dimension:
             raise ValueError(f"expected batch of shape (n, {self.dimension})")
-        if self.grad_batch is not None:
-            return np.asarray(self.grad_batch(xs), dtype=float)
-        return np.array([self.grad(x) for x in xs], dtype=float)
-
-    def in_box(self, x) -> bool:
-        lo, hi = self.domain_box
-        p = as_point(x, self.dimension)
-        return bool(np.all(p >= lo) and np.all(p <= hi))
+        return xs
 
 
 @dataclass(frozen=True)
@@ -129,16 +122,10 @@ def make_spiky(params: SpikyParams) -> Objective:
     """
     q, a, b, d = params.quad, params.amp, params.freq, params.dimension
 
-    def value(x: np.ndarray) -> float:
-        return 0.5 * q * float(x @ x) + a * float(np.sum(np.sin(b * x)))
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        return q * x + a * b * np.cos(b * x)
-
-    def value_batch(xs: np.ndarray) -> np.ndarray:
+    def value(xs: np.ndarray) -> np.ndarray:
         return 0.5 * q * np.einsum("ij,ij->i", xs, xs) + a * np.sum(np.sin(b * xs), axis=1)
 
-    def grad_batch(xs: np.ndarray) -> np.ndarray:
+    def grad(xs: np.ndarray) -> np.ndarray:
         return q * xs + a * b * np.cos(b * xs)
 
     return Objective(
@@ -148,8 +135,6 @@ def make_spiky(params: SpikyParams) -> Objective:
         smoothness=params.smoothness,
         target=np.zeros(d),
         name=f"spiky(q={q},A={a},B={b},d={d})",
-        value_batch=value_batch,
-        grad_batch=grad_batch,
     )
 
 
@@ -161,18 +146,11 @@ def make_quadratic(dimension: int, center=0.0) -> Objective:
     if np.atleast_1d(np.asarray(center)).shape[0] not in (1, dimension):
         raise ValueError("center dimension does not match")
 
-    def value(x: np.ndarray) -> float:
-        diff = x - c
-        return 0.5 * float(diff @ diff)
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        return x - c
-
-    def value_batch(xs: np.ndarray) -> np.ndarray:
+    def value(xs: np.ndarray) -> np.ndarray:
         diff = xs - c
         return 0.5 * np.einsum("ij,ij->i", diff, diff)
 
-    def grad_batch(xs: np.ndarray) -> np.ndarray:
+    def grad(xs: np.ndarray) -> np.ndarray:
         return xs - c
 
     return Objective(
@@ -182,8 +160,6 @@ def make_quadratic(dimension: int, center=0.0) -> Objective:
         smoothness=1.0,
         target=c,
         name=f"quadratic(d={dimension})",
-        value_batch=value_batch,
-        grad_batch=grad_batch,
     )
 
 

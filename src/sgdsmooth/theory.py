@@ -186,8 +186,9 @@ def stay_validate(
     stay = squared y-distance within delta^2 for all t in [T, T + T2].
     The y-sequence is the theorem's object; x-distances carry no weight.
     """
+    if not trajectories:
+        raise ValueError("stay_validate needs at least one trajectory")
     T, T2 = cons.T1_min, cons.T2
-    tgt = None
     hits = stays = boths = 0
     for traj in trajectories:
         if len(traj) < T + T2 + 1:

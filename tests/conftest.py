@@ -52,18 +52,20 @@ def local_minima(params: SpikyParams, lo: float, hi: float) -> np.ndarray:
 
 
 def poisoned(obj, bad: float):
-    """`obj` whose batch oracles return `bad` in the first row, as a broken
-    oracle would; the scalar oracles stay intact."""
+    """`obj` whose oracles return `bad` in the first row of every batch of
+    two or more points, as a broken oracle would; one-point calls
+    (`value_at`, `grad_at`) stay intact."""
 
     def first_row(oracle):
         def batch(xs):
             out = np.array(oracle(xs), dtype=float)
-            out[0] = bad
+            if len(out) > 1:
+                out[0] = bad
             return out
 
         return batch
 
-    return replace(obj, value_batch=first_row(obj.values_at), grad_batch=first_row(obj.grads_at))
+    return replace(obj, value=first_row(obj.value), grad=first_row(obj.grad))
 
 
 @pytest.fixture

@@ -74,8 +74,6 @@ class TestAssumption1:
             spiky_default,
             value=lambda x: s * spiky_default.value(x),
             grad=lambda x: s * spiky_default.grad(x),
-            value_batch=None,
-            grad_batch=None,
             smoothness=s * spiky_default.smoothness,
         )
         k = NoiseKernel("uniform-ball", 1.0, 1)

@@ -3,6 +3,7 @@ import filecmp
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -175,6 +176,41 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(init_box=(1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            ((), "config"),
+            (("objective",), "objective"),
+            (("stages", 0), "stages[0]"),
+            (("stages", 0, "kernel"), "stages[0].kernel"),
+            (("cert_grid",), "cert_grid"),
+            (("theorem",), "theorem"),
+        ],
+        ids=["top", "objective", "stage", "kernel", "cert-grid", "theorem"],
+    )
+    def test_unknown_key_named(self, path, where):
+        data = _small_config(theorem=TheoremSpec(0.9, 0.01, 2.0, 1.5, 4.0, 300)).to_json_dict()
+        node = data
+        for step in path:
+            node = node[step]
+        node["typo_key"] = 1
+        with pytest.raises(ConfigError, match=rf"unknown key 'typo_key' in {re.escape(where)}$"):
+            ExperimentConfig.from_json_dict(data)
+
+    def test_numeric_fields_coerced(self):
+        data = _small_config(noise_levels=(1.0, 2.0, 3.0)).to_json_dict()
+        data.update(
+            noise_levels=[1, 2, 3],
+            cert_grid={"lo": -1, "hi": 1, "count": 5.0},
+            init_box=["-1", 2],
+        )
+        cfg = ExperimentConfig.from_json_dict(data)
+        assert cfg.init_box == (-1.0, 2.0)
+        assert cfg.noise_levels == (1.0, 2.0, 3.0)
+        assert all(type(r) is float for r in cfg.noise_levels)
+        assert cfg.cert_grid == GridSpec(-1.0, 1.0, 5)
+        assert type(cfg.cert_grid.lo) is float and type(cfg.cert_grid.count) is int
+
     def test_build_helpers(self):
         cfg = _small_config()
         obj = cfg.build_objective()
@@ -338,6 +374,11 @@ class TestCalibration:
         for rep in result.reports[:-1]:
             assert rep.certified_c < 0.2
 
+    def test_empty_candidates_rejected(self, spiky_default):
+        with pytest.raises(ValueError, match="r_candidates must be non-empty"):
+            calibrate_noise(spiky_default, 0.01, c_min=0.2, grid=np.linspace(-2, 2, 4),
+                            r_candidates=[], n=1000, seed=1)
+
     def test_raises_when_no_candidate_certifies(self, spiky_default):
         with pytest.raises(ValueError):
             calibrate_noise(
@@ -487,8 +528,19 @@ class TestCli:
             ("ensemble", {"histogram_bins": 0}),
             ("ensemble", {"init_box": [1]}),
             ("certify", {"cert_samples": 1}),
+            ("figure3", {"noise_levels": [-1, 2, 3]}),
+            ("figure3", {"noise_levels": ["x", 2, 3]}),
+            ("figure3", {"noise_levels": [float("nan"), 2, 3]}),
+            ("certify", {"cert_grid": {"count": 2.5}}),
+            ("smooth", {"cert_grid": {"count": 0}}),
+            ("ensemble", {"n_trial": 5}),
         ],
-        ids=["kernel-kind", "eta", "cluster-tol", "histogram-bins", "init-box", "cert-samples"],
+        ids=[
+            "kernel-kind", "eta", "cluster-tol", "histogram-bins", "init-box", "cert-samples",
+            "noise-level-negative", "noise-level-not-a-number", "noise-level-nan",
+            "grid-count-fraction",
+            "grid-count-zero", "unknown-key",
+        ],
     )
     def test_config_errors_exit_1(self, tmp_path, capsys, command, patch):
         data = _small_config().to_json_dict()

@@ -88,6 +88,8 @@ class TestValidation:
     def test_negative_radius(self):
         with pytest.raises(ValueError):
             NoiseKernel("uniform-ball", -1.0, 1)
+        with pytest.raises(ValueError):
+            NoiseKernel("uniform-ball", float("nan"), 1)
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Objective oracles: hand values, cross-oracle gradients, smoothness."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,29 @@ class TestQuadratic:
     def test_center_dimension_mismatch(self):
         with pytest.raises(ValueError):
             make_quadratic(2, center=(1.0, 2.0, 3.0))
+
+
+class TestOracleForm:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["spiky", "quadratic"])
+    def test_one_point_calls_are_one_row_batches(self, kind, d):
+        if kind == "spiky":
+            obj = make_spiky(SpikyParams(dimension=d))
+        else:
+            obj = make_quadratic(d, np.linspace(-0.5, 0.5, d))
+        for x in np.random.default_rng(d).uniform(-6.0, 6.0, size=(500, d)):
+            assert obj.value_at(x) == obj.values_at([x])[0]
+            assert np.array_equal(obj.grad_at(x), obj.grads_at([x])[0])
+
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda n: (n,), lambda n: (n, 2), lambda n: (n - 1, 1)],
+        ids=["flat", "wide", "short"],
+    )
+    def test_wrong_gradient_shape_rejected(self, spiky_default, shape):
+        broken = replace(spiky_default, grad=lambda xs: np.zeros(shape(len(xs))))
+        with pytest.raises(ValueError, match="gradient oracle returned shape"):
+            broken.grads_at(np.zeros((4, 1)))
 
 
 class TestFiniteDiff:

@@ -27,14 +27,16 @@ def _zero_schedule(eta, steps, d=1):
 
 
 def _shadow_check_loop(traj, obj):
-    """Reference: the per-step loop over constant-eta pairs, scalar oracle."""
+    """Reference: the per-step loop over constant-eta pairs, one-row oracle
+    calls (not `grad_at`, which rejects the non-finite points of diverged
+    runs)."""
     worst = 0.0
     for t in range(len(traj) - 1):
         if traj.etas[t + 1] != traj.etas[t]:
             continue
         eta = traj.etas[t]
         inner = traj.ys[t] - eta * traj.omegas[t]
-        predicted = inner - eta * obj.grad(inner)
+        predicted = inner - eta * obj.grads_at(inner[None, :])[0]
         residual = float(np.linalg.norm(traj.ys[t + 1] - predicted))
         worst = max(worst, residual)
     return worst

@@ -194,6 +194,11 @@ class TestStayValidate:
         rep = stay_validate(trajs, cons, [0.0])
         assert rep.hit_and_stay_fraction == 0.0
 
+    def test_empty_ensemble_rejected(self):
+        cons = constants(1.0, 0.1, 1.0, 0.5, 4.0, 20)
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            stay_validate([], cons, [0.0])
+
     def test_short_trajectory_rejected(self, quadratic_1d):
         kz = NoiseKernel("zero", 0.0, 1)
         cons = constants(1.0, 0.1, 1.0, 0.5, 4.0, 50)
