@@ -1,15 +1,18 @@
 """Experiment configuration: one JSON document per experiment.
 
-Every spec below is a frozen dataclass so that parse(serialize(cfg)) ==
-cfg holds by plain equality; sequences are stored as tuples for the same
-reason.
+The frozen dataclasses below are the schema.  Their field names are the
+JSON keys, their annotations the types each value is coerced to, and
+their defaults the values of the keys a document leaves out; parsing and
+serialization are both derived from them.  parse(serialize(cfg)) == cfg
+holds by plain equality; sequences are stored as tuples for that reason.
 """
 from __future__ import annotations
 
+import functools
 import json
 import operator
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -44,13 +47,54 @@ def _keys(data, spec, where: str) -> dict:
 
 
 def _integer(value, name: str) -> int:
-    """An integral number as an int; 2.5 or "3" are rejected, not truncated."""
+    """An integral int64 value as an int; 2.5 or "3" are rejected, not truncated."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if not -(2**63) <= value < 2**63:
+        raise ConfigError(f"{name} must fit in int64, got {value}")
+    return value
+
+
+@functools.cache
+def _hints(spec) -> dict:
+    """The resolved field types of a spec class."""
+    return get_type_hints(spec)
+
+
+def _parse(spec, data, where: str):
+    """A `spec` from the JSON object `data` at path `where` ("" for the
+    root); a missing key takes its field's default."""
+    data = _keys(data, spec, where or "config")
+    values = {}
+    for f in fields(spec):
+        if f.name in data:
+            path = f"{where}.{f.name}" if where else f.name
+            values[f.name] = _coerce(_hints(spec)[f.name], data[f.name], path)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing key {f.name!r} in {where or 'config'}")
+    return spec(**values)
+
+
+def _coerce(tp, value, where: str):
+    """`value` as the resolved field type `tp`."""
+    if is_dataclass(tp):
+        return _parse(tp, value, where)
+    if tp is int:
+        return _integer(value, where)
+    if tp is float:
+        return float(value)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a JSON array")
+        # every tuple field is homogeneous; __post_init__ checks fixed lengths
+        return tuple(_coerce(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if get_origin(tp) is Union:  # Optional[X]
+        return None if value is None else _coerce(get_args(tp)[0], value, where)
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,19 +111,6 @@ class StageSpec:
     eta: float
     steps: int
     kernel: KernelSpec
-
-
-def _stage_spec(data, where: str) -> StageSpec:
-    data = _keys(data, StageSpec, where)
-    kernel = _keys(data["kernel"], KernelSpec, where + ".kernel")
-    return StageSpec(
-        eta=float(data["eta"]),
-        steps=_integer(data["steps"], where + " steps"),
-        kernel=KernelSpec(
-            kind=kernel.get("kind", "uniform-ball"),
-            radius=float(kernel.get("radius", 0.0)),
-        ),
-    )
 
 
 @dataclass(frozen=True)
@@ -193,48 +224,7 @@ class ExperimentConfig:
     # ---- serialization ----
 
     def to_json_dict(self) -> dict:
-        return {
-            "objective": {
-                "kind": self.objective.kind,
-                "dimension": self.objective.dimension,
-                "quad": self.objective.quad,
-                "amp": self.objective.amp,
-                "freq": self.objective.freq,
-                "center": list(self.objective.center),
-            },
-            "stages": [
-                {
-                    "eta": s.eta,
-                    "steps": s.steps,
-                    "kernel": {"kind": s.kernel.kind, "radius": s.kernel.radius},
-                }
-                for s in self.stages
-            ],
-            "n_trials": self.n_trials,
-            "init_box": list(self.init_box),
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "cert_grid": {
-                "lo": self.cert_grid.lo,
-                "hi": self.cert_grid.hi,
-                "count": self.cert_grid.count,
-            },
-            "confidence": self.confidence,
-            "cert_samples": self.cert_samples,
-            "noise_levels": list(self.noise_levels),
-            "cluster_tol": self.cluster_tol,
-            "histogram_bins": self.histogram_bins,
-            "theorem": None
-            if self.theorem is None
-            else {
-                "c": self.theorem.c,
-                "eta": self.theorem.eta,
-                "L": self.theorem.L,
-                "r": self.theorem.r,
-                "y0_dist2": self.theorem.y0_dist2,
-                "T2": self.theorem.T2,
-            },
-        }
+        return asdict(self)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
@@ -242,43 +232,8 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
         try:
-            data = _keys(data, cls, "config")
-            obj = _keys(data.get("objective", {}), ObjectiveSpec, "objective")
-            theorem = data.get("theorem")
-            if theorem is not None:
-                theorem = _keys(theorem, TheoremSpec, "theorem")
-            return cls(
-                objective=ObjectiveSpec(
-                    kind=obj.get("kind", "spiky"),
-                    dimension=_integer(obj.get("dimension", 1), "dimension"),
-                    quad=float(obj.get("quad", 1.0)),
-                    amp=float(obj.get("amp", 1.0)),
-                    freq=float(obj.get("freq", 10.0)),
-                    center=tuple(obj.get("center", (0.0,))),
-                ),
-                stages=tuple(
-                    _stage_spec(s, f"stages[{i}]") for i, s in enumerate(data.get("stages", []))
-                ),
-                n_trials=_integer(data.get("n_trials", 100), "n_trials"),
-                init_box=tuple(float(v) for v in data.get("init_box", (-5.0, 5.0))),
-                seed=_integer(data.get("seed", 20240), "seed"),
-                out_dir=data.get("out_dir"),
-                cert_grid=GridSpec(**_keys(data.get("cert_grid", {}), GridSpec, "cert_grid")),
-                confidence=float(data.get("confidence", 0.99)),
-                cert_samples=_integer(data.get("cert_samples", 100_000), "cert_samples"),
-                noise_levels=tuple(data.get("noise_levels", ())),
-                cluster_tol=float(data.get("cluster_tol", 0.05)),
-                histogram_bins=_integer(data.get("histogram_bins", 40), "histogram_bins"),
-                theorem=None if theorem is None else TheoremSpec(
-                    c=float(theorem["c"]),
-                    eta=float(theorem["eta"]),
-                    L=float(theorem["L"]),
-                    r=float(theorem["r"]),
-                    y0_dist2=float(theorem["y0_dist2"]),
-                    T2=_integer(theorem["T2"], "theorem T2"),
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return _parse(cls, data, "")
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
     @classmethod

@@ -26,9 +26,9 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(key=[self.seed % 2**64, self.stream_id % 2**64])
-        )
+        # a uint64 array: numpy casts a list entry >= 2**63 through float64
+        key = np.array([self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)

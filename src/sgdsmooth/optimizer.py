@@ -102,12 +102,10 @@ class Trajectory:
     grad_norms: np.ndarray  # (T+1,)
     noise_norms: np.ndarray # (T+1,)
     dist2: np.ndarray       # (T+1,) squared x-distance to target (nan if unknown)
-    y_dist2: np.ndarray     # (T+1,) squared y-distance to target (nan if unknown)
     stage_idx: np.ndarray   # (T+1,) int
     etas: np.ndarray        # (T+1,)
     out_of_box: np.ndarray  # (T+1,) bool
     diverged: bool = False
-    target: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.xs.shape[0]
@@ -231,9 +229,9 @@ class EnsembleResult:
         end = self.record_end(i)
         xs, ys, omegas = self.x_hist[:end, i], self.y_hist[:end, i], self.omegas[:end, i]
         lo, hi = obj.domain_box
-        # an unknown target is NaN, so both distances come out NaN
+        # an unknown target is NaN, so the distance comes out NaN
         target = np.full(obj.dimension, np.nan) if obj.target is None else obj.target
-        dx, dy = xs - target, ys - target
+        dx = xs - target
         return Trajectory(
             xs=xs,
             ys=ys,
@@ -242,12 +240,10 @@ class EnsembleResult:
             grad_norms=np.linalg.norm(obj.grads_at(xs), axis=1),
             noise_norms=np.linalg.norm(omegas, axis=1),
             dist2=np.einsum("ij,ij->i", dx, dx),
-            y_dist2=np.einsum("ij,ij->i", dy, dy),
             stage_idx=self.stage_idx[:end],
             etas=self.etas[:end],
             out_of_box=np.any((xs < lo) | (xs > hi), axis=1),
             diverged=bool(self.diverged[i]),
-            target=obj.target,
         )
 
     def write_table(self, obj: Objective, path) -> None:

@@ -4,7 +4,8 @@ import json
 import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +131,54 @@ class TestSvg:
             svg_histogram_string([1.0], 0)
 
 
+# every field but `objective.kind` off its default: a spiky objective ignores
+# `center`, so deleting `dimension` alone leaves the config valid
+_FULL = ExperimentConfig(
+    objective=ObjectiveSpec(kind="spiky", dimension=2, quad=2.0, amp=0.5, freq=5.0, center=(0.5, -0.5)),
+    stages=(
+        StageSpec(0.1, 100, KernelSpec("uniform-cube", 0.5)),
+        StageSpec(0.05, 200, KernelSpec("uniform-ball", 0.25)),
+    ),
+    n_trials=17,
+    init_box=(-2.0, 2.0),
+    seed=99,
+    out_dir="artifacts",
+    cert_grid=GridSpec(-1.0, 1.0, 11),
+    confidence=0.95,
+    cert_samples=1234,
+    noise_levels=(0.3, 0.15, 0.05),
+    cluster_tol=0.1,
+    histogram_bins=13,
+    theorem=TheoremSpec(0.9, 0.01, 2.0, 1.5, 4.0, 300),
+)
+_SPEC_LEVELS = (
+    ((), ExperimentConfig),
+    (("objective",), ObjectiveSpec),
+    (("stages", 0), StageSpec),
+    (("stages", 0, "kernel"), KernelSpec),
+    (("cert_grid",), GridSpec),
+    (("theorem",), TheoremSpec),
+)
+_FIELD_CASES = [(path, f) for path, spec in _SPEC_LEVELS for f in fields(spec)]
+
+
+def _replace_at(node, path, name, value):
+    """`node` with field `name` of the spec found at `path` set to `value`."""
+    if not path:
+        return replace(node, **{name: value})
+    head, *rest = path
+    if isinstance(head, int):  # a tuple element
+        return node[:head] + (_replace_at(node[head], rest, name, value),) + node[head + 1 :]
+    return replace(node, **{head: _replace_at(getattr(node, head), rest, name, value)})
+
+
+def _json_node(data, path):
+    """The JSON object at `path` inside the parsed document `data`."""
+    for step in path:
+        data = data[step]
+    return data
+
+
 class TestConfig:
     def test_round_trip_default(self):
         cfg = ExperimentConfig()
@@ -196,6 +245,41 @@ class TestConfig:
         node["typo_key"] = 1
         with pytest.raises(ConfigError, match=rf"unknown key 'typo_key' in {re.escape(where)}$"):
             ExperimentConfig.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "path, field", _FIELD_CASES,
+        ids=[".".join(map(str, path + (f.name,))) for path, f in _FIELD_CASES],
+    )
+    def test_missing_key_takes_field_default(self, path, field):
+        data = json.loads(_FULL.dumps())
+        del _json_node(data, path)[field.name]
+        if field.default is MISSING:
+            with pytest.raises(ConfigError, match=f"missing key '{field.name}'"):
+                ExperimentConfig.from_json_dict(data)
+        else:
+            expected = _replace_at(_FULL, path, field.name, field.default)
+            assert ExperimentConfig.from_json_dict(data) == expected
+
+    @pytest.mark.parametrize(
+        "path, value, where",
+        [
+            (("stages", 0, "steps"), 2.5, "stages[0].steps"),
+            (("theorem", "T2"), 1e30, "theorem.T2"),
+            (("seed",), -(2**63) - 1, "seed"),
+        ],
+        ids=["steps-fraction", "T2-beyond-int64", "seed-below-int64"],
+    )
+    def test_integer_error_names_path(self, path, value, where):
+        data = json.loads(_FULL.dumps())
+        _json_node(data, path[:-1])[path[-1]] = value
+        with pytest.raises(ConfigError, match=rf": {re.escape(where)} must "):
+            ExperimentConfig.from_json_dict(data)
+
+    def test_readme_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"A minimal config:\s*```json\n(.*?)```", readme, re.S).group(1)
+        cfg = ExperimentConfig.loads(block)
+        assert ExperimentConfig.loads(cfg.dumps()) == cfg
 
     def test_numeric_fields_coerced(self):
         data = _small_config(noise_levels=(1.0, 2.0, 3.0)).to_json_dict()
@@ -534,12 +618,15 @@ class TestCli:
             ("certify", {"cert_grid": {"count": 2.5}}),
             ("smooth", {"cert_grid": {"count": 0}}),
             ("ensemble", {"n_trial": 5}),
+            ("ensemble", {"n_trials": 1e30}),
+            ("ensemble", {"objective": {"kind": "quadratic", "dimension": 2, "center": "12"}}),
         ],
         ids=[
             "kernel-kind", "eta", "cluster-tol", "histogram-bins", "init-box", "cert-samples",
             "noise-level-negative", "noise-level-not-a-number", "noise-level-nan",
             "grid-count-fraction",
-            "grid-count-zero", "unknown-key",
+            "grid-count-zero", "unknown-key", "n-trials-beyond-int64",
+            "center-not-an-array",
         ],
     )
     def test_config_errors_exit_1(self, tmp_path, capsys, command, patch):

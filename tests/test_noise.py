@@ -79,6 +79,14 @@ class TestStreams:
         gen = RngStream(2**70, 2**65).generator()
         assert np.isfinite(gen.uniform())
 
+    def test_negative_seeds_distinct_and_keys_unchanged(self):
+        # -1 and -2 wrap to keys >= 2**63, which must not pass through float64
+        a = RngStream(-1, 1000).generator().uniform(size=3)
+        b = RngStream(-2, 1000).generator().uniform(size=3)
+        assert a.tobytes() != b.tobytes()
+        ref = np.random.Generator(np.random.Philox(key=[20240, 1000])).uniform(size=3)
+        assert RngStream(20240, 1000).generator().uniform(size=3).tobytes() == ref.tobytes()
+
 
 class TestValidation:
     def test_unknown_kind(self):
