@@ -233,6 +233,8 @@ class ExperimentConfig:
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
         try:
             return _parse(cls, data, "")
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 

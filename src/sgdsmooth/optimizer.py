@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -186,6 +185,8 @@ class EnsembleResult:
     `omegas[t]` is the noise applied when leaving step t, with a zero row
     at the end, so the three histories share one (T+1, n, d) layout.  A
     diverged trial stays frozen at its first iterate beyond the cutoff.
+    The objective's target is not stored; methods that need it take the
+    objective or the target as an argument.
     """
 
     x_hist: np.ndarray      # (T+1, n, d)
@@ -194,7 +195,6 @@ class EnsembleResult:
     etas: np.ndarray        # (T+1,)
     stage_idx: np.ndarray   # (T+1,)
     diverged: np.ndarray    # (n,) bool
-    target: Optional[np.ndarray]
 
     @property
     def n_trials(self) -> int:
@@ -314,7 +314,6 @@ def lockstep_run(
         etas=etas,
         stage_idx=stage_idx,
         diverged=~active,
-        target=obj.target,
     )
 
 

@@ -4,11 +4,14 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdsmooth import (
     NoiseKernel,
@@ -40,6 +43,7 @@ from sgdsmooth.expcli import (
     summarize_ensemble,
     svg_histogram_string,
 )
+from sgdsmooth.expcli import cluster as cluster_module
 from sgdsmooth.expcli.cli import main
 from sgdsmooth.expcli.pipeline import draw_inits, persist_ensemble, write_curve_csv
 from sgdsmooth.optimizer import read_trajectory_csv
@@ -59,7 +63,125 @@ def _small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def _union_find_labels_reference(points: np.ndarray, tol: float) -> np.ndarray:
+    """The pairwise union-find that `cluster_labels` replaced: O(n^2) norms."""
+    n = points.shape[0]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.linalg.norm(points[i] - points[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+
+    roots = np.array([find(i) for i in range(n)])
+    # relabel to consecutive ids in order of first appearance
+    labels = np.empty(n, dtype=int)
+    seen: dict[int, int] = {}
+    for i, r in enumerate(roots):
+        if r not in seen:
+            seen[r] = len(seen)
+        labels[i] = seen[r]
+    return labels
+
+
+def _reference_labels(points: np.ndarray, tol: float) -> np.ndarray:
+    # a non-finite row makes the reference warn on inf - inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _union_find_labels_reference(points, tol)
+
+
+def _cluster_case(name: str, d: int):
+    """(points, tol) of one named equivalence case in dimension d."""
+    gen = np.random.Generator(np.random.Philox(key=[82, 10 * d + CLUSTER_CASES.index(name)]))
+    if name == "random":
+        return gen.uniform(-3, 3, size=(80, d)), {1: 0.05, 2: 0.4, 3: 0.8}[d]
+    if name == "duplicates":
+        pool = gen.uniform(-2, 2, size=(12, d))
+        return pool[gen.integers(0, 12, size=60)], 0.3
+    if name == "chain-at-tol":
+        # steps of exactly tol join; one step 2**-30 longer splits.  In
+        # d > 1 the step is diagonal, a scaled Pythagorean triple, so every
+        # distance is exact whatever the summation order.
+        step, tol = {1: ([0.25], 0.25), 2: ([0.75, 1.0], 1.25), 3: ([0.25, 0.5, 0.5], 0.75)}[d]
+        pts = np.arange(12)[:, None] * np.array(step)
+        pts[6:, 0] += 2.0**-30
+        return pts[gen.permutation(12)], tol
+    if name == "one-cluster":
+        return gen.uniform(0, 1, size=(50, d)), 0.5
+    if name == "non-finite":
+        pts = gen.uniform(-1, 1, size=(40, d))
+        pts[[3, 7, 8, 20, 31], -1] = [np.nan, np.inf, -np.inf, np.inf, np.nan]
+        pts[21] = pts[20]  # two equal +inf rows are still apart
+        return pts, 0.3
+    if name == "wide-window":
+        # every pair is a candidate on coordinate 0
+        pts = gen.uniform(0, 3, size=(150, d))
+        pts[:, 0] = gen.uniform(0, 0.01, size=150)
+        return pts, {1: 0.2, 2: 0.03, 3: 0.2}[d]
+    raise KeyError(name)
+
+
+CLUSTER_CASES = ["random", "duplicates", "chain-at-tol", "one-cluster", "non-finite", "wide-window"]
+
+
 class TestCluster:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", CLUSTER_CASES)
+    def test_matches_union_find_reference(self, name, d):
+        pts, tol = _cluster_case(name, d)
+        expected = _reference_labels(pts, tol)
+        labels = cluster_labels(pts, tol)
+        assert labels.dtype == expected.dtype
+        assert np.array_equal(labels, expected)
+        k = int(expected.max()) + 1
+        assert cluster_count(pts, tol) == k
+        if name == "one-cluster":
+            assert k == 1
+        elif not (name == "wide-window" and d == 1):
+            assert 1 < k < len(pts)
+        centers = np.array([pts[expected == i].mean(axis=0) for i in range(k)])
+        assert centers.tobytes() == cluster_centers(pts, tol).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("name", CLUSTER_CASES)
+    def test_small_pair_blocks_match_reference(self, monkeypatch, name, d):
+        # blocks of 5 pairs split most rows' candidates across blocks
+        monkeypatch.setattr(cluster_module, "_PAIR_BLOCK", 5)
+        pts, tol = _cluster_case(name, d)
+        assert np.array_equal(cluster_labels(pts, tol), _reference_labels(pts, tol))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda d: st.lists(
+            st.lists(st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5, 1.0, np.nan, np.inf, -np.inf]),
+                     min_size=d, max_size=d),
+            min_size=1, max_size=25,
+        )),
+        st.sampled_from([0.25, 0.5, 0.75]),
+    )
+    def test_grid_points_match_reference(self, rows, tol):
+        # grid distances land exactly on tol, with duplicates and non-finite rows
+        pts = np.array(rows)
+        assert np.array_equal(cluster_labels(pts, tol), _reference_labels(pts, tol))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_non_finite_and_far_rows_raise_no_warning(self, d):
+        pts = np.zeros((7, d))
+        pts[:, -1] = [np.nan, np.inf, -np.inf, np.inf, 1e308, -1e308, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = cluster_labels(pts, 0.5)
+            assert cluster_count(pts, 0.5) == 7
+        assert np.array_equal(labels, _reference_labels(pts, 0.5))
+
     def test_identical_points_single_cluster(self):
         assert cluster_count([1.0, 1.0, 1.0], 0.1) == 1
 
@@ -272,7 +394,7 @@ class TestConfig:
     def test_integer_error_names_path(self, path, value, where):
         data = json.loads(_FULL.dumps())
         _json_node(data, path[:-1])[path[-1]] = value
-        with pytest.raises(ConfigError, match=rf": {re.escape(where)} must "):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)} must "):
             ExperimentConfig.from_json_dict(data)
 
     def test_readme_config(self):
@@ -431,6 +553,17 @@ class TestEnsemble:
             assert _same_bits(traj.dist2, rows["dist2"])
             assert _same_bits(traj.out_of_box, rows["out_of_box"])
         assert np.all(np.isnan(tab["dist2"])) == (dimension == 2)
+
+    def test_diverged_trials_cluster_as_reference(self):
+        # on f = x^2/2 with eta = 3, x_t = (-2)**t * x0 stops past the cutoff
+        # at +-2**20, so three finals diverge and one stays at the minimum
+        obj = make_quadratic(1)
+        sched = StepSchedule((Stage(3.0, 40, NoiseKernel("zero", 0.0, 1)),))
+        result = run_lockstep_ensemble(obj, sched, np.array([[1.0], [0.0], [0.5], [-1.0]]), 1)
+        report = summarize_ensemble(result, obj.target, 0.05)
+        assert report.diverged_count == 3
+        expected = _reference_labels(result.finals_x, 0.05)
+        assert report.cluster_count == int(expected.max()) + 1 == 3
 
     def test_success_fraction_with_radius(self):
         cfg = _small_config()
@@ -636,6 +769,14 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "config error:" in capsys.readouterr().err
+
+    def test_config_error_is_not_wrapped_twice(self, tmp_path, capsys):
+        data = _small_config().to_json_dict()
+        data["n_trial"] = 5
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["ensemble", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "config error: unknown key 'n_trial' in config\n"
 
     def test_run_divergence_exit_code(self, tmp_path, capsys):
         cfg = _small_config(
