@@ -4,7 +4,9 @@ The central estimate is the inner product between the negative smoothed
 gradient at the shadow point y = x - eta*grad f(x) and the direction
 x* - y, with a Hoeffding confidence interval propagated through the
 inner product.  A point certifies at level c_min when even the CI lower
-bound clears c_min * |x* - y|^2.
+bound clears c_min * |x* - y|^2.  A region scan splits its confidence
+across the points of its grid (Bonferroni), so every certificate of the
+scan holds jointly at the stated family-wise level.
 """
 from __future__ import annotations
 
@@ -89,6 +91,7 @@ class ScanReport:
     certified_c: float      # inf over non-degenerate points of (inner - ci)/dist2
     degenerate_count: int
     c_min: float
+    confidence: float       # family-wise: every certificate's CI holds jointly at this level
 
 
 def region_scan(
@@ -106,18 +109,24 @@ def region_scan(
     """Certify every grid point; the certified c for downstream theorem
     constants is the infimum of the CI-lower-bounded ratio.
 
-    `stop_on_fail` short-circuits after the first failing point (used by
-    the noise-calibration sweep, where only pass/fail matters).
+    Each of the m grid points is certified at 1 - (1 - confidence)/m, so
+    the certified c holds at the family-wise `confidence` (Bonferroni over
+    the planned grid, also when `stop_on_fail` short-circuits after the
+    first failing point, as the noise-calibration sweep does, where only
+    pass/fail matters).
     """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     grid = [as_point(g, obj.dimension) for g in grid]
     if len(grid) == 0:
         raise ValueError("grid must be non-empty")
+    point_confidence = 1.0 - (1.0 - confidence) / len(grid)
     certs: list[OpcCertificate] = []
     for i, x in enumerate(grid):
         cert = assumption1_estimate(
             obj, kernel, eta, x, target, n,
             rng=RngStream(rng.seed, rng.stream_id + i),
-            c_min=c_min, confidence=confidence,
+            c_min=c_min, confidence=point_confidence,
         )
         certs.append(cert)
         if stop_on_fail and not cert.degenerate and not cert.passed:
@@ -131,6 +140,7 @@ def region_scan(
         certified_c=certified,
         degenerate_count=len(certs) - len(live),
         c_min=c_min,
+        confidence=confidence,
     )
 
 

@@ -122,6 +122,7 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
             ) + "\n")
         fh.write(f"# certified_c,{report.certified_c!r}\n")
     print(f"certified c: {report.certified_c:.6g} "
+          f"at family-wise confidence {report.confidence:g} "
           f"(pass fraction {report.pass_fraction:.3f}, "
           f"{report.degenerate_count} degenerate)")
     print(f"wrote {path}")

@@ -4,7 +4,24 @@ Every Monte Carlo mean, here and in `theory`, is one estimator: draws from
 `perturbed_points`, then `bounded_mean`, a Hoeffding interval from a
 declared sample range, Bonferroni-split across a gradient's coordinates.
 A sample spread wider than that range (an understated smoothness) or a
-NaN/inf sample raises.  For the 1-d spiky landscape under interval noise
+NaN/inf sample raises.
+
+In 1-d the draws are stratified: sample k comes from the k-th of n
+equal-mass strata of the kernel's interval [-r, r], so its perturbed point
+lies in a window of width eta*2r/n.  Each sample is then confined to the
+window's width times a Lipschitz bound of the sample along the
+perturbation, and Hoeffding's inequality for independent samples with
+per-sample ranges (Hoeffding 1963, Thm 2) gives a halfwidth that shrinks
+like n^-1.5 at the same stated confidence.  The per-stratum ranges:
+
+  value     (|grad f(y)| + L*eta*r) * eta*2r/n
+  gradient  L * eta*2r/n, the i.i.d. range 2*L*eta*r divided by n
+  drift     2*(d0 + reach)*(1 + eta*L) * eta*2r/n  (see `theory.drift_check`)
+
+The total-spread check keeps the i.i.d. range, and adjacent strata must
+lie within twice the per-stratum range of each other, so an understated
+L raises instead of yielding a halfwidth that does not hold.  For d > 1
+the draws stay i.i.d.  For the 1-d spiky landscape under interval noise
 the convolution has a closed form (sinc attenuation of the spike term)
 used as an exact cross-oracle.
 """
@@ -12,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -66,30 +83,55 @@ class SmoothedEstimate:
 
     mean: Union[float, np.ndarray]
     samples: int
-    range_bound: float
+    range_bound: float      # each sample's Hoeffding range (per stratum in 1-d)
     confidence_halfwidth: Union[float, np.ndarray]
     confidence: float
 
 
 def perturbed_points(
     obj: Objective, kernel: NoiseKernel, eta: float, y, n: int, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate n >= 1 and eta >= 0, coerce y to a point p, and return p with
-    the (n, d) batch p - eta*w of n draws w from one `sample_batch` call."""
+) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
+    """Validate n >= 1, eta >= 0 and the kernel's dimension, coerce y to a
+    point p, and return p, the (n, d) batch p - eta*w of n draws w from one
+    generator, and the width of a stratum in point space.
+
+    A 1-d objective draws w stratified (`NoiseKernel.sample_stratified`):
+    row k lies in the k-th of n equal-mass strata of [-r, r], and the width
+    returned is eta*2r/n.  For d > 1 the draws are i.i.d. from
+    `sample_batch` and the width is None."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
+    if kernel.dimension != obj.dimension:
+        raise ValueError(f"kernel dimension {kernel.dimension} does not match "
+                         f"objective dimension {obj.dimension}")
     p = as_point(y, obj.dimension)
-    return p, p[None, :] - eta * kernel.sample_batch(n, rng.generator())
+    gen = rng.generator()
+    if obj.dimension == 1:
+        return p, p[None, :] - eta * kernel.sample_stratified(n, gen), eta * 2.0 * kernel.radius / n
+    return p, p[None, :] - eta * kernel.sample_batch(n, gen), None
 
 
-def bounded_mean(samples: np.ndarray, value_range: float, confidence: float) -> SmoothedEstimate:
+def bounded_mean(
+    samples: np.ndarray,
+    value_range: float,
+    confidence: float,
+    stratum_range: Optional[float] = None,
+) -> SmoothedEstimate:
     """Mean of samples confined to an interval of width `value_range`, with its
     two-sided Hoeffding halfwidth.  Samples of shape (n, k) give k means, each
     at confidence 1 - (1 - confidence)/k (Bonferroni).  A confidence outside
     (0, 1), a column that spreads wider than the range, or a NaN or inf
-    sample raises ValueError."""
+    sample raises ValueError.
+
+    Stratified samples, row k drawn from the k-th of n equal-mass strata in
+    order, pass `stratum_range`: the width of the interval each row is
+    confined to.  The halfwidth then takes min(value_range, stratum_range)
+    as every row's range (Hoeffding 1963, Thm 2), and two adjacent rows,
+    whose strata together span twice a stratum, must differ by at most
+    2 * stratum_range; a larger step raises, as an understated Lipschitz
+    bound would cause."""
     # checked before the split: for k >= 2 the per-column level of c <= 0 is still positive
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
@@ -102,10 +144,18 @@ def bounded_mean(samples: np.ndarray, value_range: float, confidence: float) -> 
     if not np.all(over <= value_range):
         raise ValueError(f"samples spread over {np.max(spread):.6g}, beyond the declared range "
                          f"{value_range:.6g} (understated smoothness or a non-finite sample)")
-    hw = hoeffding_halfwidth(n, value_range, 1.0 - (1.0 - confidence) / cols)
+    per_sample = value_range
+    if stratum_range is not None:
+        step = np.abs(np.diff(samples, axis=0)).max(axis=0, initial=0.0)
+        over = step - RANGE_RTOL * (2.0 * stratum_range + np.maximum(np.abs(lo), np.abs(hi)))
+        if not np.all(over <= 2.0 * stratum_range):
+            raise ValueError(f"adjacent strata differ by {np.max(step):.6g}, beyond twice the "
+                             f"per-stratum range {stratum_range:.6g} (understated smoothness)")
+        per_sample = min(value_range, stratum_range)
+    hw = hoeffding_halfwidth(n, per_sample, 1.0 - (1.0 - confidence) / cols)
     if samples.ndim == 1:
-        return SmoothedEstimate(float(samples.mean()), n, value_range, hw, confidence)
-    return SmoothedEstimate(samples.mean(axis=0), n, value_range, np.full(cols, hw), confidence)
+        return SmoothedEstimate(float(samples.mean()), n, per_sample, hw, confidence)
+    return SmoothedEstimate(samples.mean(axis=0), n, per_sample, np.full(cols, hw), confidence)
 
 
 def smoothed_value_mc(
@@ -118,11 +168,14 @@ def smoothed_value_mc(
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> SmoothedEstimate:
     """Estimate g(y) = E f(y - eta*w) by averaging n noise draws.  Each sample
-    lies within eta*r*|grad f(y)| + L/2 (eta*r)^2 of f(y)."""
-    p, points = perturbed_points(obj, kernel, eta, y, n, rng)
+    lies within eta*r*|grad f(y)| + L/2 (eta*r)^2 of f(y); in 1-d a stratum's
+    samples lie within (|grad f(y)| + L*eta*r) * eta*2r/n of each other."""
+    p, points, width = perturbed_points(obj, kernel, eta, y, n, rng)
     reach = eta * kernel.radius
-    rb = 2.0 * (reach * float(np.linalg.norm(obj.grad_at(p))) + 0.5 * obj.smoothness * reach**2)
-    return bounded_mean(obj.values_at(points), rb, confidence)
+    slope = float(np.linalg.norm(obj.grad_at(p)))
+    rb = 2.0 * (reach * slope + 0.5 * obj.smoothness * reach**2)
+    stratum = None if width is None else (slope + obj.smoothness * reach) * width
+    return bounded_mean(obj.values_at(points), rb, confidence, stratum)
 
 
 def smoothed_grad_mc(
@@ -138,11 +191,13 @@ def smoothed_grad_mc(
 
     The CI is per coordinate with Bonferroni correction across the d
     coordinates; each coordinate's sample range uses the gradient-Lipschitz
-    bound |grad f(y - eta*w) - grad f(y)|_i <= L * eta * r.
+    bound |grad f(y - eta*w) - grad f(y)|_i <= L * eta * r.  In 1-d a
+    stratum's samples lie within L * eta*2r/n of each other.
     """
-    _, points = perturbed_points(obj, kernel, eta, y, n, rng)
+    _, points, width = perturbed_points(obj, kernel, eta, y, n, rng)
     rb = 2.0 * obj.smoothness * eta * kernel.radius
-    return bounded_mean(obj.grads_at(points), rb, confidence)
+    stratum = None if width is None else obj.smoothness * width
+    return bounded_mean(obj.grads_at(points), rb, confidence, stratum)
 
 
 def _sinc(u: float) -> float:

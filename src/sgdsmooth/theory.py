@@ -141,11 +141,17 @@ def drift_check(
 
     The Hoeffding range for the squared-distance samples comes from the
     reach bound |y_next - y_next0| <= eta*r*(1 + eta*L) around the
-    noiseless step y_next0; an understated L that samples exceed raises.
+    noiseless step y_next0, at distance d0 from x*; an understated L that
+    samples exceed raises.  In 1-d the draws are stratified
+    (`smoothing.perturbed_points`): y_next moves by at most (1 + eta*L)
+    times the shift eta*|w - w'| of its argument, and its distance to x*
+    stays within d0 + reach, so a stratum of width eta*2r/n confines its
+    sample to 2*(d0 + reach)*(1 + eta*L) * eta*2r/n.  Adjacent strata
+    that differ by more than twice that raise too.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    p, inner = perturbed_points(obj, kernel, eta, y, n, rng)
+    p, inner, width = perturbed_points(obj, kernel, eta, y, n, rng)
     tgt = as_point(target, obj.dimension)
     y_dist2 = float((p - tgt) @ (p - tgt))
     cons = constants(c, eta, L, kernel.radius, y_dist2, 1)
@@ -154,7 +160,8 @@ def drift_check(
     d0 = float(np.linalg.norm(p - eta * obj.grad_at(p) - tgt))
     reach = eta * kernel.radius * (1.0 + eta * L)
     rb = (d0 + reach) ** 2 - max(0.0, d0 - reach) ** 2
-    est = bounded_mean(np.einsum("ij,ij->i", diffs, diffs), rb, confidence)
+    stratum = None if width is None else 2.0 * (d0 + reach) * (1.0 + eta * L) * width
+    est = bounded_mean(np.einsum("ij,ij->i", diffs, diffs), rb, confidence, stratum)
 
     rhs = (1.0 - cons.lam) * y_dist2 + cons.b
     # rounding allowance so the exact-equality (noiseless) case passes

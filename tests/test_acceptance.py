@@ -78,9 +78,12 @@ def test_2_calibrated_ensemble_hits_and_stays(capsys):
         n=4_000_000, seed=SEED, confidence=0.99,
     )
     assert cal.certified_c >= c_min
+    cons = constants(cal.certified_c, eta, obj.smoothness, cal.radius, 9.0, T2)
+    # eta < c/L^2 needs a certified c above 0.51: the theorem's step-size
+    # condition must hold, not only the empirical hit-and-stay fraction
+    assert cons.eta_valid
 
     def measure(seed: int) -> float:
-        cons = constants(cal.certified_c, eta, obj.smoothness, cal.radius, 9.0, T2)
         kernel = NoiseKernel("uniform-ball", cal.radius, 1)
         sched = StepSchedule((Stage(eta, cons.T1_min + T2, kernel),))
         x0s = draw_inits(200, 1, (-3.0, 3.0), seed)

@@ -135,6 +135,31 @@ class TestRegionScan:
         with pytest.raises(ValueError):
             region_scan(quadratic_1d, k, 0.1, [0.0], [], c_min=0.0, n=2)
 
+    @pytest.mark.parametrize("stop_on_fail", [False, True])
+    def test_confidence_is_family_wise(self, spiky_default, stop_on_fail):
+        # each of the 10 points holds at 1 - 0.01/10, so all hold jointly at 0.99
+        k = NoiseKernel("uniform-ball", 2.0, 1)
+        grid = [np.array([g]) for g in np.linspace(-3, 3, 10)]
+        report = region_scan(
+            spiky_default, k, 0.05, [0.0], grid, c_min=0.0, n=500,
+            rng=RngStream(55, 3), confidence=0.99, stop_on_fail=stop_on_fail,
+        )
+        assert report.confidence == 0.99
+        for i, cert in enumerate(report.certificates):
+            alone = assumption1_estimate(
+                spiky_default, k, 0.05, grid[i], [0.0], n=500,
+                rng=RngStream(55, 3 + i), confidence=1 - 0.01 / 10,
+            )
+            assert cert.ci_halfwidth == alone.ci_halfwidth
+            assert cert.inner == alone.inner
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    def test_confidence_checked_before_the_split(self, quadratic_1d, confidence):
+        k = NoiseKernel("uniform-ball", 1.0, 1)
+        grid = [np.array([g]) for g in (1.0, 2.0, 3.0)]
+        with pytest.raises(ValueError, match="confidence"):
+            region_scan(quadratic_1d, k, 0.1, [0.0], grid, c_min=0.0, n=10, confidence=confidence)
+
     def test_certificate_soundness_against_closed_form(self, spiky_default):
         # randomized certificates vs the exact smoothed gradient: the CI
         # should cover the closed-form c in (essentially) every case

@@ -62,6 +62,45 @@ def test_hard_norm_bound_one_million_samples():
     assert np.all(np.einsum("ij,ij->i", draws, draws) <= 1.0 + 1e-15)
 
 
+class TestStratified:
+    @pytest.mark.parametrize("kind", ["uniform-ball", "uniform-cube"])
+    def test_one_sample_per_stratum(self, kind):
+        n, r = 1000, 0.7
+        w = NoiseKernel(kind, r, 1).sample_stratified(n, RngStream(14).generator())[:, 0]
+        k = np.arange(n)
+        width = 2.0 * r / n
+        assert np.all(-r + width * k <= w) and np.all(w <= -r + width * (k + 1))
+
+    def test_one_generator_call_replays_bitwise(self):
+        n, r = 257, 1.3
+        k = NoiseKernel("uniform-ball", r, 1)
+        gen = RngStream(15, 2).generator()
+        w = k.sample_stratified(n, gen)
+        ref = RngStream(15, 2).generator()
+        u = ref.random((n, 1))
+        expect = (u + np.arange(n)[:, None]) * (2.0 * r / n) - r
+        assert w.tobytes() == expect.tobytes()
+        # the stream moved on by exactly the one call
+        assert gen.random() == ref.random()
+        assert k.sample_stratified(n, RngStream(15, 2).generator()).tobytes() == w.tobytes()
+
+    def test_ball_and_cube_agree_in_1d(self):
+        a = NoiseKernel("uniform-ball", 0.4, 1).sample_stratified(50, RngStream(16).generator())
+        b = NoiseKernel("uniform-cube", 0.4, 1).sample_stratified(50, RngStream(16).generator())
+        assert a.tobytes() == b.tobytes()
+
+    def test_zero_kernel_draws_nothing(self):
+        gen = RngStream(17).generator()
+        w = NoiseKernel("zero", 0.0, 1).sample_stratified(10, gen)
+        assert w.shape == (10, 1) and np.all(w == 0.0)
+        assert gen.random() == RngStream(17).generator().random()
+
+    @pytest.mark.parametrize("kind", ["zero", "uniform-ball", "uniform-cube"])
+    def test_rejects_more_than_one_dimension(self, kind):
+        with pytest.raises(ValueError, match="1-d only"):
+            NoiseKernel(kind, 1.0, 2).sample_stratified(10, RngStream(18).generator())
+
+
 class TestStreams:
     def test_identical_keys_replay(self):
         k = NoiseKernel("uniform-ball", 1.0, 2)

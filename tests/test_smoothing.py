@@ -7,6 +7,7 @@ import pytest
 
 from sgdsmooth import (
     NoiseKernel,
+    drift_check,
     RngStream,
     SpikyParams,
     hoeffding_halfwidth,
@@ -156,6 +157,117 @@ class TestBoundedMean:
         with pytest.raises(ValueError, match="confidence"):
             smoothed_grad_mc(make_quadratic(3), k, 0.1, [0.5, -1.0, 2.0], n=100,
                              rng=RngStream(13), confidence=confidence)
+
+
+class TestStratified:
+    """1-d estimators draw one sample per equal-mass stratum and take a
+    Hoeffding range per stratum; d > 1 keeps the i.i.d. estimator."""
+
+    def test_grad_halfwidth_is_per_stratum(self, spiky_default):
+        n, eta, r = 4096, 0.3, 1.5
+        k = NoiseKernel("uniform-ball", r, 1)
+        est = smoothed_grad_mc(spiky_default, k, eta, [0.4], n=n, rng=RngStream(20))
+        L = spiky_default.smoothness
+        expect = hoeffding_halfwidth(n, 2.0 * L * eta * r / n, 0.99)
+        assert float(est.confidence_halfwidth[0]) == pytest.approx(expect, rel=1e-12)
+        assert est.range_bound == pytest.approx(2.0 * L * eta * r / n, rel=1e-12)
+
+    def test_value_halfwidth_is_per_stratum(self, spiky_default):
+        n, eta, r, y = 1000, 0.05, 1.0, 0.4
+        k = NoiseKernel("uniform-cube", r, 1)
+        est = smoothed_value_mc(spiky_default, k, eta, [y], n=n, rng=RngStream(21))
+        slope = abs(float(spiky_default.grad_at([y])[0]))
+        per_stratum = (slope + spiky_default.smoothness * eta * r) * eta * 2.0 * r / n
+        assert est.confidence_halfwidth == pytest.approx(
+            hoeffding_halfwidth(n, per_stratum, 0.99), rel=1e-12)
+
+    def test_drift_halfwidth_is_per_stratum(self, spiky_default):
+        n, eta, r, c, y = 2000, 1e-3, 50.0, 0.3, 1.1
+        L = spiky_default.smoothness
+        k = NoiseKernel("uniform-ball", r, 1)
+        rep = drift_check(spiky_default, k, eta, c, L, [y], [0.0], n=n, rng=RngStream(22))
+        d0 = abs(y - eta * float(spiky_default.grad_at([y])[0]))
+        reach = eta * r * (1.0 + eta * L)
+        per_stratum = 2.0 * (d0 + reach) * (1.0 + eta * L) * eta * 2.0 * r / n
+        expect = hoeffding_halfwidth(n, per_stratum, 0.99)
+        assert rep.ci_halfwidth == pytest.approx(expect, rel=1e-12)
+
+    def test_understated_smoothness_caught_between_adjacent_strata(self, spiky_default):
+        # declared L = 30 against a true 101: at eta*r = 1 the gradients spread
+        # over about 21.6, inside the total range 2*30*1 = 60, but adjacent
+        # strata step by up to 101 * 4/n, beyond twice the 60/n per stratum
+        n = 1000
+        k = NoiseKernel("uniform-ball", 1.0, 1)
+        understated = replace(spiky_default, smoothness=30.0)
+        w = k.sample_stratified(n, RngStream(23).generator())
+        grads = spiky_default.grads_at(0.4 - w)
+        assert np.ptp(grads) <= 2.0 * understated.smoothness
+        with pytest.raises(ValueError, match="adjacent strata"):
+            smoothed_grad_mc(understated, k, 1.0, [0.4], n=n, rng=RngStream(23))
+
+    @pytest.mark.parametrize("shrink, covered", [(1.0, True), (10.0, False)])
+    @pytest.mark.parametrize(
+        "estimator, closed, eta, r",
+        [(smoothed_grad_mc, smoothed_grad_closed, 0.5, 2.0),
+         (smoothed_value_mc, smoothed_value_closed, 0.05, 1.0)],
+    )
+    def test_coverage_audit(self, spiky_default, estimator, closed, eta, r, shrink, covered):
+        # the exact convolution lies inside the interval at >= the stated
+        # confidence over 500 seeds; a tenth of the halfwidth does not, so
+        # the audit can fail
+        params, conf, seeds = SpikyParams(), 0.99, 500
+        k = NoiseKernel("uniform-ball", r, 1)
+        inside = 0
+        for i, y in enumerate(np.linspace(-3.0, 3.0, seeds)):
+            est = estimator(spiky_default, k, eta, [y], n=1000, rng=RngStream(24, i),
+                            confidence=conf)
+            err = abs(float(np.ravel(est.mean)[0]) - closed(params, r, eta, [y]))
+            inside += err <= float(np.ravel(est.confidence_halfwidth)[0]) / shrink
+        assert (inside / seeds >= conf) is covered
+
+    @pytest.mark.parametrize("kernel_dim, obj_dim", [(1, 2), (2, 1)])
+    def test_kernel_dimension_must_match(self, kernel_dim, obj_dim):
+        # a 1-d kernel used to broadcast one scalar draw over every coordinate
+        k = NoiseKernel("uniform-ball", 1.0, kernel_dim)
+        with pytest.raises(ValueError, match="kernel dimension"):
+            smoothed_grad_mc(make_quadratic(obj_dim), k, 0.5, np.ones(obj_dim), n=5)
+
+    # recorded from the i.i.d. estimator before 1-d draws were stratified:
+    # value mean and halfwidth, gradient means and halfwidth, drift
+    # estimate and halfwidth, as float.hex
+    IID = {
+        (2, "uniform-ball"): (
+            "0x1.a73468f902631p+0", "0x1.af3fcceeaf5c1p-3",
+            "-0x1.899114a4e321dp+1", "0x1.b8db1c653c74ap+1", "0x1.7c757732e070ep-2",
+            "0x1.05b65041cff83p+1", "0x1.e02dbf05f551cp-9"),
+        (2, "uniform-cube"): (
+            "0x1.a4ff488c558e2p+0", "0x1.af3fcceeaf5c1p-3",
+            "-0x1.953b2f03411cap+1", "0x1.c096d66b51138p+1", "0x1.7c757732e070ep-2",
+            "0x1.05b33c5d3d2c4p+1", "0x1.e02dbf05f551cp-9"),
+        (3, "uniform-ball"): (
+            "0x1.18b76c5a75239p+1", "0x1.bc0546c57247fp-3",
+            "-0x1.91bcc4708b983p+1", "0x1.41c711e56d0b4p+0", "0x1.b6ad4517eacb4p+1",
+            "0x1.891f259d2ade4p-2",
+            "0x1.10379e2cb2573p+1", "0x1.e9bd7971f5c2ep-9"),
+        (3, "uniform-cube"): (
+            "0x1.12edab2afff67p+1", "0x1.bc0546c57247fp-3",
+            "-0x1.970b1eb1ae38bp+1", "0x1.4281009aec2f2p+0", "0x1.bb33c56f08d31p+1",
+            "0x1.891f259d2ade4p-2",
+            "0x1.102f3caa46744p+1", "0x1.e9bd7971f5c2ep-9"),
+    }
+
+    @pytest.mark.parametrize("d, kind", sorted(IID))
+    def test_higher_dimensions_unchanged_bitwise(self, d, kind):
+        obj = make_spiky(SpikyParams(quad=2.0, amp=0.5, freq=4.0, dimension=d))
+        k = NoiseKernel(kind, 0.8, d)
+        y = np.linspace(-0.7, 1.3, d)
+        v = smoothed_value_mc(obj, k, 0.3, y, n=500, rng=RngStream(31, d))
+        g = smoothed_grad_mc(obj, k, 0.3, y, n=500, rng=RngStream(32, d))
+        rep = drift_check(obj, k, 0.01, 0.5, obj.smoothness, y, obj.target,
+                          n=500, rng=RngStream(33, d))
+        got = [v.mean, v.confidence_halfwidth, *g.mean, g.confidence_halfwidth[0],
+               rep.estimate, rep.ci_halfwidth]
+        assert tuple(float(x).hex() for x in got) == self.IID[(d, kind)]
 
 
 class TestClosedForm:
