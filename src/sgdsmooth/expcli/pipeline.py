@@ -167,6 +167,7 @@ class CalibrationResult:
     eta: float
     tried: tuple[float, ...]
     reports: tuple[ScanReport, ...]
+    confidence: float   # family-wise over every candidate radius and grid point
 
 
 def default_window_candidates(params: SpikyParams, eta: float) -> list[float]:
@@ -190,12 +191,20 @@ def calibrate_noise(
     confidence: float = 0.99,
 ) -> CalibrationResult:
     """Pick the smallest candidate radius whose region scan certifies
-    c >= c_min over the grid at the given confidence."""
+    c >= c_min over the grid.
+
+    Each of the m candidates' scans runs at 1 - (1 - confidence)/m
+    (Bonferroni over the radii that may be tried), so the returned c
+    holds at the family-wise `confidence` whichever radius is picked.
+    """
     if obj.target is None:
         raise ValueError("calibration needs an objective with a target")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     r_candidates = list(r_candidates)
     if not r_candidates:
         raise ValueError("r_candidates must be non-empty")
+    scan_confidence = 1.0 - (1.0 - confidence) / len(r_candidates)
     tried: list[float] = []
     reports: list[ScanReport] = []
     for j, r in enumerate(r_candidates):
@@ -204,12 +213,14 @@ def calibrate_noise(
             obj, kernel, eta, obj.target, [np.atleast_1d(g) for g in np.atleast_1d(grid)],
             c_min=c_min, n=n,
             rng=RngStream(seed, 500_000 + 1000 * j),
-            confidence=confidence, stop_on_fail=True,
+            confidence=scan_confidence, stop_on_fail=True,
         )
         tried.append(r)
         reports.append(report)
         if report.certified_c >= c_min:
-            return CalibrationResult(r, report.certified_c, eta, tuple(tried), tuple(reports))
+            return CalibrationResult(
+                r, report.certified_c, eta, tuple(tried), tuple(reports), confidence
+            )
     raise ValueError(
         f"no candidate radius certified c >= {c_min}; "
         f"best was {max(rep.certified_c for rep in reports):.4g}"

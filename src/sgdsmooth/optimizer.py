@@ -13,10 +13,17 @@ with batched oracle calls, and each trial pre-draws its noise from its
 own stream, one batch per stage.  `sgd_run` is a one-trial lockstep run,
 so a lockstep trial replays `sgd_run` for the same stream by
 construction.  One predicate flags divergence at every recorded iterate,
-the final one included, and `EnsembleResult.trajectory` is the one place
-a `Trajectory` record is built.  A record is persisted either alone, as a
-CSV (`Trajectory.write_csv`), or with every trial of an ensemble, as one
-streamed `.npy` trajectory table (`EnsembleResult.write_table`).
+the final one included.  The loop applies it once per block of `_BLOCK`
+rows rather than once per step: a trial first beyond the cutoff at row
+k has its rows after k in that block rewritten to the frozen x_k and
+y = x_k - eta_t * grad f(x_k), so every history is bitwise the one a
+per-step freeze gives.  Stepping past the cutoff until the block ends
+may overflow; those rows are overwritten and the overflow is not
+reported.  `EnsembleResult.trajectory` is the one place a `Trajectory`
+record is built.  A record is persisted either alone, as a CSV
+(`Trajectory.write_csv`, formatted column-wise in chunks of rows), or
+with every trial of an ensemble, as one streamed `.npy` trajectory table
+(`EnsembleResult.write_table`).
 """
 from __future__ import annotations
 
@@ -35,6 +42,11 @@ __all__ = [
 ]
 
 DIVERGENCE_CUTOFF = 1e6
+
+# rows stepped between two divergence checks in lockstep_run
+_BLOCK = 64
+# rows formatted at a time in Trajectory.write_csv
+_CSV_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -130,20 +142,23 @@ class Trajectory:
         )
 
     def write_csv(self, path) -> None:
+        """Write the record as CSV, one row per point: integers as `str`,
+        floats as `repr`, so the values read back losslessly.  Rows are
+        formatted column by column, `_CSV_CHUNK` rows at a time."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.csv_header())
-            for t in range(len(self)):
-                row = [t, int(self.stage_idx[t])]
-                row += [repr(float(v)) for v in self.xs[t]]
-                row += [
-                    repr(float(self.fs[t])),
-                    repr(float(self.grad_norms[t])),
-                    repr(float(self.noise_norms[t])),
-                    repr(float(self.dist2[t])),
-                    int(self.out_of_box[t]),
+            fh.write(",".join(self.csv_header()) + "\n")
+            for c0 in range(0, len(self), _CSV_CHUNK):
+                c1 = min(c0 + _CSV_CHUNK, len(self))
+                rows = slice(c0, c1)
+                floats = [*self.xs[rows].T, self.fs[rows], self.grad_norms[rows],
+                          self.noise_norms[rows], self.dist2[rows]]
+                cols = [
+                    map(str, range(c0, c1)),
+                    map(str, self.stage_idx[rows].astype(int).tolist()),
+                    *(map(repr, np.asarray(col, dtype=float).tolist()) for col in floats),
+                    map(str, self.out_of_box[rows].astype(int).tolist()),
                 ]
-                writer.writerow(row)
+                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
     def table_rows(self, trial: int) -> np.ndarray:
         """This record as `table_dtype` rows labelled with `trial`; each field
@@ -173,9 +188,9 @@ def read_trajectory_csv(path) -> dict[str, np.ndarray]:
 
 def _bounded(xs: np.ndarray) -> np.ndarray:
     """Divergence predicate over the last axis: True where every coordinate
-    is finite and at most DIVERGENCE_CUTOFF in absolute value (a NaN
-    maximum compares False)."""
-    return np.max(np.abs(xs), axis=-1) <= DIVERGENCE_CUTOFF
+    is finite and at most DIVERGENCE_CUTOFF in absolute value (NaN
+    compares False)."""
+    return np.all((xs >= -DIVERGENCE_CUTOFF) & (xs <= DIVERGENCE_CUTOFF), axis=-1)
 
 
 @dataclass
@@ -274,6 +289,14 @@ def lockstep_run(
     final one included, goes through the divergence predicate; a trial
     that fails it freezes in place and is flagged rather than aborting
     the others.
+
+    Steps run in blocks of `_BLOCK` rows with the predicate applied once
+    per block.  A trial that first fails it at row k of a block has the
+    rest of that block rewritten to the frozen x_k, with
+    y = x_k - eta_t * grad f(x_k) at each row t, and continues from x_k,
+    so the histories and flags are bitwise those of a per-step freeze.
+    The steps it took past the cutoff raise no overflow or invalid-value
+    warning.
     """
     x0s = np.asarray(x0s, dtype=float)
     n, d = x0s.shape
@@ -299,13 +322,35 @@ def lockstep_run(
     x_hist = np.empty((total + 1, n, d))
     y_hist = np.empty((total + 1, n, d))
     active = np.ones(n, dtype=bool)
+    grads_at = obj.grads_at
     x = x0s
-    for t, eta in enumerate(etas):
-        y = x - eta * obj.grads_at(x)
-        x_hist[t], y_hist[t] = x, y
-        active &= _bounded(x)
-        # the step leaving the final point uses its zero noise row and is discarded
-        x = np.where(active[:, None], y - eta * omegas[t], x)
+    # a trial past the cutoff keeps stepping to the end of its block, where
+    # its rows are overwritten, so its overflow is not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b0 in range(0, total + 1, _BLOCK):
+            b1 = min(b0 + _BLOCK, total + 1)
+            # the same products as eta * omegas[t] row by row, each held in
+            # its x_hist row until the iterate is recorded there
+            kicks = np.multiply(etas[b0:b1, None, None], omegas[b0:b1], out=x_hist[b0:b1])
+            # frozen trials stay in place; np.where is needed only once one is
+            keep = None if active.all() else active[:, None]
+            # the step leaving the final point uses its zero noise row and is discarded
+            for t, eta, kick in zip(range(b0, b1), etas[b0:b1].tolist(), kicks):
+                y = x - eta * grads_at(x)
+                x_next = y - kick if keep is None else np.where(keep, y - kick, x)
+                x_hist[t], y_hist[t] = x, y
+                x = x_next
+            ok = _bounded(x_hist[b0:b1])
+            for i in np.flatnonzero(active & ~ok.all(axis=0)):
+                # freeze trial i at its first iterate k beyond the cutoff,
+                # as a per-step check would have
+                k = b0 + int(np.argmin(ok[:, i]))
+                xk = x_hist[k, i]
+                if k + 1 < b1:
+                    x_hist[k + 1 : b1, i] = xk
+                    y_hist[k + 1 : b1, i] = xk - etas[k + 1 : b1, None] * grads_at(xk[None, :])
+                x[i] = xk
+                active[i] = False
 
     return EnsembleResult(
         x_hist=x_hist,

@@ -44,6 +44,7 @@ from sgdsmooth.expcli import (
     svg_histogram_string,
 )
 from sgdsmooth.expcli import cluster as cluster_module
+from sgdsmooth.expcli import pipeline as pipeline_module
 from sgdsmooth.expcli.cli import main
 from sgdsmooth.expcli.pipeline import draw_inits, persist_ensemble, write_curve_csv
 from sgdsmooth.optimizer import read_trajectory_csv
@@ -590,6 +591,32 @@ class TestCalibration:
         # every earlier candidate failed
         for rep in result.reports[:-1]:
             assert rep.certified_c < 0.2
+
+    def test_scans_split_the_confidence_over_the_radii(self, spiky_default, monkeypatch):
+        levels = []
+        region_scan = pipeline_module.region_scan
+
+        def record(*args, **kwargs):
+            levels.append(kwargs["confidence"])
+            return region_scan(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "region_scan", record)
+        radii = default_window_candidates(SpikyParams(), 0.01)
+        result = calibrate_noise(
+            spiky_default, 0.01, c_min=0.2, grid=np.linspace(-2, 2, 8),
+            r_candidates=radii, n=4096, seed=123, confidence=0.95,
+        )
+        assert result.confidence == 0.95
+        assert len(result.tried) > 1
+        per_scan = 1.0 - (1.0 - 0.95) / len(radii)
+        assert levels == [per_scan] * len(result.tried)
+        assert [rep.confidence for rep in result.reports] == levels
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    def test_confidence_checked(self, spiky_default, confidence):
+        with pytest.raises(ValueError, match="confidence must be in"):
+            calibrate_noise(spiky_default, 0.01, c_min=0.2, grid=np.linspace(-2, 2, 4),
+                            r_candidates=[1.0, 2.0], n=1000, seed=1, confidence=confidence)
 
     def test_empty_candidates_rejected(self, spiky_default):
         with pytest.raises(ValueError, match="r_candidates must be non-empty"):

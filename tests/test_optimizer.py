@@ -1,5 +1,7 @@
 """Runner semantics: contraction, shadow identity, persistence, divergence."""
+import csv
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,13 +19,91 @@ from sgdsmooth import (
     sgd_run,
     shadow_check,
 )
-from sgdsmooth.optimizer import read_trajectory_csv
+from sgdsmooth.optimizer import (
+    DIVERGENCE_CUTOFF,
+    EnsembleResult,
+    _bounded,
+    lockstep_run,
+    read_trajectory_csv,
+)
 
 from conftest import bisect_root
 
 
 def _zero_schedule(eta, steps, d=1):
     return StepSchedule((Stage(eta, steps, NoiseKernel("zero", 0.0, d)),))
+
+
+def _bounded_reference(xs):
+    """Reference: the divergence predicate as a NaN-propagating maximum."""
+    return np.max(np.abs(xs), axis=-1) <= DIVERGENCE_CUTOFF
+
+
+def _reference_lockstep(obj, schedule, x0s, streams):
+    """Reference: the per-step engine that `lockstep_run` replaced, with
+    the divergence predicate applied at every step."""
+    x0s = np.asarray(x0s, dtype=float)
+    n, d = x0s.shape
+    stages = schedule.stages
+    total = schedule.total_steps
+    rows = [s.steps for s in stages]
+    rows[-1] += 1  # the final point inherits the last stage
+    etas = np.repeat([s.eta for s in stages], rows)
+    stage_idx = np.repeat(np.arange(len(stages)), rows)
+
+    omegas = np.zeros((total + 1, n, d))
+    for i, stream in enumerate(streams):
+        gen = stream.generator()
+        t0 = 0
+        for stage in stages:
+            omegas[t0 : t0 + stage.steps, i] = stage.kernel.sample_batch(stage.steps, gen)
+            t0 += stage.steps
+
+    x_hist = np.empty((total + 1, n, d))
+    y_hist = np.empty((total + 1, n, d))
+    active = np.ones(n, dtype=bool)
+    x = x0s
+    for t, eta in enumerate(etas):
+        y = x - eta * obj.grads_at(x)
+        x_hist[t], y_hist[t] = x, y
+        active &= _bounded_reference(x)
+        # the step leaving the final point uses its zero noise row and is discarded
+        x = np.where(active[:, None], y - eta * omegas[t], x)
+
+    return EnsembleResult(
+        x_hist=x_hist,
+        y_hist=y_hist,
+        omegas=omegas,
+        etas=etas,
+        stage_idx=stage_idx,
+        diverged=~active,
+    )
+
+
+def _reference_write_csv(traj, path):
+    """Reference: the row-wise `csv.writer` body that `write_csv` replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(traj.csv_header())
+        for t in range(len(traj)):
+            row = [t, int(traj.stage_idx[t])]
+            row += [repr(float(v)) for v in traj.xs[t]]
+            row += [
+                repr(float(traj.fs[t])),
+                repr(float(traj.grad_norms[t])),
+                repr(float(traj.noise_norms[t])),
+                repr(float(traj.dist2[t])),
+                int(traj.out_of_box[t]),
+            ]
+            writer.writerow(row)
+
+
+def _bits(a):
+    """The bytes of `a` with every NaN made the same NaN."""
+    a = np.asarray(a)
+    if a.dtype.kind == "f":
+        a = np.where(np.isnan(a), np.nan, a)
+    return a.dtype.str, a.shape, a.tobytes()
 
 
 def _shadow_check_loop(traj, obj):
@@ -168,6 +248,146 @@ class TestShadowCheck:
             assert abs(shadow_check(traj, obj) - loop) <= 4 * np.spacing(loop)
 
 
+def _run_both(obj, schedule, x0s, seed=5):
+    """(lockstep_run, reference) on the same streams, checked field by
+    field for bitwise equality, NaN equal to NaN."""
+    x0s = np.asarray(x0s, dtype=float)
+    streams = [RngStream(seed, 1000 + i) for i in range(len(x0s))]
+    got = lockstep_run(obj, schedule, x0s, streams)
+    # the reference's frozen non-finite trials warn at every step
+    with np.errstate(all="ignore"):
+        ref = _reference_lockstep(obj, schedule, x0s, streams)
+    for field in ("x_hist", "y_hist", "omegas", "etas", "stage_idx", "diverged"):
+        assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), field
+    return got
+
+
+def _first_beyond(result, i):
+    """Row at which trial i first fails the divergence predicate, or None."""
+    return result.record_end(i) - 1 if result.diverged[i] else None
+
+
+# 130 steps make rows 0..130: blocks [0, 64), [64, 128) and [128, 131)
+LAST_ROW = 130
+
+
+def _expanding(eta=3.0, steps=LAST_ROW, d=1, radius=2.0**-300):
+    """A quadratic run at eta = 3, where each step doubles |x| (the noise
+    is far too small to matter)."""
+    kernel = NoiseKernel("uniform-ball", radius, d)
+    return make_quadratic(d), StepSchedule((Stage(eta, steps, kernel),))
+
+
+def _start_beyond_at(k):
+    """A 1-d start whose iterate under `_expanding` first exceeds the
+    cutoff at row k: |x_k| = 1.5e6, |x_{k-1}| = 7.5e5."""
+    return 1.5e6 * 2.0**-k
+
+
+class TestBlockwiseDivergence:
+    """`lockstep_run` checks divergence once per block of rows; every
+    field must equal the per-step reference bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 40])
+    @pytest.mark.parametrize("k", [0, 63, 64, 65, LAST_ROW])
+    def test_first_divergence_at_row(self, k, n):
+        obj, sched = _expanding()
+        gen = np.random.Generator(np.random.Philox(key=[91, k]))
+        # the other trials stay far below the cutoff
+        x0s = gen.uniform(-1, 1, size=(n, 1)) * 2.0**-200
+        x0s[n // 2, 0] = _start_beyond_at(k)
+        result = _run_both(obj, sched, x0s)
+        assert _first_beyond(result, n // 2) == k
+        assert result.diverged.sum() == 1
+
+    @pytest.mark.parametrize("start", [np.inf, -np.inf, np.nan])
+    def test_non_finite_start(self, spiky_default, start):
+        kernel = NoiseKernel("uniform-ball", 2.0, 1)
+        sched = StepSchedule((Stage(0.01, 100, kernel),))
+        x0s = np.linspace(-2, 2, 40)[:, None]
+        x0s[[0, 21]] = start
+        result = _run_both(spiky_default, sched, x0s)
+        assert np.flatnonzero(result.diverged).tolist() == [0, 21]
+        assert result.record_end(0) == result.record_end(21) == 1
+
+    def test_mixed_rows_across_blocks(self):
+        obj, sched = _expanding()
+        rows = [0, 1, 30, 62, 63, 64, 65, 100, 127, 128, 129, LAST_ROW]
+        # the last start reaches exactly 1e6 at row 40, which is not beyond
+        x0s = np.array([[_start_beyond_at(k)] for k in rows] + [[0.0], [2.0**-200], [1e6 * 2.0**-40]])
+        result = _run_both(obj, sched, x0s)
+        assert result.x_hist[40, -1, 0] == 1e6
+        assert [_first_beyond(result, i) for i in range(len(x0s))] == rows + [None, None, 41]
+
+    def test_predicate_matches_reference(self):
+        edge = [1e6, -1e6, np.nextafter(1e6, np.inf), -np.nextafter(1e6, np.inf),
+                np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0]
+        xs = np.array(np.meshgrid(edge, edge)).reshape(2, -1).T
+        assert np.array_equal(_bounded(xs), _bounded_reference(xs))
+        assert np.array_equal(_bounded(xs[:, :1]), _bounded_reference(xs[:, :1]))
+
+    def test_stage_change_inside_a_block(self):
+        # the stage changes at row 100, inside block [64, 128); after it
+        # each step multiplies |x| by 1.5 instead of 2
+        kernel = NoiseKernel("uniform-ball", 2.0**-300, 1)
+        sched = StepSchedule((Stage(3.0, 100, kernel), Stage(2.5, 40, kernel)))
+        x0s = 1.2e6 * 2.0**-100 * 1.5 ** -np.arange(0, 40, 3.0)[:, None]
+        result = _run_both(make_quadratic(1), sched, x0s)
+        first = [_first_beyond(result, i) for i in range(len(x0s))]
+        assert first[0] == 100
+        assert any(100 < k < 128 for k in first)
+        assert any(k >= 128 for k in first)
+
+    def test_noisy_spiky_ensemble(self, spiky_default):
+        # eta = 2.5 expands the quadratic part: trials leave at noise-driven rows
+        kernel = NoiseKernel("uniform-ball", 1.0, 1)
+        sched = StepSchedule((Stage(2.5, 200, kernel),))
+        x0s = np.linspace(-3, 3, 40)[:, None]
+        result = _run_both(spiky_default, sched, x0s, seed=17)
+        # many trials leave inside one block, each at its own row
+        assert result.diverged.all()
+        assert len({_first_beyond(result, i) for i in range(40)}) > 5
+
+    def test_two_dimensions(self):
+        obj, sched = _expanding(d=2)
+        x0s = np.array([
+            [_start_beyond_at(63), 0.5 * 2.0**-100],
+            [-0.25 * 2.0**-100, -_start_beyond_at(65)],
+            [_start_beyond_at(64), _start_beyond_at(64)],
+            [2.0**-200, 0.0],
+            [np.nan, 1.0],
+        ])
+        result = _run_both(obj, sched, x0s)
+        assert [_first_beyond(result, i) for i in range(5)] == [63, 65, 64, None, 0]
+
+    def test_two_dimensions_noisy_spiky(self):
+        obj = make_spiky(SpikyParams(dimension=2))
+        sched = StepSchedule((
+            Stage(0.01, 90, NoiseKernel("uniform-ball", 2.0, 2)),
+            Stage(2.5, 60, NoiseKernel("uniform-cube", 1.0, 2)),
+        ))
+        x0s = np.random.Generator(np.random.Philox(key=[92, 0])).uniform(-3, 3, size=(40, 2))
+        result = _run_both(obj, sched, x0s, seed=18)
+        # every trial leaves in the second stage, at rows spread over a block
+        assert result.diverged.all()
+        assert len({_first_beyond(result, i) for i in range(40)}) > 3
+
+    def test_overflow_past_the_cutoff_is_not_reported(self):
+        # row 1 is -1e100; stepped on, the trial overflows at row 4 and
+        # turns NaN at row 5, all inside the first block
+        obj = make_quadratic(1)
+        sched = _zero_schedule(1e100, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lockstep_run(obj, sched, np.ones((1, 1)), [RngStream(0)])
+            traj = sgd_run(obj, sched, [1.0])
+        result = _run_both(obj, sched, np.ones((1, 1)))
+        assert _bits(got.y_hist) == _bits(result.y_hist)
+        assert _first_beyond(result, 0) == 1
+        assert traj.diverged and len(traj) == 2
+        assert np.all(result.x_hist[1:, 0, 0] == -1e100)
+
+
 class TestScheduleValidation:
     def test_empty_schedule(self):
         with pytest.raises(ValueError):
@@ -225,3 +445,53 @@ class TestPersistence:
             traj = sgd_run(spiky_default, sched, [1.0], RngStream(33, 2))
             traj.write_csv(tmp_path / name)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _csv_cases():
+    """(name, trajectory) pairs covering the chunk edges and odd values."""
+    spiky = make_spiky(SpikyParams())
+    ball = NoiseKernel("uniform-ball", 2.0, 1)
+
+    def noisy(steps, obj=spiky, kernel=ball, x0=(1.0,)):
+        sched = StepSchedule((Stage(0.01, steps, kernel),))
+        return sgd_run(obj, sched, list(x0), RngStream(35, steps))
+
+    staged = StepSchedule((
+        Stage(0.2, 700, NoiseKernel("uniform-ball", 3.1416, 1)),
+        Stage(0.04, 700, NoiseKernel("uniform-ball", 2.0, 1)),
+    ))
+    cases = [(f"rows-{steps + 1}", noisy(steps)) for steps in (0, 1023, 1024, 2048)]
+    cases += [
+        ("staged", sgd_run(spiky, staged, [1.0], RngStream(36, 0))),
+        ("d2", noisy(300, make_spiky(SpikyParams(dimension=2)),
+                     NoiseKernel("uniform-ball", 2.0, 2), (1.0, -0.5))),
+        ("no-target", noisy(50, replace(spiky, target=None))),
+        ("out-of-box", gd_run(make_quadratic(1), 2.1, 40, [1.0])),
+        ("diverged", gd_run(make_quadratic(1), 3.0, 200, [1.0])),
+        ("negative-zero", gd_run(make_quadratic(2), 0.5, 3, [-0.0, 1.0])),
+    ]
+    return cases
+
+
+CSV_CASES = _csv_cases()
+
+
+class TestCsvBytes:
+    """The column-wise writer against the row-wise `csv.writer` body it
+    replaced."""
+
+    @pytest.mark.parametrize("traj", [pytest.param(t, id=name) for name, t in CSV_CASES])
+    def test_bytes_equal_reference(self, tmp_path, traj):
+        traj.write_csv(tmp_path / "new.csv")
+        _reference_write_csv(traj, tmp_path / "ref.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert new.count(b"\n") == len(traj) + 1
+
+    def test_cases_cover_the_odd_values(self):
+        cases = dict(CSV_CASES)
+        assert np.isnan(cases["no-target"].dist2).all()
+        assert cases["out-of-box"].out_of_box.any()
+        assert cases["diverged"].diverged
+        assert np.signbit(cases["negative-zero"].xs[0, 0])
+        assert set(cases["staged"].stage_idx.tolist()) == {0, 1}
