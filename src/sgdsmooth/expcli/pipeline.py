@@ -8,9 +8,13 @@ divergence flag included.
 
 An ensemble with an output directory persists three artifacts there:
 `trajectories.npy`, every trial's record as one streamed table (see
-`optimizer.table_dtype`), `summary.json` and the finals histogram
-`finals.svg`.  `figure3` writes one such directory per row-2 and row-3
-panel, next to its row-1 curve CSVs.
+`optimizer.table_dtype`), `summary.json` (strict JSON: a non-finite
+summary value is written as null) and the finals histogram
+`finals.svg`.  Only such an ensemble keeps the engine's (T+1, n, d)
+histories; one that persists nothing runs finals-only, in O(n*d)
+memory plus one stage's noise, with the same finals, flags and summary.
+`figure3` writes one ensemble directory per row-2 and row-3 panel, next
+to its row-1 curve CSVs.
 """
 from __future__ import annotations
 
@@ -49,12 +53,14 @@ INIT_STREAM = 0
 
 
 def run_lockstep_ensemble(
-    obj: Objective, schedule: StepSchedule, x0s: np.ndarray, seed: int
+    obj: Objective, schedule: StepSchedule, x0s: np.ndarray, seed: int,
+    keep_history: bool = True,
 ) -> EnsembleResult:
     """Advance n trials together with `optimizer.lockstep_run`; trial i
-    draws noise from stream (seed, TRIAL_STREAM_BASE + i)."""
+    draws noise from stream (seed, TRIAL_STREAM_BASE + i).  Without
+    `keep_history` the result holds only the finals and flags."""
     streams = [RngStream(seed, TRIAL_STREAM_BASE + i) for i in range(len(x0s))]
-    return lockstep_run(obj, schedule, x0s, streams)
+    return lockstep_run(obj, schedule, x0s, streams, keep_history)
 
 
 @dataclass(frozen=True)
@@ -130,25 +136,39 @@ def ensemble(
     stay_radius2: Optional[float] = None,
 ) -> tuple[EnsembleResult, EnsembleReport]:
     """Run the configured ensemble; persist its trajectory table, summary
-    and finals histogram when the config names an output directory."""
+    and finals histogram when the config names an output directory.
+
+    The engine keeps its histories only for that table: without an
+    output directory the result is finals-only (`x_hist`, `y_hist` and
+    `omegas` are None), and the report is the same.
+    """
     obj = config.build_objective()
     schedule = config.build_schedule()
     x0s = draw_inits(config.n_trials, obj.dimension, config.init_box, config.seed)
-    result = run_lockstep_ensemble(obj, schedule, x0s, config.seed)
+    persist = config.out_dir is not None
+    result = run_lockstep_ensemble(obj, schedule, x0s, config.seed, keep_history=persist)
     report = summarize_ensemble(
         result, obj.target, config.cluster_tol, stay_radius2, config.histogram_bins
     )
-    if config.out_dir is not None:
+    if persist:
         persist_ensemble(config.out_dir, obj, result, report)
     return result, report
 
 
 def persist_ensemble(out_dir, obj: Objective, result: EnsembleResult, report: EnsembleReport) -> None:
-    """Write `trajectories.npy`, `summary.json` and `finals.svg` to out_dir."""
+    """Write `trajectories.npy`, `summary.json` and `finals.svg` to out_dir.
+
+    `summary.json` is strict JSON: a non-finite value, such as the
+    success fraction without a stay radius, is written as null.
+    """
     os.makedirs(out_dir, exist_ok=True)
     result.write_table(obj, os.path.join(out_dir, "trajectories.npy"))
+    summary = {
+        key: None if isinstance(val, float) and not math.isfinite(val) else val
+        for key, val in report.summary_dict().items()
+    }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(report.summary_dict(), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     emit_svg_histogram(
         _histogram_scalars(report.finals_x), len(report.histogram_counts), os.path.join(out_dir, "finals.svg"),
@@ -284,7 +304,8 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
     Row 3: the configured multi-stage schedule, each stage re-initialized
     inside the [q10, q90] spread of the previous stage's finals.  The
     default stage ladder halves the noise level per stage, echoing the
-    0.3 -> 0.15 shrink of the original demonstration.
+    0.3 -> 0.15 shrink of the original demonstration.  Without an
+    output directory every ensemble runs finals-only.
     """
     if len(config.noise_levels) < 3:
         raise ValueError("figure3 needs at least 3 noise levels")
@@ -309,16 +330,14 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
             if out is not None:
                 write_curve_csv(os.path.join(out, f"row1_level{j}.csv"), cols)
 
-    # Row 2: ensembles across noise levels, zero-noise baseline first
+    # Row 2: ensembles across noise levels, zero-noise baseline first;
+    # each persists to its own panel directory
     row2: list[EnsembleReport] = []
     for j, r in enumerate((0.0, *config.noise_levels)):
         stage = StageSpec(base.eta, base.steps, KernelSpec(base.kernel.kind, r))
-        panel_cfg = _replace_stages(config, (stage,), None)
-        result, report = ensemble(panel_cfg)
+        panel_dir = None if out is None else os.path.join(out, f"row2_level{j}")
+        _, report = ensemble(_replace_stages(config, (stage,), panel_dir))
         row2.append(report)
-        if out is not None:
-            panel_dir = os.path.join(out, f"row2_level{j}")
-            persist_ensemble(panel_dir, obj, result, report)
     # Row 3: staged shrink with re-initialization in the previous spread
     row3: list[EnsembleReport] = []
     medians: list[float] = []
@@ -326,7 +345,9 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
     for k, stage in enumerate(config.stages):
         stage_cfg = _replace_stages(config, (stage,), None)
         schedule = stage_cfg.build_schedule()
-        result = run_lockstep_ensemble(obj, schedule, x0s, config.seed + k)
+        result = run_lockstep_ensemble(
+            obj, schedule, x0s, config.seed + k, keep_history=out is not None
+        )
         report = summarize_ensemble(
             result, obj.target, config.cluster_tol, None, config.histogram_bins
         )

@@ -9,18 +9,25 @@ the one-step identity
 bitwise within any constant-eta stage.
 
 `lockstep_run` is the only stepping loop.  It advances n trials together
-with batched oracle calls, and each trial pre-draws its noise from its
-own stream, one batch per stage.  `sgd_run` is a one-trial lockstep run,
-so a lockstep trial replays `sgd_run` for the same stream by
-construction.  One predicate flags divergence at every recorded iterate,
-the final one included.  The loop applies it once per block of `_BLOCK`
-rows rather than once per step: a trial first beyond the cutoff at row
-k has its rows after k in that block rewritten to the frozen x_k and
-y = x_k - eta_t * grad f(x_k), so every history is bitwise the one a
-per-step freeze gives.  Stepping past the cutoff until the block ends
-may overflow; those rows are overwritten and the overflow is not
-reported.  `EnsembleResult.trajectory` is the one place a `Trajectory`
-record is built.  A record is persisted either alone, as a CSV
+with batched oracle calls.  When a stage starts, each trial draws that
+stage's noise from its own stream, so `sgd_run` is a one-trial run of
+the same loop and a lockstep trial replays `sgd_run` for the same stream
+by construction.  One predicate flags divergence at every recorded
+iterate, the final one included.  The loop applies it once per block of
+`_BLOCK` rows rather than once per step; blocks start at each stage
+start.  A trial first beyond the cutoff at row k has its rows after k in
+that block rewritten to the frozen x_k and y = x_k - eta_t * grad f(x_k),
+so every history is bitwise the one a per-step freeze gives.  Stepping
+past the cutoff until the block ends may overflow; those rows are
+overwritten and the overflow is not reported.
+
+A run keeps the (T+1, n, d) iterate, shadow and noise histories, or,
+with `keep_history=False`, only the final iterates and the divergence
+flags: the rows of a block then go to two reused block buffers and the
+noise to one stage buffer, so memory is O(n*d) plus one stage's noise.
+The finals and flags are bitwise the same either way.
+`EnsembleResult.trajectory` is the one place a `Trajectory` record is
+built.  A record is persisted either alone, as a CSV
 (`Trajectory.write_csv`, formatted column-wise in chunks of rows), or
 with every trial of an ensemble, as one streamed `.npy` trajectory table
 (`EnsembleResult.write_table`).
@@ -30,6 +37,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -195,42 +203,55 @@ def _bounded(xs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EnsembleResult:
-    """Raw lockstep history: axis 0 is the step index, axis 1 the trial.
+    """A lockstep run: its histories, if kept, and its finals and flags.
 
+    In the histories axis 0 is the step index and axis 1 the trial.
     `omegas[t]` is the noise applied when leaving step t, with a zero row
     at the end, so the three histories share one (T+1, n, d) layout.  A
     diverged trial stays frozen at its first iterate beyond the cutoff.
-    The objective's target is not stored; methods that need it take the
-    objective or the target as an argument.
+    A run without history (`lockstep_run(..., keep_history=False)`) has
+    `x_hist`, `y_hist` and `omegas` None, and the methods that read them
+    raise ValueError.  Given a history, the finals default to a copy of
+    its last row.  The objective's target is not stored; methods that
+    need it take the objective or the target as an argument.
     """
 
-    x_hist: np.ndarray      # (T+1, n, d)
-    y_hist: np.ndarray      # (T+1, n, d)
-    omegas: np.ndarray      # (T+1, n, d)
-    etas: np.ndarray        # (T+1,)
-    stage_idx: np.ndarray   # (T+1,)
-    diverged: np.ndarray    # (n,) bool
+    x_hist: Optional[np.ndarray]   # (T+1, n, d)
+    y_hist: Optional[np.ndarray]   # (T+1, n, d)
+    omegas: Optional[np.ndarray]   # (T+1, n, d)
+    etas: np.ndarray               # (T+1,)
+    stage_idx: np.ndarray          # (T+1,)
+    diverged: np.ndarray           # (n,) bool
+    finals_x: Optional[np.ndarray] = None  # (n, d)
+    finals_y: Optional[np.ndarray] = None  # (n, d)
+
+    def __post_init__(self):
+        # copies, so a report that keeps the finals does not pin the histories
+        if self.finals_x is None:
+            self.finals_x = self.x_hist[-1].copy()
+        if self.finals_y is None:
+            self.finals_y = self.y_hist[-1].copy()
 
     @property
     def n_trials(self) -> int:
-        return self.x_hist.shape[1]
+        return self.finals_x.shape[0]
 
-    @property
-    def finals_x(self) -> np.ndarray:
-        return self.x_hist[-1]
-
-    @property
-    def finals_y(self) -> np.ndarray:
-        return self.y_hist[-1]
+    def _require_history(self) -> None:
+        if self.x_hist is None:
+            raise ValueError(
+                "this run kept no history; run lockstep_run with keep_history=True"
+            )
 
     def y_dist2_history(self, target) -> np.ndarray:
         """(T+1, n) squared distances of the shadow points to `target`."""
+        self._require_history()
         diff = self.y_hist - np.asarray(target, dtype=float)[None, None, :]
         return np.einsum("tnd,tnd->tn", diff, diff)
 
     def record_end(self, i: int) -> int:
         """Row count of trial i's record.  A diverged trial's record ends at
         the iterate that froze it, its first one beyond the cutoff."""
+        self._require_history()
         if not self.diverged[i]:
             return self.x_hist.shape[0]
         return int(np.argmin(_bounded(self.x_hist[:, i]))) + 1
@@ -280,23 +301,34 @@ class EnsembleResult:
 
 
 def lockstep_run(
-    obj: Objective, schedule: StepSchedule, x0s: np.ndarray, streams: Sequence[RngStream]
+    obj: Objective,
+    schedule: StepSchedule,
+    x0s: np.ndarray,
+    streams: Sequence[RngStream],
+    keep_history: bool = True,
 ) -> EnsembleResult:
     """Advance n trials of staged SGD together with batched oracle calls.
 
-    Trial i pre-draws its noise from `streams[i]`, one `sample_batch` per
-    stage.  Iterates are never projected.  Every recorded iterate, the
-    final one included, goes through the divergence predicate; a trial
-    that fails it freezes in place and is flagged rather than aborting
-    the others.
+    When a stage starts, trial i draws that stage's noise with one
+    `sample_batch` call on its generator from `streams[i]`, created at
+    its first draw and dropped after the last stage.  Iterates are never
+    projected.  Every recorded iterate, the final one included, goes
+    through the divergence predicate; a trial that fails it freezes in
+    place and is flagged rather than aborting the others.
 
-    Steps run in blocks of `_BLOCK` rows with the predicate applied once
-    per block.  A trial that first fails it at row k of a block has the
-    rest of that block rewritten to the frozen x_k, with
-    y = x_k - eta_t * grad f(x_k) at each row t, and continues from x_k,
-    so the histories and flags are bitwise those of a per-step freeze.
-    The steps it took past the cutoff raise no overflow or invalid-value
-    warning.
+    Steps run in blocks of at most `_BLOCK` rows, which start at each
+    stage start, with the predicate applied once per block.  A trial
+    that first fails it at row k of a block has the rest of that block
+    rewritten to the frozen x_k, with y = x_k - eta_t * grad f(x_k) at
+    each row t, and continues from x_k, so the histories and flags are
+    bitwise those of a per-step freeze.  The steps it took past the
+    cutoff raise no overflow or invalid-value warning.
+
+    With `keep_history` the result holds the (T+1, n, d) iterate, shadow
+    and noise histories.  Without it, the noise goes to one buffer sized
+    for the longest stage and a block's rows to two reused block
+    buffers, and the result holds only the finals, flags, etas and stage
+    indices, bitwise equal to those of a history run.
     """
     x0s = np.asarray(x0s, dtype=float)
     n, d = x0s.shape
@@ -311,46 +343,58 @@ def lockstep_run(
     etas = np.repeat([s.eta for s in stages], rows)
     stage_idx = np.repeat(np.arange(len(stages)), rows)
 
-    omegas = np.zeros((total + 1, n, d))
-    for i, stream in enumerate(streams):
-        gen = stream.generator()
-        t0 = 0
-        for stage in stages:
-            omegas[t0 : t0 + stage.steps, i] = stage.kernel.sample_batch(stage.steps, gen)
-            t0 += stage.steps
-
-    x_hist = np.empty((total + 1, n, d))
-    y_hist = np.empty((total + 1, n, d))
+    if keep_history:
+        omegas = np.empty((total + 1, n, d))
+        x_hist = np.empty((total + 1, n, d))
+        y_hist = np.empty((total + 1, n, d))
+    else:
+        omegas = x_hist = y_hist = None
+        stage_noise = np.empty((max(rows), n, d))
+        x_block = np.empty((_BLOCK, n, d))
+        y_block = np.empty((_BLOCK, n, d))
+    gens = [None] * n
     active = np.ones(n, dtype=bool)
     grads_at = obj.grads_at
     x = x0s
+    t0 = 0
     # a trial past the cutoff keeps stepping to the end of its block, where
     # its rows are overwritten, so its overflow is not reported
     with np.errstate(over="ignore", invalid="ignore"):
-        for b0 in range(0, total + 1, _BLOCK):
-            b1 = min(b0 + _BLOCK, total + 1)
-            # the same products as eta * omegas[t] row by row, each held in
-            # its x_hist row until the iterate is recorded there
-            kicks = np.multiply(etas[b0:b1, None, None], omegas[b0:b1], out=x_hist[b0:b1])
-            # frozen trials stay in place; np.where is needed only once one is
-            keep = None if active.all() else active[:, None]
-            # the step leaving the final point uses its zero noise row and is discarded
-            for t, eta, kick in zip(range(b0, b1), etas[b0:b1].tolist(), kicks):
-                y = x - eta * grads_at(x)
-                x_next = y - kick if keep is None else np.where(keep, y - kick, x)
-                x_hist[t], y_hist[t] = x, y
-                x = x_next
-            ok = _bounded(x_hist[b0:b1])
-            for i in np.flatnonzero(active & ~ok.all(axis=0)):
-                # freeze trial i at its first iterate k beyond the cutoff,
-                # as a per-step check would have
-                k = b0 + int(np.argmin(ok[:, i]))
-                xk = x_hist[k, i]
-                if k + 1 < b1:
-                    x_hist[k + 1 : b1, i] = xk
-                    y_hist[k + 1 : b1, i] = xk - etas[k + 1 : b1, None] * grads_at(xk[None, :])
-                x[i] = xk
-                active[i] = False
+        for stage, t1 in zip(stages, np.cumsum(rows).tolist()):
+            noise = omegas[t0:t1] if keep_history else stage_noise[: t1 - t0]
+            last = t1 > total  # only the last stage holds the final row
+            for i, stream in enumerate(streams):
+                gen = stream.generator() if gens[i] is None else gens[i]
+                noise[: stage.steps, i] = stage.kernel.sample_batch(stage.steps, gen)
+                gens[i] = None if last else gen
+            # the step leaving the final point uses a zero noise row and is discarded
+            noise[stage.steps :] = 0.0
+            for b0 in range(t0, t1, _BLOCK):
+                b1 = min(b0 + _BLOCK, t1)
+                xb = x_hist[b0:b1] if keep_history else x_block[: b1 - b0]
+                yb = y_hist[b0:b1] if keep_history else y_block[: b1 - b0]
+                # the same products as eta * omegas[t] row by row, each held in
+                # its x row until the iterate is recorded there
+                kicks = np.multiply(etas[b0:b1, None, None], noise[b0 - t0 : b1 - t0], out=xb)
+                # frozen trials stay in place; np.where is needed only once one is
+                keep = None if active.all() else active[:, None]
+                for j, (eta, kick) in enumerate(zip(etas[b0:b1].tolist(), kicks)):
+                    y = x - eta * grads_at(x)
+                    x_next = y - kick if keep is None else np.where(keep, y - kick, x)
+                    xb[j], yb[j] = x, y
+                    x = x_next
+                ok = _bounded(xb)
+                for i in np.flatnonzero(active & ~ok.all(axis=0)):
+                    # freeze trial i at its first iterate k beyond the cutoff,
+                    # as a per-step check would have
+                    k = int(np.argmin(ok[:, i]))
+                    xk = xb[k, i]
+                    if k + 1 < b1 - b0:
+                        xb[k + 1 :, i] = xk
+                        yb[k + 1 :, i] = xk - etas[b0 + k + 1 : b1, None] * grads_at(xk[None, :])
+                    x[i] = xk
+                    active[i] = False
+            t0 = t1
 
     return EnsembleResult(
         x_hist=x_hist,
@@ -359,6 +403,9 @@ def lockstep_run(
         etas=etas,
         stage_idx=stage_idx,
         diverged=~active,
+        # the final point is the last row of the last block
+        finals_x=xb[-1].copy(),
+        finals_y=yb[-1].copy(),
     )
 
 

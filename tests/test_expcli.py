@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -572,6 +573,79 @@ class TestEnsemble:
         assert report.success_fraction == 1.0
         assert 0 <= report.cluster_count <= cfg.n_trials
 
+    def test_history_kept_only_when_persisting(self, tmp_path):
+        # the eta = 2.5 stage makes some trials diverge
+        cfg = _small_config(n_trials=12, stages=(
+            StageSpec(0.05, 40, KernelSpec("uniform-ball", 1.0)),
+            StageSpec(2.5, 30, KernelSpec("uniform-ball", 1.0)),
+        ))
+        bare, bare_report = ensemble(cfg)
+        kept, kept_report = ensemble(replace(cfg, out_dir=str(tmp_path / "out")))
+        assert bare.x_hist is None and bare.y_hist is None and bare.omegas is None
+        assert kept.x_hist is not None
+        assert 0 < kept_report.diverged_count < cfg.n_trials
+        for field in ("finals_x", "finals_y", "dist2", "histogram_counts", "histogram_edges"):
+            a, b = getattr(bare_report, field), getattr(kept_report, field)
+            assert _same_bits(a, np.asarray(b)), field
+        assert np.array_equal(bare.diverged, kept.diverged)
+        a, b = bare_report.summary_dict(), kept_report.summary_dict()
+        assert a.keys() == b.keys()
+        assert all(a[k] == b[k] or (a[k] != a[k] and b[k] != b[k]) for k in a)
+
+    def test_summary_json_is_strict(self, tmp_path):
+        cfg = _small_config(out_dir=str(tmp_path / "run"))
+        _, report = ensemble(cfg)
+        # in memory (and printed) the fraction without a stay radius is NaN
+        assert math.isnan(report.summary_dict()["success_fraction"])
+        summary = _strict_json(tmp_path / "run" / "summary.json")
+        assert summary["success_fraction"] is None
+        assert summary["median_abs_final"] == report.summary_dict()["median_abs_final"]
+
+
+def _strict_json(path):
+    """Parse `path` as strict JSON: NaN, Infinity and -Infinity raise."""
+    def reject(name):
+        raise ValueError(f"{path}: non-standard JSON constant {name}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that `fn()` allocates, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFinalsOnlyMemory:
+    """Three stages of 1,000, 1,500 and 2,000 steps over 200 trials in 1-d:
+    the histories are 3 x 4,501 x 200 float64, the longest stage's noise
+    2,000 x 200."""
+
+    TRIALS = 200
+
+    def _config(self):
+        return _small_config(n_trials=self.TRIALS, seed=31, stages=tuple(
+            StageSpec(eta, steps, KernelSpec("uniform-ball", r))
+            for eta, steps, r in ((0.2, 1000, 3.1416), (0.1, 1500, 3.1), (0.04, 2000, 2.0))
+        ))
+
+    def test_ensemble_without_out_dir_holds_one_stage_of_noise(self):
+        cfg = self._config()
+        peak = _traced_peak(lambda: ensemble(cfg))
+        assert peak < 2000 * self.TRIALS * 8 + 2**20
+
+    def test_history_run_holds_the_histories(self):
+        cfg = self._config()
+        obj, sched = cfg.build_objective(), cfg.build_schedule()
+        x0s = draw_inits(self.TRIALS, 1, cfg.init_box, cfg.seed)
+        peak = _traced_peak(
+            lambda: run_lockstep_ensemble(obj, sched, x0s, cfg.seed, keep_history=True)
+        )
+        assert peak >= 3 * 4501 * self.TRIALS * 8
+
 
 class TestCalibration:
     def test_window_candidate_ladder(self):
@@ -718,6 +792,29 @@ class TestFigure3:
         assert len(report.row3_medians) == 2
         assert len(report.row2_reports) == len(report.noise_levels) + 1
 
+    def test_every_summary_json_is_strict(self, tmp_path):
+        cfg = _figure3_config(out_dir=str(tmp_path / "fig"))
+        figure3(cfg)
+        paths = sorted((tmp_path / "fig").rglob("summary.json"))
+        assert len(paths) == len(cfg.noise_levels) + 1 + len(cfg.stages)
+        for path in paths:
+            assert _strict_json(path)["success_fraction"] is None
+
+    @pytest.mark.parametrize("persist", [False, True])
+    def test_keeps_history_only_when_persisting(self, tmp_path, monkeypatch, persist):
+        flags = []
+        run = pipeline_module.run_lockstep_ensemble
+
+        def recording(*args, keep_history=True):
+            flags.append(keep_history)
+            return run(*args, keep_history=keep_history)
+
+        monkeypatch.setattr(pipeline_module, "run_lockstep_ensemble", recording)
+        cfg = _figure3_config(out_dir=str(tmp_path / "fig") if persist else None)
+        figure3(cfg)
+        # row 2: zero noise and each level, then row 3: each stage
+        assert flags == [persist] * (1 + len(cfg.noise_levels) + len(cfg.stages))
+
 
 class TestCli:
     def test_bounds_exit_codes(self, capsys, tmp_path):
@@ -813,6 +910,13 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(cfg.dumps())
         assert main(["run", "--config", str(path)]) == 2
+
+    def test_ensemble_summary_same_with_and_without_out(self, tmp_path, capsys):
+        assert main(["ensemble", "--seed", "7", "--trials", "20"]) == 0
+        bare = capsys.readouterr().out
+        assert main(["ensemble", "--seed", "7", "--trials", "20", "--out", str(tmp_path / "e")]) == 0
+        assert capsys.readouterr().out == bare
+        assert "success_fraction: nan" in bare
 
     def test_ensemble_seed_and_trials_flags(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -250,15 +250,21 @@ class TestShadowCheck:
 
 def _run_both(obj, schedule, x0s, seed=5):
     """(lockstep_run, reference) on the same streams, checked field by
-    field for bitwise equality, NaN equal to NaN."""
+    field for bitwise equality, NaN equal to NaN.  A finals-only run on
+    the same streams must give the same finals, flags, etas and stages."""
     x0s = np.asarray(x0s, dtype=float)
     streams = [RngStream(seed, 1000 + i) for i in range(len(x0s))]
     got = lockstep_run(obj, schedule, x0s, streams)
     # the reference's frozen non-finite trials warn at every step
     with np.errstate(all="ignore"):
         ref = _reference_lockstep(obj, schedule, x0s, streams)
-    for field in ("x_hist", "y_hist", "omegas", "etas", "stage_idx", "diverged"):
+    for field in ("x_hist", "y_hist", "omegas", "etas", "stage_idx", "diverged",
+                  "finals_x", "finals_y"):
         assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), field
+    finals = lockstep_run(obj, schedule, x0s, streams, keep_history=False)
+    assert finals.x_hist is None and finals.y_hist is None and finals.omegas is None
+    for field in ("finals_x", "finals_y", "diverged", "etas", "stage_idx"):
+        assert _bits(getattr(finals, field)) == _bits(getattr(got, field)), field
     return got
 
 
@@ -380,12 +386,109 @@ class TestBlockwiseDivergence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = lockstep_run(obj, sched, np.ones((1, 1)), [RngStream(0)])
+            lockstep_run(obj, sched, np.ones((1, 1)), [RngStream(0)], keep_history=False)
             traj = sgd_run(obj, sched, [1.0])
         result = _run_both(obj, sched, np.ones((1, 1)))
         assert _bits(got.y_hist) == _bits(result.y_hist)
         assert _first_beyond(result, 0) == 1
         assert traj.diverged and len(traj) == 2
         assert np.all(result.x_hist[1:, 0, 0] == -1e100)
+
+
+class _CountedGenerator:
+    """A generator that counts how many of its kind are alive."""
+
+    def __init__(self, gen, live):
+        self._gen, self._live = gen, live
+        live.append(None)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def __del__(self):
+        self._live.pop()
+
+
+class _CountedStream:
+    def __init__(self, stream, live):
+        self._stream, self._live = stream, live
+
+    def generator(self):
+        return _CountedGenerator(self._stream.generator(), self._live)
+
+
+class TestFinalsOnly:
+    """`keep_history=False` keeps the finals and flags of a history run,
+    bit for bit, on stage layouts that move the block edges; `_run_both`
+    checks each case against the per-step reference too."""
+
+    @pytest.mark.parametrize("n", [1, 40])
+    @pytest.mark.parametrize("layout", ["middle", "last", "both"])
+    def test_zero_step_stages(self, spiky_default, layout, n):
+        ball = NoiseKernel("uniform-ball", 2.0, 1)
+        stages = [Stage(0.01, 90, ball), Stage(0.5, 0, ball),
+                  Stage(2.5, 50, NoiseKernel("uniform-ball", 1.0, 1)), Stage(0.02, 0, ball)]
+        if layout == "middle":
+            stages = stages[:3]
+        elif layout == "last":
+            stages = [stages[0], stages[2], stages[3]]
+        x0s = np.linspace(-3, 3, n)[:, None]
+        result = _run_both(spiky_default, StepSchedule(tuple(stages)), x0s, seed=19)
+        # the final row belongs to the last stage, even a 0-step one
+        assert result.stage_idx[-1] == len(stages) - 1
+        assert result.etas[-1] == stages[-1].eta
+        # eta = 2.5 expands the quadratic part: every trial leaves in it
+        assert result.diverged.all()
+
+    def test_three_stage_uniform_ball_2d(self):
+        obj = make_spiky(SpikyParams(dimension=2))
+        sched = StepSchedule(tuple(
+            Stage(eta, steps, NoiseKernel("uniform-ball", r, 2))
+            for eta, steps, r in ((0.2, 100, 3.1416), (0.1, 150, 3.1), (0.04, 200, 2.0))
+        ))
+        x0s = np.random.Generator(np.random.Philox(key=[93, 0])).uniform(-3, 3, size=(40, 2))
+        x0s[7] = [1.5e6, 0.0]
+        result = _run_both(obj, sched, x0s, seed=20)
+        assert np.flatnonzero(result.diverged).tolist() == [7]
+
+    def test_history_methods_raise(self, spiky_default, tmp_path):
+        kernel = NoiseKernel("uniform-ball", 2.0, 1)
+        sched = StepSchedule((Stage(0.01, 30, kernel),))
+        result = lockstep_run(spiky_default, sched, np.zeros((3, 1)),
+                              [RngStream(4, i) for i in range(3)], keep_history=False)
+        assert result.n_trials == 3 and result.finals_x.shape == (3, 1)
+        calls = [
+            lambda: result.trajectory(spiky_default, 0),
+            lambda: result.record_end(0),
+            lambda: result.write_table(spiky_default, tmp_path / "t.npy"),
+            lambda: result.y_dist2_history(spiky_default.target),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="kept no history"):
+                call()
+        assert not (tmp_path / "t.npy").exists()
+
+    @pytest.mark.parametrize("keep_history", [True, False])
+    def test_one_generator_per_trial_while_its_stages_last(self, monkeypatch, keep_history):
+        live, seen = [], []
+        sample_batch = NoiseKernel.sample_batch
+
+        def counted(kernel, steps, gen):
+            seen.append(len(live))
+            return sample_batch(kernel, steps, gen)
+
+        monkeypatch.setattr(NoiseKernel, "sample_batch", counted)
+        kernel = NoiseKernel("uniform-ball", 2.0, 1)
+        streams = [_CountedStream(RngStream(6, i), live) for i in range(5)]
+        one = StepSchedule((Stage(0.01, 30, kernel),))
+        lockstep_run(make_spiky(SpikyParams()), one, np.zeros((5, 1)), streams, keep_history)
+        # a one-stage run holds one generator at each draw
+        assert seen == [1] * 5 and live == []
+        seen.clear()
+        three = StepSchedule((Stage(0.01, 30, kernel),) * 3)
+        lockstep_run(make_spiky(SpikyParams()), three, np.zeros((5, 1)), streams, keep_history)
+        # the first stage creates them, the last drops each after its draw
+        assert seen == [1, 2, 3, 4, 5] + [5] * 5 + [5, 4, 3, 2, 1] and live == []
 
 
 class TestScheduleValidation:
