@@ -16,7 +16,7 @@ import numpy as np
 
 from ..certifier import region_scan
 from ..noise import RngStream
-from ..optimizer import sgd_run
+from ..optimizer import sgd_run, write_csv_columns
 from ..theory import constants
 from .config import ConfigError, ExperimentConfig
 from .pipeline import (
@@ -25,7 +25,6 @@ from .pipeline import (
     ensemble,
     figure3,
     smoothing_curve,
-    write_curve_csv,
 )
 
 EXIT_OK = 0
@@ -91,7 +90,7 @@ def cmd_smooth(cfg: ExperimentConfig) -> int:
         n=10_000, seed=cfg.seed, confidence=cfg.confidence,
     )
     path = os.path.join(out, "smooth.csv")
-    write_curve_csv(path, cols)
+    write_csv_columns(path, cols)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -110,16 +109,17 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
     )
     out = _require_out(cfg)
     path = os.path.join(out, "certify.csv")
-    d = obj.dimension
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join([f"x_{i}" for i in range(d)]
-                          + ["inner", "dist2", "c_hat", "ci", "pass", "degenerate"]) + "\n")
-        for cert in report.certificates:
-            fh.write(",".join(
-                [repr(float(v)) for v in cert.x]
-                + [repr(cert.inner), repr(cert.dist2), repr(cert.c_hat),
-                   repr(cert.ci_halfwidth), str(int(cert.passed)), str(int(cert.degenerate))]
-            ) + "\n")
+    certs = report.certificates
+    write_csv_columns(path, {
+        **{f"x_{i}": [cert.x[i] for cert in certs] for i in range(obj.dimension)},
+        "inner": [cert.inner for cert in certs],
+        "dist2": [cert.dist2 for cert in certs],
+        "c_hat": [cert.c_hat for cert in certs],
+        "ci": [cert.ci_halfwidth for cert in certs],
+        "pass": [cert.passed for cert in certs],
+        "degenerate": [cert.degenerate for cert in certs],
+    })
+    with open(path, "a", newline="\n") as fh:
         fh.write(f"# certified_c,{report.certified_c!r}\n")
     print(f"certified c: {report.certified_c:.6g} "
           f"at family-wise confidence {report.confidence:g} "

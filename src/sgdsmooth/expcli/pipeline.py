@@ -9,10 +9,11 @@ divergence flag included.
 An ensemble with an output directory persists three artifacts there:
 `trajectories.npy`, every trial's record as one streamed table (see
 `optimizer.table_dtype`), `summary.json` (strict JSON: a non-finite
-summary value is written as null) and the finals histogram
-`finals.svg`.  Only such an ensemble keeps the engine's (T+1, n, d)
-histories; one that persists nothing runs finals-only, in O(n*d)
-memory plus one stage's noise, with the same finals, flags and summary.
+summary value is written as null) and `finals.svg`, the histogram of
+the finals that did not diverge.  Only such an ensemble keeps the
+engine's (T+1, n, d) histories; one that persists nothing runs
+finals-only, in O(n*d) memory plus one stage's noise, with the same
+finals, flags and summary.
 `figure3` writes one ensemble directory per row-2 and row-3 panel, next
 to its row-1 curve CSVs.
 """
@@ -29,7 +30,7 @@ import numpy as np
 from ..certifier import ScanReport, region_scan
 from ..noise import NoiseKernel, RngStream
 from ..objectives import Objective, SpikyParams, make_spiky
-from ..optimizer import EnsembleResult, StepSchedule, lockstep_run
+from ..optimizer import EnsembleResult, StepSchedule, lockstep_run, write_csv_columns
 from ..smoothing import smoothed_value_closed, smoothed_value_mc
 from .cluster import cluster_count
 from .config import ExperimentConfig, KernelSpec, StageSpec
@@ -106,7 +107,7 @@ def summarize_ensemble(
         success = float(np.mean(dist2 <= stay_radius2))
     else:
         success = math.nan
-    counts, edges = np.histogram(_histogram_scalars(finals_x), bins=bins)
+    counts, edges = np.histogram(_histogram_scalars(result), bins=bins)
     return EnsembleReport(
         finals_x=finals_x,
         finals_y=finals_y,
@@ -121,8 +122,10 @@ def summarize_ensemble(
     )
 
 
-def _histogram_scalars(finals_x: np.ndarray) -> np.ndarray:
-    """What the finals histogram bins: the coordinate in 1-d, else the norm."""
+def _histogram_scalars(result: EnsembleResult) -> np.ndarray:
+    """What the finals histogram bins: the coordinate in 1-d, else the norm,
+    of each trial that did not diverge, so within the divergence cutoff."""
+    finals_x = result.finals_x[~result.diverged]
     return finals_x[:, 0] if finals_x.shape[1] == 1 else np.linalg.norm(finals_x, axis=1)
 
 
@@ -171,7 +174,7 @@ def persist_ensemble(out_dir, obj: Objective, result: EnsembleResult, report: En
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     emit_svg_histogram(
-        _histogram_scalars(report.finals_x), len(report.histogram_counts), os.path.join(out_dir, "finals.svg"),
+        _histogram_scalars(result), len(report.histogram_counts), os.path.join(out_dir, "finals.svg"),
         title="final iterates",
     )
 
@@ -279,14 +282,6 @@ def smoothing_curve(
     return {"y": ys, "f": f, "g_mc": g_mc, "g_closed": g_closed, "ci_halfwidth": ci}
 
 
-def write_curve_csv(path, columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*(columns[c] for c in names)):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 @dataclass(frozen=True)
 class Figure3Report:
     noise_levels: tuple[float, ...]
@@ -328,7 +323,7 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
                 confidence=config.confidence,
             )
             if out is not None:
-                write_curve_csv(os.path.join(out, f"row1_level{j}.csv"), cols)
+                write_csv_columns(os.path.join(out, f"row1_level{j}.csv"), cols)
 
     # Row 2: ensembles across noise levels, zero-noise baseline first;
     # each persists to its own panel directory

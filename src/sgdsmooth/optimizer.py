@@ -28,14 +28,15 @@ noise to one stage buffer, so memory is O(n*d) plus one stage's noise.
 The finals and flags are bitwise the same either way.
 `EnsembleResult.trajectory` is the one place a `Trajectory` record is
 built.  A record is persisted either alone, as a CSV
-(`Trajectory.write_csv`, formatted column-wise in chunks of rows), or
+(`Trajectory.write_csv`, through the package's one CSV writer,
+`write_csv_columns`), or
 with every trial of an ensemble, as one streamed `.npy` trajectory table
 (`EnsembleResult.write_table`).
 """
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,14 +47,14 @@ from .objectives import Objective, as_point
 
 __all__ = [
     "Stage", "StepSchedule", "Trajectory", "EnsembleResult", "table_dtype",
-    "lockstep_run", "sgd_run", "gd_run", "shadow_check",
+    "lockstep_run", "sgd_run", "gd_run", "shadow_check", "write_csv_columns",
 ]
 
 DIVERGENCE_CUTOFF = 1e6
 
 # rows stepped between two divergence checks in lockstep_run
 _BLOCK = 64
-# rows formatted at a time in Trajectory.write_csv
+# rows formatted at a time in write_csv_columns
 _CSV_CHUNK = 1024
 
 
@@ -141,32 +142,14 @@ class Trajectory:
     def final_y(self) -> np.ndarray:
         return self.ys[-1]
 
-    def csv_header(self) -> list[str]:
-        d = self.dimension
-        return (
-            ["t", "stage"]
-            + [f"x_{i}" for i in range(d)]
-            + ["f", "grad_norm", "noise_norm", "dist2", "out_of_box"]
-        )
-
     def write_csv(self, path) -> None:
-        """Write the record as CSV, one row per point: integers as `str`,
-        floats as `repr`, so the values read back losslessly.  Rows are
-        formatted column by column, `_CSV_CHUNK` rows at a time."""
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.csv_header()) + "\n")
-            for c0 in range(0, len(self), _CSV_CHUNK):
-                c1 = min(c0 + _CSV_CHUNK, len(self))
-                rows = slice(c0, c1)
-                floats = [*self.xs[rows].T, self.fs[rows], self.grad_norms[rows],
-                          self.noise_norms[rows], self.dist2[rows]]
-                cols = [
-                    map(str, range(c0, c1)),
-                    map(str, self.stage_idx[rows].astype(int).tolist()),
-                    *(map(repr, np.asarray(col, dtype=float).tolist()) for col in floats),
-                    map(str, self.out_of_box[rows].astype(int).tolist()),
-                ]
-                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+        """Write the record as CSV, one row per point, with `write_csv_columns`."""
+        xs = {f"x_{i}": x for i, x in enumerate(self.xs.T)}
+        write_csv_columns(path, {
+            "t": range(len(self)), "stage": self.stage_idx, **xs, "f": self.fs,
+            "grad_norm": self.grad_norms, "noise_norm": self.noise_norms,
+            "dist2": self.dist2, "out_of_box": self.out_of_box,
+        })
 
     def table_rows(self, trial: int) -> np.ndarray:
         """This record as `table_dtype` rows labelled with `trial`; each field
@@ -182,6 +165,27 @@ class Trajectory:
         rows["dist2"] = self.dist2
         rows["out_of_box"] = self.out_of_box
         return rows
+
+
+def write_csv_columns(path, columns: Mapping[str, Sequence]) -> None:
+    """Write equal-length columns, each anything that slices into an array
+    (a `range`, say), as CSV under a header of their names: floats as
+    `repr`, integers and booleans as `str` of the integer, so the values
+    read back losslessly.  Rows are formatted `_CSV_CHUNK` at a time."""
+    lengths = {len(col) for col in columns.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"need columns of one length, got lengths {sorted(lengths)}")
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for c0 in range(0, lengths.pop(), _CSV_CHUNK):
+            cells = [_csv_cells(np.asarray(col[c0 : c0 + _CSV_CHUNK])) for col in columns.values()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _csv_cells(col: np.ndarray):
+    if col.dtype.kind == "f":
+        return map(repr, col.tolist())
+    return map(str, col.astype(int).tolist())
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:

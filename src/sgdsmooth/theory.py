@@ -6,7 +6,10 @@ eta^2*r^2*(1+eta*L)^2.  After T1_min steps the shadow point is confined
 to squared radius 20*b/lambda; over the next T2 steps excursions stay
 within delta^2 = mu^2*b/lambda, mu = max{8, 42*sqrt(ln zeta)},
 zeta = 9*T2/4.  Everything here is a pure function of its
-inputs so the constants are exactly recomputable.
+inputs so the constants are exactly recomputable.  `stay_validate`,
+the one check of that conclusion, reads an ensemble's shadow history
+(a diverged trial is a miss unless its frozen rows lie within the
+radii) and reports each bound's slack.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from .noise import NoiseKernel, RngStream
 from .objectives import Objective, as_point
-from .optimizer import Trajectory
+from .optimizer import EnsembleResult
 from .smoothing import bounded_mean, perturbed_points
 
 __all__ = [
@@ -180,41 +183,38 @@ class StayReport:
     T2: int
     stay_radius2: float
     delta2: float
+    stay_radius2_slack: float   # max over trials of |y_T - x*|^2 / stay_radius2
+    delta2_slack: float         # max over trials and window rows of |y_t - x*|^2 / delta2
 
 
-def stay_validate(
-    trajectories: list[Trajectory],
-    cons: TheoremConstants,
-    target,
-) -> StayReport:
-    """Ensemble check of the theorem's conclusion on recorded shadow points.
+def stay_validate(result: EnsembleResult, cons: TheoremConstants, target) -> StayReport:
+    """Check the theorem's conclusion on the shadow history of `result`.
 
-    Per trial: hit = squared y-distance at T = T1_min within 20b/lambda;
-    stay = squared y-distance within delta^2 for all t in [T, T + T2].
-    The y-sequence is the theorem's object; x-distances carry no weight.
-    """
-    if not trajectories:
-        raise ValueError("stay_validate needs at least one trajectory")
+    With d2[t] the squared distances of the shadow points y_t to `target`
+    and T = T1_min, a trial hits when d2[T] <= 20b/lambda and stays when
+    d2[t] <= delta^2 for all t in [T, T + T2].  A trial that diverges in
+    that window is judged on its frozen rows, a miss unless they lie within
+    the radii.  Each slack is the largest such d2 over its bound.  Raises
+    ValueError for no trials, fewer than T + T2 + 1 rows, or no history."""
+    if result.n_trials == 0:
+        raise ValueError("stay_validate needs at least one trial")
+    d2 = result.y_dist2_history(as_point(target, result.finals_y.shape[1]))
     T, T2 = cons.T1_min, cons.T2
-    hits = stays = boths = 0
-    for traj in trajectories:
-        if len(traj) < T + T2 + 1:
-            raise ValueError(f"trajectory too short: {len(traj)} <= {T + T2}")
-        tgt = as_point(target, traj.dimension)
-        d2 = np.einsum("ij,ij->i", traj.ys - tgt[None, :], traj.ys - tgt[None, :])
-        hit = d2[T] <= cons.stay_radius2
-        stay = bool(np.all(d2[T : T + T2 + 1] <= cons.delta2))
-        hits += hit
-        stays += stay
-        boths += hit and stay
-    n = len(trajectories)
-    return StayReport(
-        n_trials=n,
-        hit_fraction=hits / n,
-        stay_fraction=stays / n,
-        hit_and_stay_fraction=boths / n,
-        T=T,
-        T2=T2,
-        stay_radius2=cons.stay_radius2,
-        delta2=cons.delta2,
-    )
+    if d2.shape[0] < T + T2 + 1:
+        raise ValueError(f"history too short: {d2.shape[0]} rows, need T + T2 + 1 = {T + T2 + 1}")
+    window = d2[T : T + T2 + 1]
+    hit = d2[T] <= cons.stay_radius2
+    stay = np.all(window <= cons.delta2, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # radii are 0 at r = 0
+        return StayReport(
+            n_trials=result.n_trials,
+            hit_fraction=float(np.mean(hit)),
+            stay_fraction=float(np.mean(stay)),
+            hit_and_stay_fraction=float(np.mean(hit & stay)),
+            T=T,
+            T2=T2,
+            stay_radius2=cons.stay_radius2,
+            delta2=cons.delta2,
+            stay_radius2_slack=float(d2[T].max() / cons.stay_radius2),
+            delta2_slack=float(window.max() / cons.delta2),
+        )

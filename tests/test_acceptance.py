@@ -28,6 +28,7 @@ from sgdsmooth import (
     shadow_check,
     smoothed_value_closed,
     smoothed_value_mc,
+    stay_validate,
 )
 from sgdsmooth.expcli import (
     ExperimentConfig,
@@ -88,11 +89,7 @@ def test_2_calibrated_ensemble_hits_and_stays(capsys):
         sched = StepSchedule((Stage(eta, cons.T1_min + T2, kernel),))
         x0s = draw_inits(200, 1, (-3.0, 3.0), seed)
         result = run_lockstep_ensemble(obj, sched, x0s, seed)
-        yd2 = result.y_dist2_history(obj.target)
-        T = cons.T1_min
-        hit = yd2[T] <= cons.stay_radius2
-        stay = np.all(yd2[T : T + T2 + 1] <= cons.delta2, axis=0)
-        return float(np.mean(hit & stay))
+        return stay_validate(result, cons, obj.target).hit_and_stay_fraction
 
     frac = measure(SEED)
     if 0.43 <= frac < 0.5:
@@ -114,7 +111,7 @@ def test_3_gd_multimodality(capsys):
     obj = make_spiky(SpikyParams())
     sched = StepSchedule((Stage(0.005, 20_000, NoiseKernel("zero", 0.0, 1)),))
     x0s = draw_inits(100, 1, (-5.0, 5.0), SEED)
-    result = run_lockstep_ensemble(obj, sched, x0s, SEED)
+    result = run_lockstep_ensemble(obj, sched, x0s, SEED, keep_history=False)
     finals = result.finals_x[:, 0]
     n_clusters = cluster_count(finals, 0.05)
     roots = stationary_points(SpikyParams(), -6.0, 6.0)

@@ -44,11 +44,12 @@ from sgdsmooth.expcli import (
     summarize_ensemble,
     svg_histogram_string,
 )
+from sgdsmooth.expcli import cli as cli_module
 from sgdsmooth.expcli import cluster as cluster_module
 from sgdsmooth.expcli import pipeline as pipeline_module
 from sgdsmooth.expcli.cli import main
-from sgdsmooth.expcli.pipeline import draw_inits, persist_ensemble, write_curve_csv
-from sgdsmooth.optimizer import read_trajectory_csv
+from sgdsmooth.expcli.pipeline import draw_inits, persist_ensemble
+from sgdsmooth.optimizer import read_trajectory_csv, write_csv_columns
 from sgdsmooth.smoothing import smoothed_value_closed
 
 from conftest import local_minima
@@ -584,6 +585,8 @@ class TestEnsemble:
         assert bare.x_hist is None and bare.y_hist is None and bare.omegas is None
         assert kept.x_hist is not None
         assert 0 < kept_report.diverged_count < cfg.n_trials
+        # the finals histogram bins the trials that did not diverge
+        assert kept_report.histogram_counts.sum() == cfg.n_trials - kept_report.diverged_count
         for field in ("finals_x", "finals_y", "dist2", "histogram_counts", "histogram_edges"):
             a, b = getattr(bare_report, field), getattr(kept_report, field)
             assert _same_bits(a, np.asarray(b)), field
@@ -600,6 +603,26 @@ class TestEnsemble:
         summary = _strict_json(tmp_path / "run" / "summary.json")
         assert summary["success_fraction"] is None
         assert summary["median_abs_final"] == report.summary_dict()["median_abs_final"]
+
+    def test_every_trial_diverged(self, tmp_path, capsys):
+        # one step at eta = 1e308 on f = x^2/2 sends every trial past the
+        # cutoff, to a final of about +-1e308 or +-inf, which no histogram
+        # range can hold
+        cfg = _small_config(
+            objective=ObjectiveSpec(kind="quadratic", dimension=1, center=(0.0,)),
+            stages=(StageSpec(1e308, 3, KernelSpec("zero", 0.0)),),
+            n_trials=4,
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.dumps())
+        assert main(["ensemble", "--config", str(path)]) == 0
+        bare = capsys.readouterr().out
+        assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "e")]) == 0
+        assert capsys.readouterr().out == bare
+        assert "diverged_count: 4" in bare
+        assert _strict_json(tmp_path / "e" / "summary.json")["diverged_count"] == 4
+        svg = (tmp_path / "e" / "finals.svg").read_text()
+        assert svg.count("#4878cf") == 0 and svg.count("<line") == 2  # axes only
 
 
 def _strict_json(path):
@@ -705,13 +728,90 @@ class TestCalibration:
             )
 
 
+def _reference_curve_csv(path, columns):
+    """Reference: the row-wise `pipeline.write_curve_csv` that
+    `write_csv_columns` replaced for the smoothed-curve CSVs."""
+    names = list(columns)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in zip(*(columns[c] for c in names)):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _reference_certify_csv(path, report, d):
+    """Reference: the row-wise loop `cmd_certify` wrote certify.csv with."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join([f"x_{i}" for i in range(d)]
+                          + ["inner", "dist2", "c_hat", "ci", "pass", "degenerate"]) + "\n")
+        for cert in report.certificates:
+            fh.write(",".join(
+                [repr(float(v)) for v in cert.x]
+                + [repr(cert.inner), repr(cert.dist2), repr(cert.c_hat),
+                   repr(cert.ci_halfwidth), str(int(cert.passed)), str(int(cert.degenerate))]
+            ) + "\n")
+        fh.write(f"# certified_c,{report.certified_c!r}\n")
+
+
+class TestCsvWriters:
+    """`write_csv_columns` against the row-wise writers it replaced."""
+
+    def test_curve_bytes_equal_reference(self, tmp_path):
+        # 2,049 rows cross two chunk edges
+        gen = np.random.default_rng(3)
+        cols = {name: gen.standard_normal(2049) * 10.0 ** gen.integers(-300, 300, 2049)
+                for name in ("y", "f", "g_mc", "g_closed", "ci_halfwidth")}
+        cols["f"][:4] = [-0.0, np.nan, np.inf, -np.inf]
+        write_csv_columns(tmp_path / "new.csv", cols)
+        _reference_curve_csv(tmp_path / "ref.csv", cols)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert new.splitlines()[1].split(b",")[1] == b"-0.0"
+
+    def test_smoothing_curve_bytes_equal_reference(self, tmp_path):
+        cols = smoothing_curve(SpikyParams(), 0.05, 1.0, np.linspace(-1, 1, 9), n=2000, seed=5)
+        write_csv_columns(tmp_path / "new.csv", cols)
+        _reference_curve_csv(tmp_path / "ref.csv", cols)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("objective, grid", [
+        # on f = x^2/2 with eta = 0.5, y = x/2: the grid ends at x = -0.0
+        # (linspace returns its stop exactly), a degenerate point (c_hat NaN)
+        (ObjectiveSpec(kind="quadratic", dimension=1, center=(0.0,)), GridSpec(-1.0, -0.0, 5)),
+        (ObjectiveSpec(kind="spiky", dimension=2), GridSpec(-1.0, 1.0, 4)),
+    ], ids=["degenerate-negative-zero", "d2"])
+    def test_certify_bytes_equal_reference(self, tmp_path, capsys, monkeypatch, objective, grid):
+        reports = []
+        region_scan = cli_module.region_scan
+
+        def record(*args, **kwargs):
+            reports.append(region_scan(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli_module, "region_scan", record)
+        cfg = _small_config(objective=objective, cert_grid=grid, cert_samples=1000,
+                            stages=(StageSpec(0.5, 10, KernelSpec("uniform-ball", 1.0)),))
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.dumps())
+        assert main(["certify", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+        _reference_certify_csv(tmp_path / "ref.csv", reports[0], objective.dimension)
+        new = (tmp_path / "c" / "certify.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        if objective.kind == "quadratic":
+            last = new.splitlines()[-2]
+            assert last.startswith(b"-0.0,") and b",nan," in last
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="one length"):
+            write_csv_columns(tmp_path / "bad.csv", {"a": [1.0, 2.0], "b": [1.0]})
+
+
 class TestSmoothingCurve:
     def test_columns_and_csv(self, tmp_path):
         ys = np.linspace(-1, 1, 9)
         cols = smoothing_curve(SpikyParams(), 0.05, 1.0, ys, n=2000, seed=5)
         assert set(cols) == {"y", "f", "g_mc", "g_closed", "ci_halfwidth"}
         path = tmp_path / "curve.csv"
-        write_curve_csv(path, cols)
+        write_csv_columns(path, cols)
         back = read_trajectory_csv(path)  # generic csv reader
         assert np.array_equal(back["g_closed"], cols["g_closed"])
 

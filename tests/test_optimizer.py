@@ -84,7 +84,8 @@ def _reference_write_csv(traj, path):
     """Reference: the row-wise `csv.writer` body that `write_csv` replaced."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(traj.csv_header())
+        writer.writerow(["t", "stage", *(f"x_{i}" for i in range(traj.dimension)),
+                         "f", "grad_norm", "noise_norm", "dist2", "out_of_box"])
         for t in range(len(traj)):
             row = [t, int(traj.stage_idx[t])]
             row += [repr(float(v)) for v in traj.xs[t]]

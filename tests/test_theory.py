@@ -1,5 +1,6 @@
 """Derived constants, drift inequality and ensemble stay validation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sgdsmooth import (
     sgd_run,
     stay_validate,
 )
+from sgdsmooth.expcli.pipeline import draw_inits, run_lockstep_ensemble
 
 from conftest import poisoned
 
@@ -165,22 +167,46 @@ class TestDriftCheck:
             drift_check(obj, k, 0.1, 0.3, obj.smoothness, [0.4], obj.target, n=100, rng=RngStream(64))
 
 
+def _stay_validate_loop(trajectories, cons, target):
+    """Reference: the per-record loop that `stay_validate` replaced, over
+    `sgd_run` records.  Returns the hit, stay and hit-and-stay fractions."""
+    T, T2 = cons.T1_min, cons.T2
+    hits = stays = boths = 0
+    for traj in trajectories:
+        if len(traj) < T + T2 + 1:
+            raise ValueError(f"trajectory too short: {len(traj)} <= {T + T2}")
+        tgt = np.asarray(target, dtype=float)
+        d2 = np.einsum("ij,ij->i", traj.ys - tgt[None, :], traj.ys - tgt[None, :])
+        hit = d2[T] <= cons.stay_radius2
+        stay = bool(np.all(d2[T : T + T2 + 1] <= cons.delta2))
+        hits += hit
+        stays += stay
+        boths += hit and stay
+    n = len(trajectories)
+    return hits / n, stays / n, boths / n
+
+
+def _fractions(rep):
+    return rep.hit_fraction, rep.stay_fraction, rep.hit_and_stay_fraction
+
+
 class TestStayValidate:
-    def _ensemble(self, obj, eta, steps, kernel, n, seed):
-        sched = StepSchedule((Stage(eta, steps, kernel),))
-        return [
-            sgd_run(obj, sched, [1.0 + 0.1 * i], RngStream(seed, 1000 + i))
-            for i in range(n)
-        ]
+    def _runs(self, obj, sched, x0s, seed):
+        """The lockstep ensemble on streams (seed, 1000 + i) and the
+        `sgd_run` records of the same streams, which it replays bitwise."""
+        x0s = np.asarray(x0s, dtype=float)
+        result = run_lockstep_ensemble(obj, sched, x0s, seed)
+        trajs = [sgd_run(obj, sched, x0, RngStream(seed, 1000 + i)) for i, x0 in enumerate(x0s)]
+        return result, trajs
 
     def test_noiseless_quadratic_all_hit_and_stay(self, quadratic_1d):
         kz = NoiseKernel("zero", 0.0, 1)
         cons = constants(1.0, 0.1, 1.0, 0.5, 4.0, 20)
-        trajs = self._ensemble(quadratic_1d, 0.1, cons.T1_min + 21, kz, 10, 71)
-        rep = stay_validate(trajs, cons, [0.0])
-        assert rep.hit_fraction == 1.0
-        assert rep.stay_fraction == 1.0
-        assert rep.hit_and_stay_fraction == 1.0
+        sched = StepSchedule((Stage(0.1, cons.T1_min + 21, kz),))
+        result, trajs = self._runs(quadratic_1d, sched, [[1.0 + 0.1 * i] for i in range(10)], 71)
+        rep = stay_validate(result, cons, [0.0])
+        assert _fractions(rep) == (1.0, 1.0, 1.0) == _stay_validate_loop(trajs, cons, [0.0])
+        assert rep.n_trials == 10
 
     def test_expanding_regime_misses(self):
         obj = make_quadratic(1)
@@ -190,18 +216,100 @@ class TestStayValidate:
         cons = constants(1.0, 0.1, 1.0, 0.1, 1e-4, 5)
         assert cons.T1_min == 0
         sched = StepSchedule((Stage(2.5, cons.T1_min + 6, k),))
-        trajs = [sgd_run(obj, sched, [1.0], RngStream(72, 1000 + i)) for i in range(5)]
-        rep = stay_validate(trajs, cons, [0.0])
+        result, trajs = self._runs(obj, sched, [[1.0]] * 5, 72)
+        rep = stay_validate(result, cons, [0.0])
+        assert rep.hit_and_stay_fraction == 0.0
+        assert _fractions(rep) == _stay_validate_loop(trajs, cons, [0.0])
+
+    def test_noisy_spiky_partial_fractions_match_loop(self, spiky_default):
+        # constants at r = 0.1 for a run at r = 3.1: only some trials land
+        # inside the radii, and hit and stay pick different trials
+        cons = constants(1.0, 0.1, 1.0, 0.1, 9.0, 20)
+        sched = StepSchedule((Stage(0.1, cons.T1_min + 20, NoiseKernel("uniform-ball", 3.1, 1)),))
+        x0s = draw_inits(20, 1, (-3.0, 3.0), 74)
+        result, trajs = self._runs(spiky_default, sched, x0s, 74)
+        rep = stay_validate(result, cons, spiky_default.target)
+        assert 0.0 < rep.hit_and_stay_fraction < rep.hit_fraction < 1.0
+        assert 0.0 < rep.stay_fraction < 1.0
+        assert _fractions(rep) == _stay_validate_loop(trajs, cons, spiky_default.target)
+
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy-spiky", "contracting-gd"])
+    def test_slacks_are_the_inline_formulas(self, spiky_default, quadratic_1d, noisy):
+        # noiseless GD on the quadratic contracts, so every row before T
+        # (T1_min = 30 here) lies farther out than the window
+        if noisy:
+            obj, kernel = spiky_default, NoiseKernel("uniform-ball", 3.1, 1)
+            cons = constants(1.0, 0.1, 1.0, 0.1, 9.0, 20)
+        else:
+            obj, kernel = quadratic_1d, NoiseKernel("zero", 0.0, 1)
+            cons = constants(1.0, 0.1, 1.0, 0.5, 4.0, 20)
+        sched = StepSchedule((Stage(0.1, cons.T1_min + 30, kernel),))
+        result = run_lockstep_ensemble(obj, sched, draw_inits(20, 1, (-3.0, 3.0), 75), 75)
+        rep = stay_validate(result, cons, obj.target)
+        d2 = result.y_dist2_history(obj.target)
+        T, T2 = cons.T1_min, cons.T2
+        assert rep.stay_radius2_slack == float(d2[T].max() / cons.stay_radius2)
+        assert rep.delta2_slack == float(d2[T : T + T2 + 1].max() / cons.delta2)
+        if not noisy:
+            assert T > 0 and d2[:T].max() > d2[T:].max()
+
+    def test_window_ends_at_row_t_plus_t2(self, quadratic_1d):
+        # GD at eta = 2.5 from 0.2 expands: d2[t] = 2.25**(t + 1) * 0.04
+        # first exceeds delta^2 (about 2.72) at t = 5 = T + T2, the last row
+        cons = constants(1.0, 0.1, 1.0, 0.1, 1e-4, 5)
+        assert cons.T1_min == 0
+        sched = StepSchedule((Stage(2.5, 5, NoiseKernel("zero", 0.0, 1)),))
+        result, trajs = self._runs(quadratic_1d, sched, [[0.2]], 80)
+        d2 = result.y_dist2_history([0.0])[:, 0]
+        assert d2[4] <= cons.delta2 < d2[5]
+        rep = stay_validate(result, cons, [0.0])
+        assert rep.stay_fraction == 0.0
+        assert _fractions(rep) == _stay_validate_loop(trajs, cons, [0.0])
+
+    def test_zero_radii_give_infinite_slacks_without_warning(self, quadratic_1d):
+        # noiseless constants (r = 0) have b = 0, so both radii are 0
+        cons = constants(1.0, 0.1, 1.0, 0.0, 4.0, 20)
+        sched = StepSchedule((Stage(0.1, 20, NoiseKernel("zero", 0.0, 1)),))
+        result = run_lockstep_ensemble(quadratic_1d, sched, np.ones((2, 1)), 79)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = stay_validate(result, cons, [0.0])
+        assert rep.stay_radius2_slack == rep.delta2_slack == math.inf
         assert rep.hit_and_stay_fraction == 0.0
 
-    def test_empty_ensemble_rejected(self):
+    def test_divergence_inside_the_window_is_a_miss(self, quadratic_1d):
+        # on f = x^2/2 with eta = 3, x_t = (-2)**t * 1e-3 starts inside the
+        # radii and passes the cutoff at t = 30, inside the window [0, 40];
+        # the trial at the minimum hits and stays
+        cons = constants(1.0, 0.1, 1.0, 0.1, 1e-4, 40)
+        assert cons.T1_min == 0
+        sched = StepSchedule((Stage(3.0, 40, NoiseKernel("zero", 0.0, 1)),))
+        result, trajs = self._runs(quadratic_1d, sched, [[1e-3], [0.0]], 76)
+        assert result.diverged.tolist() == [True, False]
+        rep = stay_validate(result, cons, [0.0])
+        assert _fractions(rep) == (1.0, 0.5, 0.5)
+        # the record of the diverged trial ends inside the window
+        with pytest.raises(ValueError, match="too short"):
+            _stay_validate_loop(trajs, cons, [0.0])
+
+    def test_finals_only_result_rejected(self, quadratic_1d):
         cons = constants(1.0, 0.1, 1.0, 0.5, 4.0, 20)
-        with pytest.raises(ValueError, match="at least one trajectory"):
-            stay_validate([], cons, [0.0])
+        sched = StepSchedule((Stage(0.1, cons.T1_min + 21, NoiseKernel("zero", 0.0, 1)),))
+        result = run_lockstep_ensemble(quadratic_1d, sched, np.ones((3, 1)), 77, keep_history=False)
+        with pytest.raises(ValueError, match="kept no history"):
+            stay_validate(result, cons, [0.0])
+
+    def test_empty_ensemble_rejected(self, quadratic_1d):
+        cons = constants(1.0, 0.1, 1.0, 0.5, 4.0, 20)
+        sched = StepSchedule((Stage(0.1, cons.T1_min + 21, NoiseKernel("zero", 0.0, 1)),))
+        result = run_lockstep_ensemble(quadratic_1d, sched, np.empty((0, 1)), 78)
+        with pytest.raises(ValueError, match="at least one trial"):
+            stay_validate(result, cons, [0.0])
 
     def test_short_trajectory_rejected(self, quadratic_1d):
         kz = NoiseKernel("zero", 0.0, 1)
         cons = constants(1.0, 0.1, 1.0, 0.5, 4.0, 50)
-        trajs = self._ensemble(quadratic_1d, 0.1, 10, kz, 1, 73)
-        with pytest.raises(ValueError):
-            stay_validate(trajs, cons, [0.0])
+        sched = StepSchedule((Stage(0.1, 10, kz),))
+        result = run_lockstep_ensemble(quadratic_1d, sched, np.ones((1, 1)), 73)
+        with pytest.raises(ValueError, match="too short"):
+            stay_validate(result, cons, [0.0])
