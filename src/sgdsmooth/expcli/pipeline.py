@@ -6,7 +6,10 @@ index)).  `optimizer.sgd_run` is a one-trial run of the same engine, so
 a lockstep trial replays `sgd_run` for the same stream by construction,
 divergence flag included.
 
-An ensemble with an output directory persists three artifacts there:
+Every ensemble, `figure3`'s row-2 and row-3 panels included, runs
+through `ensemble()`, the one place that decides whether the engine
+keeps its histories and whether the ensemble is persisted.  An
+ensemble with an output directory persists three artifacts there:
 `trajectories.npy`, every trial's record as one streamed table (see
 `optimizer.table_dtype`), `summary.json` (strict JSON: a non-finite
 summary value is written as null) and `finals.svg`, the histogram of
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -66,27 +69,19 @@ def run_lockstep_ensemble(
 
 @dataclass(frozen=True)
 class EnsembleReport:
-    finals_x: np.ndarray
-    finals_y: np.ndarray
-    dist2: np.ndarray               # squared y-distance to target (nan without one)
+    """An ensemble's summary: its fields are the keys of `summary.json`.
+    The per-trial arrays stay on the `EnsembleResult` it summarizes."""
+
+    n_trials: int
     success_fraction: float         # at the given stay radius (nan without one)
     stay_radius2: Optional[float]
     cluster_count: int
     cluster_tol: float
-    histogram_counts: np.ndarray
-    histogram_edges: np.ndarray
     diverged_count: int
+    median_abs_final: float         # over the trials that did not diverge (nan if none)
 
     def summary_dict(self) -> dict:
-        return {
-            "n_trials": int(self.finals_x.shape[0]),
-            "success_fraction": self.success_fraction,
-            "stay_radius2": self.stay_radius2,
-            "cluster_count": self.cluster_count,
-            "cluster_tol": self.cluster_tol,
-            "diverged_count": self.diverged_count,
-            "median_abs_final": float(np.median(np.linalg.norm(self.finals_x, axis=1))),
-        }
+        return asdict(self)
 
 
 def summarize_ensemble(
@@ -94,31 +89,25 @@ def summarize_ensemble(
     target,
     cluster_tol: float,
     stay_radius2: Optional[float] = None,
-    bins: int = 40,
 ) -> EnsembleReport:
-    finals_x = result.finals_x
-    finals_y = result.finals_y
-    if target is not None:
-        diff = finals_y - np.asarray(target, dtype=float)[None, :]
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-    else:
-        dist2 = np.full(finals_y.shape[0], np.nan)
+    """Summarize `result`; the success fraction is the share of trials
+    whose final shadow point lies within `stay_radius2` (squared) of the
+    target, so 0.0 without a target and nan without a radius."""
+    success = math.nan
     if stay_radius2 is not None:
-        success = float(np.mean(dist2 <= stay_radius2))
-    else:
-        success = math.nan
-    counts, edges = np.histogram(_histogram_scalars(result), bins=bins)
+        # without a target every distance is nan, so no trial succeeds
+        center = np.asarray(target, dtype=float)[None, :] if target is not None else np.nan
+        diff = result.finals_y - center
+        success = float(np.mean(np.einsum("ij,ij->i", diff, diff) <= stay_radius2))
+    norms = np.linalg.norm(result.finals_x[~result.diverged], axis=1)
     return EnsembleReport(
-        finals_x=finals_x,
-        finals_y=finals_y,
-        dist2=dist2,
+        n_trials=result.n_trials,
         success_fraction=success,
         stay_radius2=stay_radius2,
-        cluster_count=cluster_count(finals_x, cluster_tol),
+        cluster_count=cluster_count(result.finals_x, cluster_tol),
         cluster_tol=cluster_tol,
-        histogram_counts=counts,
-        histogram_edges=edges,
         diverged_count=int(result.diverged.sum()),
+        median_abs_final=float(np.median(norms)) if norms.size else math.nan,
     )
 
 
@@ -136,10 +125,12 @@ def draw_inits(n: int, dimension: int, box: tuple[float, float], seed: int) -> n
 
 def ensemble(
     config: ExperimentConfig,
-    stay_radius2: Optional[float] = None,
+    x0s: Optional[np.ndarray] = None,
 ) -> tuple[EnsembleResult, EnsembleReport]:
-    """Run the configured ensemble; persist its trajectory table, summary
-    and finals histogram when the config names an output directory.
+    """Run the configured ensemble from `x0s`, or without them from
+    `draw_inits` at the config's seed; persist its trajectory table,
+    summary and finals histogram when the config names an output
+    directory.
 
     The engine keeps its histories only for that table: without an
     output directory the result is finals-only (`x_hist`, `y_hist` and
@@ -147,19 +138,21 @@ def ensemble(
     """
     obj = config.build_objective()
     schedule = config.build_schedule()
-    x0s = draw_inits(config.n_trials, obj.dimension, config.init_box, config.seed)
+    if x0s is None:
+        x0s = draw_inits(config.n_trials, obj.dimension, config.init_box, config.seed)
     persist = config.out_dir is not None
     result = run_lockstep_ensemble(obj, schedule, x0s, config.seed, keep_history=persist)
-    report = summarize_ensemble(
-        result, obj.target, config.cluster_tol, stay_radius2, config.histogram_bins
-    )
+    report = summarize_ensemble(result, obj.target, config.cluster_tol)
     if persist:
-        persist_ensemble(config.out_dir, obj, result, report)
+        persist_ensemble(config.out_dir, obj, result, report, config.histogram_bins)
     return result, report
 
 
-def persist_ensemble(out_dir, obj: Objective, result: EnsembleResult, report: EnsembleReport) -> None:
-    """Write `trajectories.npy`, `summary.json` and `finals.svg` to out_dir.
+def persist_ensemble(
+    out_dir, obj: Objective, result: EnsembleResult, report: EnsembleReport, bins: int
+) -> None:
+    """Write `trajectories.npy`, `summary.json` and `finals.svg` (`bins`
+    bars) to out_dir.
 
     `summary.json` is strict JSON: a non-finite value, such as the
     success fraction without a stay radius, is written as null.
@@ -174,7 +167,7 @@ def persist_ensemble(out_dir, obj: Objective, result: EnsembleResult, report: En
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     emit_svg_histogram(
-        _histogram_scalars(result), len(report.histogram_counts), os.path.join(out_dir, "finals.svg"),
+        _histogram_scalars(result), bins, os.path.join(out_dir, "finals.svg"),
         title="final iterates",
     )
 
@@ -331,29 +324,21 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
     for j, r in enumerate((0.0, *config.noise_levels)):
         stage = StageSpec(base.eta, base.steps, KernelSpec(base.kernel.kind, r))
         panel_dir = None if out is None else os.path.join(out, f"row2_level{j}")
-        _, report = ensemble(_replace_stages(config, (stage,), panel_dir))
-        row2.append(report)
-    # Row 3: staged shrink with re-initialization in the previous spread
+        row2.append(ensemble(replace(config, stages=(stage,), out_dir=panel_dir))[1])
+    # Row 3: staged shrink; stage k runs at seed + k
     row3: list[EnsembleReport] = []
     medians: list[float] = []
-    x0s = draw_inits(config.n_trials, obj.dimension, config.init_box, config.seed)
+    center = obj.target if obj.target is not None else 0.0
+    x0s = None
     for k, stage in enumerate(config.stages):
-        stage_cfg = _replace_stages(config, (stage,), None)
-        schedule = stage_cfg.build_schedule()
-        result = run_lockstep_ensemble(
-            obj, schedule, x0s, config.seed + k, keep_history=out is not None
-        )
-        report = summarize_ensemble(
-            result, obj.target, config.cluster_tol, None, config.histogram_bins
+        stage_dir = None if out is None else os.path.join(out, f"row3_stage{k}")
+        result, report = ensemble(
+            replace(config, stages=(stage,), seed=config.seed + k, out_dir=stage_dir), x0s
         )
         row3.append(report)
-        medians.append(float(np.median(np.linalg.norm(
-            report.finals_x - (obj.target if obj.target is not None else 0.0), axis=1
-        ))))
-        if out is not None:
-            persist_ensemble(os.path.join(out, f"row3_stage{k}"), obj, result, report)
-        lo = np.quantile(report.finals_x, 0.10, axis=0)
-        hi = np.quantile(report.finals_x, 0.90, axis=0)
+        medians.append(float(np.median(np.linalg.norm(result.finals_x - center, axis=1))))
+        lo = np.quantile(result.finals_x, 0.10, axis=0)
+        hi = np.quantile(result.finals_x, 0.90, axis=0)
         span = np.maximum(hi - lo, 1e-9)
         gen = RngStream(config.seed + k + 1, INIT_STREAM).generator()
         x0s = lo + span * gen.uniform(size=(config.n_trials, obj.dimension))
@@ -365,7 +350,3 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
         row3_medians=tuple(medians),
         out_dir=out,
     )
-
-
-def _replace_stages(config: ExperimentConfig, stages, out_dir) -> ExperimentConfig:
-    return replace(config, stages=tuple(stages), out_dir=out_dir)

@@ -14,7 +14,7 @@ radii) and reports each bound's slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,22 +54,7 @@ class TheoremConstants:
     eta_valid: bool
 
     def as_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "eta": self.eta,
-            "L": self.L,
-            "r": self.r,
-            "y0_dist2": self.y0_dist2,
-            "T2": self.T2,
-            "lambda": self.lam,
-            "b": self.b,
-            "T1_min": self.T1_min,
-            "stay_radius2": self.stay_radius2,
-            "zeta": self.zeta,
-            "mu": self.mu,
-            "delta2": self.delta2,
-            "eta_valid": self.eta_valid,
-        }
+        return {("lambda" if k == "lam" else k): v for k, v in asdict(self).items()}
 
 
 def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int) -> TheoremConstants:

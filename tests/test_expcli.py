@@ -223,11 +223,11 @@ class TestCluster:
             n_trials=100,
             seed=20240,
         )
-        _, report = ensemble(cfg)
-        finals = report.finals_x[:, 0]
+        result, report = ensemble(cfg)
+        finals = result.finals_x[:, 0]
         minima = local_minima(SpikyParams(), -6.0, 6.0)
         occupied = {int(np.argmin(np.abs(minima - f))) for f in finals}
-        assert cluster_count(finals, 0.05) == len(occupied)
+        assert cluster_count(finals, 0.05) == report.cluster_count == len(occupied)
 
 
 class TestSvg:
@@ -540,7 +540,7 @@ class TestEnsemble:
         assert list(result.diverged) == [False, False, False, True, True]
         assert 1 < ends[3] < 43 and ends[4] == 1
         report = summarize_ensemble(result, obj.target, 0.05)
-        persist_ensemble(tmp_path, obj, result, report)
+        persist_ensemble(tmp_path, obj, result, report, 8)
         tab = np.load(tmp_path / "trajectories.npy")
         assert len(tab) == sum(ends)
         for i in range(5):
@@ -570,27 +570,44 @@ class TestEnsemble:
 
     def test_success_fraction_with_radius(self):
         cfg = _small_config()
-        _, report = ensemble(cfg, stay_radius2=1e9)
-        assert report.success_fraction == 1.0
-        assert 0 <= report.cluster_count <= cfg.n_trials
+        result, report = ensemble(cfg)
+        assert math.isnan(report.success_fraction) and report.stay_radius2 is None
+        obj = cfg.build_objective()
+        wide = summarize_ensemble(result, obj.target, cfg.cluster_tol, stay_radius2=1e9)
+        assert wide.success_fraction == 1.0 and wide.stay_radius2 == 1e9
+        assert 0 <= wide.cluster_count <= cfg.n_trials
+        # no trial is within a radius of a target the objective lacks
+        assert summarize_ensemble(result, None, cfg.cluster_tol, 1e9).success_fraction == 0.0
+        # the median squared distance of the six trials admits half of them
+        d2 = np.sum((result.finals_y - obj.target) ** 2, axis=1)
+        half = summarize_ensemble(result, obj.target, cfg.cluster_tol, float(np.median(d2)))
+        assert half.success_fraction == 0.5
 
-    def test_history_kept_only_when_persisting(self, tmp_path):
+    def test_history_kept_only_when_persisting(self, tmp_path, monkeypatch):
         # the eta = 2.5 stage makes some trials diverge
         cfg = _small_config(n_trials=12, stages=(
             StageSpec(0.05, 40, KernelSpec("uniform-ball", 1.0)),
             StageSpec(2.5, 30, KernelSpec("uniform-ball", 1.0)),
         ))
+        binned = []
+        emit = pipeline_module.emit_svg_histogram
+
+        def recording(values, bins, path, **kwargs):
+            binned.append(np.asarray(values))
+            return emit(values, bins, path, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "emit_svg_histogram", recording)
         bare, bare_report = ensemble(cfg)
         kept, kept_report = ensemble(replace(cfg, out_dir=str(tmp_path / "out")))
         assert bare.x_hist is None and bare.y_hist is None and bare.omegas is None
         assert kept.x_hist is not None
         assert 0 < kept_report.diverged_count < cfg.n_trials
         # the finals histogram bins the trials that did not diverge
-        assert kept_report.histogram_counts.sum() == cfg.n_trials - kept_report.diverged_count
-        for field in ("finals_x", "finals_y", "dist2", "histogram_counts", "histogram_edges"):
-            a, b = getattr(bare_report, field), getattr(kept_report, field)
-            assert _same_bits(a, np.asarray(b)), field
-        assert np.array_equal(bare.diverged, kept.diverged)
+        assert len(binned) == 1
+        assert binned[0].size == cfg.n_trials - kept_report.diverged_count
+        assert np.all(np.isfinite(binned[0]))
+        for field in ("finals_x", "finals_y", "diverged"):
+            assert _same_bits(getattr(bare, field), getattr(kept, field)), field
         a, b = bare_report.summary_dict(), kept_report.summary_dict()
         assert a.keys() == b.keys()
         assert all(a[k] == b[k] or (a[k] != a[k] and b[k] != b[k]) for k in a)
@@ -603,6 +620,36 @@ class TestEnsemble:
         summary = _strict_json(tmp_path / "run" / "summary.json")
         assert summary["success_fraction"] is None
         assert summary["median_abs_final"] == report.summary_dict()["median_abs_final"]
+
+    def test_median_skips_diverged_trials(self):
+        # the eta = 2.5 stage sends 20 of the 30 trials past the cutoff
+        cfg = _small_config(
+            objective=ObjectiveSpec(kind="quadratic", dimension=2, center=(1.0, -1.0)),
+            stages=(
+                StageSpec(0.05, 40, KernelSpec("uniform-ball", 1.0)),
+                StageSpec(2.5, 34, KernelSpec("uniform-ball", 1.0)),
+            ),
+            n_trials=30,
+            seed=5,
+        )
+        result, report = ensemble(cfg)
+        assert report.diverged_count == 20
+        norms = np.linalg.norm(result.finals_x, axis=1)
+        kept = np.median(norms[~result.diverged])
+        assert report.median_abs_final == kept != np.median(norms)
+
+    def test_median_of_no_kept_trial_is_nan(self):
+        # eta = 1e308 sends every trial past the cutoff in one step
+        cfg = _small_config(
+            objective=ObjectiveSpec(kind="quadratic", dimension=1, center=(0.0,)),
+            stages=(StageSpec(1e308, 3, KernelSpec("zero", 0.0)),),
+            n_trials=4,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = ensemble(cfg)
+        assert report.diverged_count == 4
+        assert math.isnan(report.median_abs_final)
 
     def test_every_trial_diverged(self, tmp_path, capsys):
         # one step at eta = 1e308 on f = x^2/2 sends every trial past the
@@ -619,8 +666,9 @@ class TestEnsemble:
         bare = capsys.readouterr().out
         assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "e")]) == 0
         assert capsys.readouterr().out == bare
-        assert "diverged_count: 4" in bare
-        assert _strict_json(tmp_path / "e" / "summary.json")["diverged_count"] == 4
+        assert "diverged_count: 4" in bare and "median_abs_final: nan" in bare
+        summary = _strict_json(tmp_path / "e" / "summary.json")
+        assert summary["diverged_count"] == 4 and summary["median_abs_final"] is None
         svg = (tmp_path / "e" / "finals.svg").read_text()
         assert svg.count("#4878cf") == 0 and svg.count("<line") == 2  # axes only
 
@@ -873,6 +921,18 @@ class TestFigure3:
         names = sorted(p.name for p in panel.iterdir())
         match, mismatch, errors = filecmp.cmpfiles(
             panel, tmp_path / "gd", names, shallow=False
+        )
+        assert mismatch == [] and errors == []
+
+    def test_first_shrink_stage_reuses_ensemble_output(self, tmp_path):
+        cfg = _figure3_config(out_dir=str(tmp_path / "fig"))
+        figure3(cfg)
+        ensemble(replace(cfg, stages=cfg.stages[:1], out_dir=str(tmp_path / "stage0")))
+        panel = tmp_path / "fig" / "row3_stage0"
+        names = sorted(p.name for p in panel.iterdir())
+        assert names == ["finals.svg", "summary.json", "trajectories.npy"]
+        match, mismatch, errors = filecmp.cmpfiles(
+            panel, tmp_path / "stage0", names, shallow=False
         )
         assert mismatch == [] and errors == []
 
