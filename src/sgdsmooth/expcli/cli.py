@@ -132,8 +132,7 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
 def cmd_bounds(cfg: ExperimentConfig) -> int:
     if cfg.theorem is None:
         raise ConfigError("bounds needs a 'theorem' section in the config")
-    t = cfg.theorem
-    cons = constants(t.c, t.eta, t.L, t.r, t.y0_dist2, t.T2)
+    cons = constants(**dataclasses.asdict(cfg.theorem))
     data = cons.as_dict()
     width = max(len(k) for k in data)
     for key, val in data.items():

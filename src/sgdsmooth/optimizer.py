@@ -138,10 +138,6 @@ class Trajectory:
     def final_x(self) -> np.ndarray:
         return self.xs[-1]
 
-    @property
-    def final_y(self) -> np.ndarray:
-        return self.ys[-1]
-
     def write_csv(self, path) -> None:
         """Write the record as CSV, one row per point, with `write_csv_columns`."""
         xs = {f"x_{i}": x for i, x in enumerate(self.xs.T)}
@@ -215,9 +211,10 @@ class EnsembleResult:
     diverged trial stays frozen at its first iterate beyond the cutoff.
     A run without history (`lockstep_run(..., keep_history=False)`) has
     `x_hist`, `y_hist` and `omegas` None, and the methods that read them
-    raise ValueError.  Given a history, the finals default to a copy of
-    its last row.  The objective's target is not stored; methods that
-    need it take the objective or the target as an argument.
+    raise ValueError.  `finals_x` holds the final iterates, a copy even
+    with a history, so a report that keeps them does not pin the
+    histories.  The objective's target is not stored; methods that need
+    it take the objective or the target as an argument.
     """
 
     x_hist: Optional[np.ndarray]   # (T+1, n, d)
@@ -226,15 +223,7 @@ class EnsembleResult:
     etas: np.ndarray               # (T+1,)
     stage_idx: np.ndarray          # (T+1,)
     diverged: np.ndarray           # (n,) bool
-    finals_x: Optional[np.ndarray] = None  # (n, d)
-    finals_y: Optional[np.ndarray] = None  # (n, d)
-
-    def __post_init__(self):
-        # copies, so a report that keeps the finals does not pin the histories
-        if self.finals_x is None:
-            self.finals_x = self.x_hist[-1].copy()
-        if self.finals_y is None:
-            self.finals_y = self.y_hist[-1].copy()
+    finals_x: np.ndarray           # (n, d)
 
     @property
     def n_trials(self) -> int:
@@ -272,12 +261,17 @@ class EnsembleResult:
         # an unknown target is NaN, so the distance comes out NaN
         target = np.full(obj.dimension, np.nan) if obj.target is None else obj.target
         dx = xs - target
+        # a diverged trial's last row lies past the cutoff, where f and the
+        # gradient norm may overflow to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            fs = obj.values_at(xs)
+            grad_norms = np.linalg.norm(obj.grads_at(xs), axis=1)
         return Trajectory(
             xs=xs,
             ys=ys,
             omegas=omegas,
-            fs=obj.values_at(xs),
-            grad_norms=np.linalg.norm(obj.grads_at(xs), axis=1),
+            fs=fs,
+            grad_norms=grad_norms,
             noise_norms=np.linalg.norm(omegas, axis=1),
             dist2=np.einsum("ij,ij->i", dx, dx),
             stage_idx=self.stage_idx[:end],
@@ -409,7 +403,6 @@ def lockstep_run(
         diverged=~active,
         # the final point is the last row of the last block
         finals_x=xb[-1].copy(),
-        finals_y=yb[-1].copy(),
     )
 
 

@@ -183,7 +183,7 @@ def stay_validate(result: EnsembleResult, cons: TheoremConstants, target) -> Sta
     ValueError for no trials, fewer than T + T2 + 1 rows, or no history."""
     if result.n_trials == 0:
         raise ValueError("stay_validate needs at least one trial")
-    d2 = result.y_dist2_history(as_point(target, result.finals_y.shape[1]))
+    d2 = result.y_dist2_history(as_point(target, result.finals_x.shape[1]))
     T, T2 = cons.T1_min, cons.T2
     if d2.shape[0] < T + T2 + 1:
         raise ValueError(f"history too short: {d2.shape[0]} rows, need T + T2 + 1 = {T + T2 + 1}")
