@@ -16,7 +16,8 @@ summary value is written as null) and `finals.svg`, the histogram of
 the finals that did not diverge.  Only such an ensemble keeps the
 engine's (T+1, n, d) histories; one that persists nothing runs
 finals-only, in O(n*d) memory plus one stage's noise, with the same
-finals, flags and summary.
+finals, flags and summary.  The summary's median is `np.median`'s, bit
+for bit, taken without the `numpy.ma` import that `np.median` makes.
 `figure3` writes one ensemble directory per row-2 and row-3 panel, next
 to its row-1 curve CSVs.
 """
@@ -85,6 +86,18 @@ class EnsembleReport:
         return {**asdict(self), "success_fraction": math.nan, "stay_radius2": None}
 
 
+def _median(a: np.ndarray) -> float:
+    """`np.median` of a non-empty 1-d float array without NaN, bit for bit.
+
+    It partitions at the same indices as `np.median` (the middle one or
+    two, and the last) and takes `np.mean` of the middle; it skips only
+    `np.median`'s NaN check, whose first call imports `numpy.ma`."""
+    half = a.size // 2
+    middle = [half] if a.size % 2 else [half - 1, half]
+    part = np.partition(a, [*middle, -1])
+    return float(np.mean(part[middle[0] : half + 1]))
+
+
 def summarize_ensemble(result: EnsembleResult, cluster_tol: float) -> EnsembleReport:
     """Summarize `result`: its clusters of finals at `cluster_tol`, its
     diverged trials and the median final norm of the rest."""
@@ -94,7 +107,7 @@ def summarize_ensemble(result: EnsembleResult, cluster_tol: float) -> EnsembleRe
         cluster_count=cluster_count(result.finals_x, cluster_tol),
         cluster_tol=cluster_tol,
         diverged_count=int(result.diverged.sum()),
-        median_abs_final=float(np.median(norms)) if norms.size else math.nan,
+        median_abs_final=_median(norms) if norms.size else math.nan,
     )
 
 
@@ -326,6 +339,8 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
         medians.append(float(np.median(np.linalg.norm(result.finals_x - center, axis=1))))
         lo = np.quantile(result.finals_x, 0.10, axis=0)
         hi = np.quantile(result.finals_x, 0.90, axis=0)
+        # free this stage's histories before the next stage allocates its own
+        del result
         span = np.maximum(hi - lo, 1e-9)
         gen = RngStream(config.seed + k + 1, INIT_STREAM).generator()
         x0s = lo + span * gen.uniform(size=(config.n_trials, obj.dimension))

@@ -6,7 +6,13 @@ distinct stream ids give independent streams and identical pairs replay
 the exact same sample sequence on any platform.
 
 `NoiseKernel.sample_batch` draws i.i.d. samples; it drives the SGD engine
-and every kernel in every dimension.  `NoiseKernel.sample_stratified`
+and every kernel in every dimension.  Given a caller's (n, d) buffer
+(`out=`), it draws in place, so the engine stores each trial's noise
+where it reads it.  Philox is counter-based: a draw depends only on its
+key and stream position, not on where it lands.  In place, the interval
+and cube kinds compute -h + (h - -h)*u from uniforms u = `gen.random`,
+the same doubles as `gen.uniform(-h, h)` (low + (high - low)*u), with
+its OverflowError for a non-finite width.  `NoiseKernel.sample_stratified`
 draws one sample per equal-mass stratum of a 1-d kernel's interval
 [-r, r]: with n strata of width 2r/n, w_k = -r + (2r/n)(k + u_k) for
 k = 0..n-1 and one uniform u_k each.  Monte Carlo estimators of the
@@ -15,7 +21,9 @@ Hoeffding halfwidth shrink like n^-1.5 instead of n^-1/2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -66,23 +74,45 @@ class NoiseKernel:
     def is_zero(self) -> bool:
         return self.kind == "zero" or self.radius == 0.0
 
-    def sample_batch(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        """Draw n samples at once, shape (n, d).  Row order is the stream order."""
+    def sample_batch(
+        self, n: int, gen: np.random.Generator, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Draw n samples at once, shape (n, d).  Row order is the stream order.
+
+        With `out`, a C-contiguous float64 (n, d) array, the samples are
+        written into it and it is returned; without, a new array is
+        allocated.  Both run the same draws and give the same bytes.
+        """
         d = self.dimension
+        if out is None:
+            out = np.empty((n, d))
+        elif out.shape != (n, d) or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape {(n, d)}, "
+                f"got {out.dtype} {out.shape}"
+            )
         if self.is_zero:
-            return np.zeros((n, d))
-        if self.kind == "uniform-cube":
-            half = self.radius / np.sqrt(d)
-            return gen.uniform(-half, half, size=(n, d))
-        if d == 1:
-            # 1-d ball is the interval [-r, r]; one uniform draw per sample
-            return gen.uniform(-self.radius, self.radius, size=(n, 1))
+            out.fill(0.0)
+            return out
+        if self.kind == "uniform-cube" or d == 1:
+            # the cube's coordinates, or the 1-d ball's interval [-r, r]:
+            # one uniform u per coordinate, scaled as gen.uniform(-h, h) does
+            half = float(self.radius) / math.sqrt(d)
+            width = half - -half
+            if not math.isfinite(width):
+                raise OverflowError("Range exceeds valid bounds")
+            gen.random(out=out)
+            out *= width
+            out += -half
+            return out
         # uniform-ball: isotropic direction, radius ~ r * U^(1/d)
-        direction = gen.standard_normal(size=(n, d))
-        norms = np.linalg.norm(direction, axis=1, keepdims=True)
+        gen.standard_normal(out=out)
+        norms = np.linalg.norm(out, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         radii = self.radius * gen.uniform(size=(n, 1)) ** (1.0 / d)
-        return direction / norms * radii
+        out /= norms
+        out *= radii
+        return out
 
     def sample_stratified(self, n: int, gen: np.random.Generator) -> np.ndarray:
         """Draw one sample per equal-mass stratum, shape (n, 1), 1-d only.

@@ -21,11 +21,16 @@ so every history is bitwise the one a per-step freeze gives.  Stepping
 past the cutoff until the block ends may overflow; those rows are
 overwritten and the overflow is not reported.
 
-A run keeps the (T+1, n, d) iterate, shadow and noise histories, or,
-with `keep_history=False`, only the final iterates and the divergence
-flags: the rows of a block then go to two reused block buffers and the
-noise to one stage buffer, so memory is O(n*d) plus one stage's noise.
-The finals and flags are bitwise the same either way.
+Noise is stored trial-major: one (n, rows, d) buffer in which each
+trial's draws for a stage are one contiguous run of rows, written in
+place by `NoiseKernel.sample_batch(..., out=)`; the steps read it
+through a (rows, n, d) transposed view.  A run keeps the (T+1, n, d)
+iterate, shadow and noise histories (`omegas` is that view of a
+T+1-row buffer), or, with `keep_history=False`, only the final iterates
+and the divergence flags: the noise buffer then holds the longest
+stage and the iterates of a block go to one reused (64, n, d) block
+buffer, with no shadow rows stored, so memory is O(n*d) plus one
+stage's noise.  The finals and flags are bitwise the same either way.
 `EnsembleResult.trajectory` is the one place a `Trajectory` record is
 built.  A record is persisted either alone, as a CSV
 (`Trajectory.write_csv`, through the package's one CSV writer,
@@ -207,8 +212,10 @@ class EnsembleResult:
 
     In the histories axis 0 is the step index and axis 1 the trial.
     `omegas[t]` is the noise applied when leaving step t, with a zero row
-    at the end, so the three histories share one (T+1, n, d) layout.  A
-    diverged trial stays frozen at its first iterate beyond the cutoff.
+    at the end, so the three histories share one (T+1, n, d) shape;
+    `omegas` is a view of a trial-major buffer, each `omegas[:, i]`
+    C-contiguous.  A diverged trial stays frozen at its first iterate
+    beyond the cutoff.
     A run without history (`lockstep_run(..., keep_history=False)`) has
     `x_hist`, `y_hist` and `omegas` None, and the methods that read them
     raise ValueError.  `finals_x` holds the final iterates, a copy even
@@ -322,11 +329,16 @@ def lockstep_run(
     bitwise those of a per-step freeze.  The steps it took past the
     cutoff raise no overflow or invalid-value warning.
 
-    With `keep_history` the result holds the (T+1, n, d) iterate, shadow
-    and noise histories.  Without it, the noise goes to one buffer sized
-    for the longest stage and a block's rows to two reused block
-    buffers, and the result holds only the finals, flags, etas and stage
-    indices, bitwise equal to those of a history run.
+    Trial i's draws for a stage land in place, by `sample_batch(...,
+    out=)`, in one contiguous run of rows of its slice of a trial-major
+    (n, rows, d) noise buffer.  With `keep_history` the buffer has T+1
+    rows and the result holds the (T+1, n, d) iterate and shadow
+    histories and, as `omegas`, the (T+1, n, d) transposed view of that
+    buffer, so `omegas[:, i]` is C-contiguous.  Without it, the buffer is
+    sized for the longest stage, a block's iterates go to one reused
+    block buffer, no shadow row is stored, and the result holds only the
+    finals, flags, etas and stage indices, bitwise equal to those of a
+    history run.
     """
     x0s = np.asarray(x0s, dtype=float)
     n, d = x0s.shape
@@ -341,15 +353,16 @@ def lockstep_run(
     etas = np.repeat([s.eta for s in stages], rows)
     stage_idx = np.repeat(np.arange(len(stages)), rows)
 
+    # trial-major noise: trial i's draws for a stage are one contiguous run
+    # of rows, written in place by sample_batch; `omegas` views it step-major
+    noise_buf = np.empty((n, total + 1 if keep_history else max(rows), d))
+    omegas = noise_buf.transpose(1, 0, 2)
     if keep_history:
-        omegas = np.empty((total + 1, n, d))
         x_hist = np.empty((total + 1, n, d))
         y_hist = np.empty((total + 1, n, d))
     else:
-        omegas = x_hist = y_hist = None
-        stage_noise = np.empty((max(rows), n, d))
+        x_hist = y_hist = None
         x_block = np.empty((_BLOCK, n, d))
-        y_block = np.empty((_BLOCK, n, d))
     gens = [None] * n
     active = np.ones(n, dtype=bool)
     grads_at = obj.grads_at
@@ -359,18 +372,19 @@ def lockstep_run(
     # its rows are overwritten, so its overflow is not reported
     with np.errstate(over="ignore", invalid="ignore"):
         for stage, t1 in zip(stages, np.cumsum(rows).tolist()):
-            noise = omegas[t0:t1] if keep_history else stage_noise[: t1 - t0]
+            s0 = t0 if keep_history else 0  # the stage's first row in noise_buf
             last = t1 > total  # only the last stage holds the final row
             for i, stream in enumerate(streams):
                 gen = stream.generator() if gens[i] is None else gens[i]
-                noise[: stage.steps, i] = stage.kernel.sample_batch(stage.steps, gen)
+                stage.kernel.sample_batch(stage.steps, gen, out=noise_buf[i, s0 : s0 + stage.steps])
                 gens[i] = None if last else gen
+            noise = omegas[s0 : s0 + t1 - t0]
             # the step leaving the final point uses a zero noise row and is discarded
             noise[stage.steps :] = 0.0
             for b0 in range(t0, t1, _BLOCK):
                 b1 = min(b0 + _BLOCK, t1)
                 xb = x_hist[b0:b1] if keep_history else x_block[: b1 - b0]
-                yb = y_hist[b0:b1] if keep_history else y_block[: b1 - b0]
+                yb = y_hist[b0:b1] if keep_history else None
                 # the same products as eta * omegas[t] row by row, each held in
                 # its x row until the iterate is recorded there
                 kicks = np.multiply(etas[b0:b1, None, None], noise[b0 - t0 : b1 - t0], out=xb)
@@ -379,7 +393,9 @@ def lockstep_run(
                 for j, (eta, kick) in enumerate(zip(etas[b0:b1].tolist(), kicks)):
                     y = x - eta * grads_at(x)
                     x_next = y - kick if keep is None else np.where(keep, y - kick, x)
-                    xb[j], yb[j] = x, y
+                    xb[j] = x
+                    if keep_history:
+                        yb[j] = y
                     x = x_next
                 ok = _bounded(xb)
                 for i in np.flatnonzero(active & ~ok.all(axis=0)):
@@ -389,7 +405,8 @@ def lockstep_run(
                     xk = xb[k, i]
                     if k + 1 < b1 - b0:
                         xb[k + 1 :, i] = xk
-                        yb[k + 1 :, i] = xk - etas[b0 + k + 1 : b1, None] * grads_at(xk[None, :])
+                        if keep_history:
+                            yb[k + 1 :, i] = xk - etas[b0 + k + 1 : b1, None] * grads_at(xk[None, :])
                     x[i] = xk
                     active[i] = False
             t0 = t1
@@ -397,7 +414,7 @@ def lockstep_run(
     return EnsembleResult(
         x_hist=x_hist,
         y_hist=y_hist,
-        omegas=omegas,
+        omegas=omegas if keep_history else None,
         etas=etas,
         stage_idx=stage_idx,
         diverged=~active,

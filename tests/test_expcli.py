@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import MISSING, fields, replace
@@ -49,7 +51,7 @@ from sgdsmooth.expcli import cluster as cluster_module
 from sgdsmooth.expcli import pipeline as pipeline_module
 from sgdsmooth.expcli.cli import main
 from sgdsmooth.expcli.pipeline import draw_inits, persist_ensemble
-from sgdsmooth.optimizer import read_trajectory_csv, write_csv_columns
+from sgdsmooth.optimizer import lockstep_run, read_trajectory_csv, write_csv_columns
 from sgdsmooth.smoothing import smoothed_value_closed
 
 from conftest import local_minima
@@ -678,6 +680,38 @@ class TestEnsemble:
             tab = np.load(tmp_path / kind / "trajectories.npy")
             assert np.isinf(tab["grad_norm"]).any()
 
+    def test_median_is_bitwise_np_median(self):
+        # sizes 1-64, odd and even, with ties and signed zeros
+        gen = np.random.default_rng(3)
+        for n in range(1, 65):
+            for a in (
+                gen.random(n),
+                np.round(gen.normal(size=n), 1),
+                gen.integers(0, 3, size=n).astype(float),
+                np.where(gen.random(n) < 0.5, -0.0, 0.0),
+            ):
+                got = pipeline_module._median(a.copy())
+                assert np.float64(got).tobytes() == np.float64(np.median(a)).tobytes(), (n, a)
+
+    def test_bare_ensemble_does_not_import_numpy_ma(self):
+        # np.median's NaN check imports numpy.ma; a summary must not.  A
+        # numpy that imports numpy.ma with itself (1.x) has nothing to save.
+        src = str(Path(pipeline_module.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys, numpy\n"
+            "eager = 'numpy.ma' in sys.modules\n"
+            "from sgdsmooth.expcli import cli\n"
+            "assert cli.main(['ensemble', '--trials', '20']) == 0\n"
+            "print('eager' if eager else 'numpy.ma' in sys.modules)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        imported = run.stdout.splitlines()[-1]
+        if imported == "eager":
+            pytest.skip("this numpy imports numpy.ma on import")
+        assert imported == "False"
+
 
 def _strict_json(path):
     """Parse `path` as strict JSON: NaN, Infinity and -Infinity raise."""
@@ -722,6 +756,20 @@ class TestFinalsOnlyMemory:
             lambda: run_lockstep_ensemble(obj, sched, x0s, cfg.seed, keep_history=True)
         )
         assert peak >= 3 * 4501 * self.TRIALS * 8
+
+    def test_finals_only_run_stores_no_shadow_block(self):
+        # 2,000 trials x 200 steps in 1-d: the noise buffer is 2,000 x 201
+        # float64 and one (64, n, 1) block 1 MB, so a second, shadow block
+        # breaks the bound
+        n, steps = 2000, 200
+        obj = make_spiky(SpikyParams())
+        sched = StepSchedule((Stage(0.04, steps, NoiseKernel("uniform-ball", 2.0, 1)),))
+        x0s = np.linspace(-3.0, 3.0, n)[:, None]
+        streams = [RngStream(8, i) for i in range(n)]
+        run = lambda: lockstep_run(obj, sched, x0s, streams, keep_history=False)
+        run()  # one-time allocations of a first call are not the run's
+        peak = _traced_peak(run)
+        assert peak < n * (steps + 1) * 8 + 64 * n * 8 + 2**20
 
 
 class TestCalibration:

@@ -127,6 +127,58 @@ class TestStreams:
         assert RngStream(20240, 1000).generator().uniform(size=3).tobytes() == ref.tobytes()
 
 
+def _formula_draw(kernel, n, gen):
+    """Reference: the allocating formulas the in-place draw replaced."""
+    d, r = kernel.dimension, kernel.radius
+    if kernel.is_zero:
+        return np.zeros((n, d))
+    if kernel.kind == "uniform-cube":
+        return gen.uniform(-r / np.sqrt(d), r / np.sqrt(d), size=(n, d))
+    if d == 1:
+        return gen.uniform(-r, r, size=(n, 1))
+    direction = gen.standard_normal(size=(n, d))
+    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return direction / norms * (r * gen.uniform(size=(n, 1)) ** (1.0 / d))
+
+
+class TestOutBuffer:
+    @pytest.mark.parametrize("r", [0.0, 0.7, 8.9e307])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["zero", "uniform-cube", "uniform-ball"])
+    def test_fills_and_returns_out(self, kind, d, r):
+        k = NoiseKernel(kind, r, d)
+        buf = np.full((50, d), np.nan)
+        assert k.sample_batch(50, RngStream(3, d).generator(), out=buf) is buf
+        fresh = k.sample_batch(50, RngStream(3, d).generator())
+        ref = _formula_draw(k, 50, RngStream(3, d).generator())
+        assert buf.tobytes() == fresh.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("r", [1e308, np.inf])
+    @pytest.mark.parametrize("kind", ["uniform-cube", "uniform-ball"])
+    def test_infinite_width_overflows(self, kind, r):
+        k = NoiseKernel(kind, r, 1)
+        with pytest.raises(OverflowError):
+            _formula_draw(k, 4, RngStream(0).generator())
+        for out in (None, np.empty((4, 1))):
+            with pytest.raises(OverflowError):
+                k.sample_batch(4, RngStream(0).generator(), out=out)
+
+    @pytest.mark.parametrize("kind", ["zero", "uniform-cube", "uniform-ball"])
+    def test_rejects_a_bad_out(self, kind):
+        k = NoiseKernel(kind, 1.0, 2)
+        bad = (
+            np.empty((5, 2)),                     # wrong row count
+            np.empty((4, 3)),                     # wrong dimension
+            np.empty((4, 2), dtype=np.float32),   # wrong dtype
+            np.empty((2, 4)).T,                   # right shape, not C-contiguous
+            np.empty((4, 4))[:, ::2],             # right shape, strided
+        )
+        for out in bad:
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                k.sample_batch(4, RngStream(0).generator(), out=out)
+
+
 class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

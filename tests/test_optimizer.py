@@ -205,6 +205,20 @@ class TestSgd:
         assert traj.out_of_box.any()
         assert not traj.out_of_box[0]
 
+    def test_noise_is_stored_trial_major(self):
+        obj = make_spiky(SpikyParams(dimension=2))
+        kernel = NoiseKernel("uniform-ball", 2.0, 2)
+        sched = StepSchedule((Stage(0.1, 40, kernel), Stage(0.05, 30, kernel)))
+        streams = [RngStream(2, i) for i in range(3)]
+        result = lockstep_run(obj, sched, np.zeros((3, 2)), streams)
+        assert result.omegas.shape == (71, 3, 2)
+        for i, stream in enumerate(streams):
+            assert result.omegas[:, i].flags.c_contiguous
+            gen = stream.generator()
+            draws = [kernel.sample_batch(s.steps, gen) for s in sched.stages]
+            assert result.omegas[:-1, i].tobytes() == np.concatenate(draws).tobytes()
+            assert np.all(result.omegas[-1, i] == 0.0)
+
     def test_dimension_mismatch(self, spiky_default):
         sched = _zero_schedule(0.1, 10, d=2)
         with pytest.raises(ValueError):
@@ -474,9 +488,9 @@ class TestFinalsOnly:
         live, seen = [], []
         sample_batch = NoiseKernel.sample_batch
 
-        def counted(kernel, steps, gen):
+        def counted(kernel, steps, gen, **kw):
             seen.append(len(live))
-            return sample_batch(kernel, steps, gen)
+            return sample_batch(kernel, steps, gen, **kw)
 
         monkeypatch.setattr(NoiseKernel, "sample_batch", counted)
         kernel = NoiseKernel("uniform-ball", 2.0, 1)
