@@ -3,12 +3,10 @@ one-point-convexity certification and convergence-bound validation."""
 
 from .certifier import (
     assumption1_estimate,
-    line_probe,
-    neighborhood_opc,
     region_scan,
     trajectory_opc,
 )
-from .noise import NoiseKernel, RngStream, sample, second_moment
+from .noise import NoiseKernel, RngStream, second_moment
 from .objectives import (
     Objective,
     SpikyParams,

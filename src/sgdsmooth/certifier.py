@@ -6,7 +6,8 @@ x* - y, with a Hoeffding confidence interval propagated through the
 inner product.  A point certifies at level c_min when even the CI lower
 bound clears c_min * |x* - y|^2.  A region scan splits its confidence
 across the points of its grid (Bonferroni), so every certificate of the
-scan holds jointly at the stated family-wise level.
+scan holds jointly at the stated family-wise level.  `trajectory_opc`
+is the one uncertified probe: the per-step inner products along a run.
 """
 from __future__ import annotations
 
@@ -27,11 +28,7 @@ __all__ = [
     "assumption1_estimate",
     "region_scan",
     "trajectory_opc",
-    "neighborhood_opc",
-    "line_probe",
     "TrajectoryOpcReport",
-    "NeighborhoodStats",
-    "LineProbeReport",
 ]
 
 DEGENERATE_DIST2 = 1e-12
@@ -164,70 +161,3 @@ def trajectory_opc(traj: Trajectory, obj: Objective, target) -> TrajectoryOpcRep
         argmin=int(inners.argmin()),
         first_positive=int(positive[0]) if positive.size else None,
     )
-
-
-@dataclass(frozen=True)
-class NeighborhoodStats:
-    min: float
-    mean: float
-    max: float
-    n: int
-
-
-def neighborhood_opc(
-    obj: Objective,
-    center,
-    target,
-    radius: float,
-    n: int,
-    rng: RngStream = RngStream(0),
-) -> NeighborhoodStats:
-    """Inner-product band over n random points in a ball around `center`.
-
-    For each sampled w the statistic is <-grad f(w), target - center>,
-    probing whether the whole neighborhood points toward the target.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ctr = as_point(center, obj.dimension)
-    tgt = as_point(target, obj.dimension)
-    ball = NoiseKernel("uniform-ball", radius, obj.dimension)
-    pts = ctr[None, :] + ball.sample_batch(n, rng.generator())
-    inners = np.einsum("ij,ij->i", -obj.grads_at(pts), np.broadcast_to(tgt - ctr, pts.shape))
-    return NeighborhoodStats(float(inners.min()), float(inners.mean()), float(inners.max()), n)
-
-
-@dataclass(frozen=True)
-class LineProbeReport:
-    ts: np.ndarray
-    values: np.ndarray
-    directional_derivs: np.ndarray   # <grad f(.), target - x> along the segment
-    above_endpoint: bool             # g(t) > g(1) for all t < 1
-    monotone_decreasing: bool        # directional derivative < 0 for t < 1
-    sign_changes: int
-    degenerate: bool
-
-
-def line_probe(obj: Objective, x, target, k: int) -> LineProbeReport:
-    """Evaluate f along the segment from x to target at k uniform points.
-
-    Reports whether every interior value stays above the endpoint value
-    and the sign pattern of the directional derivative, which together
-    expose spikes between x and the target.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    px = as_point(x, obj.dimension)
-    tgt = as_point(target, obj.dimension)
-    ts = np.linspace(0.0, 1.0, k)
-    pts = ts[:, None] * tgt[None, :] + (1.0 - ts)[:, None] * px[None, :]
-    values = obj.values_at(pts)
-    direction = tgt - px
-    derivs = obj.grads_at(pts) @ direction
-    if float(direction @ direction) < DEGENERATE_DIST2:
-        return LineProbeReport(ts, values, derivs, False, False, 0, True)
-    above = bool(np.all(values[:-1] > values[-1]))
-    monotone = bool(np.all(derivs[:-1] < 0))
-    signs = np.sign(derivs[:-1])
-    changes = int(np.sum(signs[1:] != signs[:-1]))
-    return LineProbeReport(ts, values, derivs, above, monotone, changes, False)

@@ -1,4 +1,4 @@
-from .cluster import cluster_centers, cluster_count, cluster_labels
+from .cluster import cluster_count, cluster_labels
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -36,7 +36,6 @@ __all__ = [
     "StageSpec",
     "TheoremSpec",
     "calibrate_noise",
-    "cluster_centers",
     "cluster_count",
     "cluster_labels",
     "default_window_candidates",

@@ -1,14 +1,16 @@
 """Command-line harness.
 
 Subcommands: run, ensemble, smooth, certify, bounds, figure3.
-Exit codes: 0 success, 1 configuration error, 2 numerical divergence in
-a required (non-ensemble) computation.
+Exit codes: 0 success; 1 configuration error, a NaN or infinite config
+number included; 2 numerical divergence in a required (non-ensemble)
+computation, or a numerical error such as a noise or init draw whose
+range overflows a double.  `bounds` prints its constants as an aligned
+table, then as strict JSON, where an infinite constant is null.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -25,6 +27,7 @@ from .pipeline import (
     ensemble,
     figure3,
     smoothing_curve,
+    strict_json,
 )
 
 EXIT_OK = 0
@@ -137,7 +140,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     width = max(len(k) for k in data)
     for key, val in data.items():
         print(f"{key:>{width}} : {val}")
-    print(json.dumps(data, indent=2, sort_keys=True))
+    print(strict_json(data))
     return EXIT_OK
 
 
@@ -184,7 +187,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cluster_count", "cluster_labels", "cluster_centers"]
+__all__ = ["cluster_count", "cluster_labels"]
 
 # candidate pairs per vectorized distance pass (d > 1)
 _PAIR_BLOCK = 1 << 15
@@ -113,10 +113,3 @@ def cluster_count(points, tol: float) -> int:
     labels = cluster_labels(points, tol)
     return int(labels.max()) + 1 if labels.size else 0
 
-
-def cluster_centers(points, tol: float) -> np.ndarray:
-    """Mean point of each cluster, ordered by first appearance."""
-    arr = _as_points(points)
-    labels = cluster_labels(points, tol)
-    k = int(labels.max()) + 1 if labels.size else 0
-    return np.array([arr[labels == i].mean(axis=0) for i in range(k)])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -86,7 +87,10 @@ def _coerce(tp, value, where: str):
     if tp is int:
         return _integer(value, where)
     if tp is float:
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):  # json reads NaN and Infinity
+            raise ConfigError(f"{where} must be a finite number, got {value!r}")
+        return value
     if get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a JSON array")

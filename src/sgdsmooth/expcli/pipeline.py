@@ -148,6 +148,16 @@ def ensemble(
     return result, report
 
 
+def strict_json(data: dict) -> str:
+    """`data` as indented, key-sorted strict JSON: a non-finite float
+    value is written as null, never as NaN or Infinity."""
+    data = {
+        key: None if isinstance(val, float) and not math.isfinite(val) else val
+        for key, val in data.items()
+    }
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+
+
 def persist_ensemble(
     out_dir, obj: Objective, result: EnsembleResult, report: EnsembleReport, bins: int
 ) -> None:
@@ -159,13 +169,8 @@ def persist_ensemble(
     """
     os.makedirs(out_dir, exist_ok=True)
     result.write_table(obj, os.path.join(out_dir, "trajectories.npy"))
-    summary = {
-        key: None if isinstance(val, float) and not math.isfinite(val) else val
-        for key, val in report.summary_dict().items()
-    }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(strict_json(report.summary_dict()) + "\n")
     emit_svg_histogram(
         _histogram_scalars(result), bins, os.path.join(out_dir, "finals.svg"),
         title="final iterates",

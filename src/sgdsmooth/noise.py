@@ -27,9 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .objectives import as_point
-
-__all__ = ["NoiseKernel", "RngStream", "sample", "second_moment"]
+__all__ = ["NoiseKernel", "RngStream", "second_moment"]
 
 KERNEL_KINDS = ("zero", "uniform-cube", "uniform-ball")
 
@@ -131,13 +129,6 @@ class NoiseKernel:
         w *= 2.0 * self.radius / n
         w -= self.radius
         return w
-
-
-def sample(kernel: NoiseKernel, at, gen: np.random.Generator) -> np.ndarray:
-    """One noise draw.  `at` is accepted (and dimension-checked) so that
-    x-dependent kernels can slot in later; the built-in kinds ignore it."""
-    as_point(at, kernel.dimension)
-    return kernel.sample_batch(1, gen)[0]
 
 
 def second_moment(kernel: NoiseKernel) -> float:

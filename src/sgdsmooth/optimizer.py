@@ -40,7 +40,6 @@ with every trial of an ensemble, as one streamed `.npy` trajectory table
 """
 from __future__ import annotations
 
-import csv
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -70,7 +69,7 @@ class Stage:
     kernel: NoiseKernel
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not self.eta > 0:  # NaN fails too
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
@@ -187,16 +186,6 @@ def _csv_cells(col: np.ndarray):
     if col.dtype.kind == "f":
         return map(repr, col.tolist())
     return map(str, col.astype(int).tolist())
-
-
-def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Read a persisted trajectory back into column arrays, losslessly."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader]
-    cols = {name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)}
-    return cols
 
 
 def _bounded(xs: np.ndarray) -> np.ndarray:

@@ -64,11 +64,11 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
     the b/lambda floor (log argument <= 1); the degenerate noiseless case
     b = 0 clamps the same way.
     """
-    if c <= 0:
+    if not c > 0:  # NaN fails too
         raise ValueError(f"c must be positive, got {c}")
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if L < 0 or r < 0 or y0_dist2 < 0 or T2 < 0:
+    if not (L >= 0 and r >= 0 and y0_dist2 >= 0 and T2 >= 0):
         raise ValueError("L, r, y0_dist2, T2 must be nonnegative")
 
     lam = 2.0 * eta * c - eta**2 * L**2

@@ -1,6 +1,7 @@
 """Shared fixtures and independent numerical oracles for the test suite."""
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import replace
 
@@ -66,6 +67,15 @@ def poisoned(obj, bad: float):
         return batch
 
     return replace(obj, value=first_row(obj.value), grad=first_row(obj.grad))
+
+
+def read_csv_columns(path) -> dict[str, np.ndarray]:
+    """Read a CSV the package wrote back into float column arrays, losslessly."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    return {name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)}
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""One-point-convexity certificates and landscape probes."""
+"""One-point-convexity certificates and the trajectory probe."""
 import math
 from dataclasses import replace
 
@@ -11,10 +11,8 @@ from sgdsmooth import (
     SpikyParams,
     assumption1_estimate,
     gd_run,
-    line_probe,
     make_quadratic,
     make_spiky,
-    neighborhood_opc,
     region_scan,
     smoothed_grad_closed,
     trajectory_opc,
@@ -197,38 +195,3 @@ class TestTrajectoryOpc:
         report = trajectory_opc(traj, quadratic_1d, [0.0])
         assert report.first_positive == 0
 
-
-class TestNeighborhoodOpc:
-    def test_quadratic_ball_stays_positive(self):
-        obj = make_quadratic(1)
-        stats = neighborhood_opc(obj, [2.0], [0.0], 0.5, 100, RngStream(52))
-        assert stats.min > 0
-
-    def test_zero_radius_collapses(self, quadratic_1d):
-        stats = neighborhood_opc(quadratic_1d, [2.0], [0.0], 0.0, 5, RngStream(53))
-        assert stats.min == stats.mean == stats.max
-
-    def test_spiky_basin_has_negative_directions(self, spiky_default):
-        stats = neighborhood_opc(spiky_default, [0.2], [0.0], 0.05, 200, RngStream(54))
-        assert stats.min < 0
-
-
-class TestLineProbe:
-    def test_quadratic_monotone(self, quadratic_1d):
-        report = line_probe(quadratic_1d, [3.0], [0.0], 50)
-        assert report.above_endpoint
-        assert report.monotone_decreasing
-        assert report.sign_changes == 0
-
-    def test_spiky_shows_the_spikes(self, spiky_default):
-        report = line_probe(spiky_default, [3.0], [0.0], 200)
-        assert not report.monotone_decreasing
-        assert report.sign_changes > 0
-
-    def test_degenerate_segment(self, quadratic_1d):
-        report = line_probe(quadratic_1d, [1.0], [1.0], 10)
-        assert report.degenerate
-
-    def test_validation(self, quadratic_1d):
-        with pytest.raises(ValueError):
-            line_probe(quadratic_1d, [1.0], [0.0], 1)

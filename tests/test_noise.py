@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
-from sgdsmooth import NoiseKernel, RngStream, sample, second_moment
+from sgdsmooth import NoiseKernel, RngStream, second_moment
 
 
 class TestZeroKernel:
     def test_sample_is_zero_vector(self):
         k = NoiseKernel("zero", 0.0, 3)
-        assert np.all(sample(k, [1.0, 2.0, 3.0], RngStream(1).generator()) == 0.0)
+        assert np.all(k.sample_batch(1, RngStream(1).generator()) == 0.0)
 
     def test_second_moment(self):
         assert second_moment(NoiseKernel("zero", 0.0, 4)) == 0.0
@@ -193,8 +193,3 @@ class TestValidation:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             NoiseKernel("zero", 0.0, 0)
-
-    def test_sample_dimension_mismatch(self):
-        k = NoiseKernel("uniform-ball", 1.0, 2)
-        with pytest.raises(ValueError):
-            sample(k, [1.0, 2.0, 3.0], RngStream(0).generator())

@@ -24,10 +24,9 @@ from sgdsmooth.optimizer import (
     EnsembleResult,
     _bounded,
     lockstep_run,
-    read_trajectory_csv,
 )
 
-from conftest import bisect_root
+from conftest import bisect_root, read_csv_columns
 
 
 def _zero_schedule(eta, steps, d=1):
@@ -512,8 +511,9 @@ class TestScheduleValidation:
             StepSchedule(())
 
     def test_nonpositive_eta(self):
-        with pytest.raises(ValueError):
-            Stage(0.0, 10, NoiseKernel("zero", 0.0, 1))
+        for eta in (0.0, -0.1, math.nan):  # NaN fails too
+            with pytest.raises(ValueError):
+                Stage(eta, 10, NoiseKernel("zero", 0.0, 1))
 
     def test_negative_steps(self):
         with pytest.raises(ValueError):
@@ -544,7 +544,7 @@ class TestPersistence:
         traj = sgd_run(spiky_default, sched, [1.0], RngStream(31, 1000))
         path = tmp_path / "trial_0.csv"
         traj.write_csv(path)
-        cols = read_trajectory_csv(path)
+        cols = read_csv_columns(path)
         assert np.array_equal(cols["x_0"], traj.xs[:, 0])
         assert np.array_equal(cols["f"], traj.fs)
         assert np.array_equal(cols["grad_norm"], traj.grad_norms)

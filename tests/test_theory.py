@@ -103,6 +103,18 @@ class TestConstants:
             constants(1.0, 0.0, 1.0, 1.0, 1.0, 10)
         with pytest.raises(ValueError):
             constants(1.0, 0.1, -1.0, 1.0, 1.0, 10)
+        # NaN fails every positivity check
+        nan = math.nan
+        for args in (
+            (nan, 0.1, 1.0, 1.0, 1.0, 10),
+            (1.0, nan, 1.0, 1.0, 1.0, 10),
+            (1.0, 0.1, nan, 1.0, 1.0, 10),
+            (1.0, 0.1, 1.0, nan, 1.0, 10),
+            (1.0, 0.1, 1.0, 1.0, nan, 10),
+            (1.0, 0.1, 1.0, 1.0, 1.0, nan),
+        ):
+            with pytest.raises(ValueError):
+                constants(*args)
 
 
 class TestDivergenceThreshold:
