@@ -60,6 +60,12 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _finite(value: float, name: str) -> None:
+    """Reject a NaN or infinite number, in the words of the JSON walker."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @functools.cache
 def _hints(spec) -> dict:
     """The resolved field types of a spec class."""
@@ -88,8 +94,7 @@ def _coerce(tp, value, where: str):
         return _integer(value, where)
     if tp is float:
         value = float(value)
-        if not math.isfinite(value):  # json reads NaN and Infinity
-            raise ConfigError(f"{where} must be a finite number, got {value!r}")
+        _finite(value, where)  # json reads NaN and Infinity
         return value
     if get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
@@ -149,6 +154,8 @@ class GridSpec:
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
         object.__setattr__(self, "count", _integer(self.count, "cert_grid count"))
+        for name in ("lo", "hi"):
+            _finite(getattr(self, name), f"cert_grid {name}")
         if self.count < 1:
             raise ConfigError("grid count must be >= 1")
 
@@ -191,6 +198,8 @@ class ExperimentConfig:
             raise ConfigError("n_trials must be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError("confidence must be in (0, 1)")
+        for bound in self.init_box:
+            _finite(bound, "init_box")
         if len(self.init_box) != 2 or self.init_box[0] >= self.init_box[1]:
             raise ConfigError("init_box must be a non-empty interval [lo, hi]")
         if len(self.stages) == 0:

@@ -19,13 +19,17 @@ finals-only, in O(n*d) memory plus one stage's noise, with the same
 finals, flags and summary.  The summary's median is `np.median`'s, bit
 for bit, taken without the `numpy.ma` import that `np.median` makes.
 `figure3` writes one ensemble directory per row-2 and row-3 panel, next
-to its row-1 curve CSVs.
+to its row-1 curve CSVs.  A row-2 panel whose stage spec equals row
+3's first stage is that stage's ensemble, so row 3 reuses its report
+and finals and copies its files.  Row 3's median and quantiles are
+numpy's, bit for bit, again without importing `numpy.ma`.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import shutil
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -55,6 +59,7 @@ __all__ = [
 
 TRIAL_STREAM_BASE = 1000
 INIT_STREAM = 0
+_ENSEMBLE_FILES = ("trajectories.npy", "summary.json", "finals.svg")
 
 
 def run_lockstep_ensemble(
@@ -87,15 +92,37 @@ class EnsembleReport:
 
 
 def _median(a: np.ndarray) -> float:
-    """`np.median` of a non-empty 1-d float array without NaN, bit for bit.
+    """`np.median` of a non-empty 1-d float array, bit for bit.
 
     It partitions at the same indices as `np.median` (the middle one or
-    two, and the last) and takes `np.mean` of the middle; it skips only
-    `np.median`'s NaN check, whose first call imports `numpy.ma`."""
+    two, and the last) and takes `np.mean` of the middle, or the last
+    value if it is NaN; it skips only the masked-array check, whose
+    first call imports `numpy.ma`."""
     half = a.size // 2
     middle = [half] if a.size % 2 else [half - 1, half]
     part = np.partition(a, [*middle, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
     return float(np.mean(part[middle[0] : half + 1]))
+
+
+def _quantile(a: np.ndarray, q: float) -> np.ndarray:
+    """`np.quantile(a, q, axis=0)` of a 2-d float array, bit for bit, for
+    a Python float q in [0, 1]: numpy's linear-method steps, without the
+    `np.unique` call that imports `numpy.ma`."""
+    n = a.shape[0]
+    v = (n - 1) * q
+    if v >= n - 1:
+        below = above = -1
+    else:
+        below = math.floor(v)
+        above = below + 1
+    t = v - below
+    part = np.partition(a, sorted({0, -1, below, above}), axis=0)
+    diff = part[above] - part[below]
+    out = part[above] - diff * (1 - t) if t >= 0.5 else part[below] + diff * t
+    np.copyto(out, part[-1], where=np.isnan(part[-1]))
+    return out
 
 
 def summarize_ensemble(result: EnsembleResult, cluster_tol: float) -> EnsembleReport:
@@ -148,6 +175,24 @@ def ensemble(
     return result, report
 
 
+def _report_and_finals(
+    config: ExperimentConfig, x0s: Optional[np.ndarray] = None
+) -> tuple[EnsembleReport, np.ndarray]:
+    """`ensemble`'s report and finals; its histories are freed on return."""
+    result, report = ensemble(config, x0s)
+    return report, result.finals_x
+
+
+def _shrink_inits(finals_x: np.ndarray, seed: int) -> np.ndarray:
+    """As many starts as `finals_x` rows, uniform on the [q10, q90] box of
+    its columns (each side at least 1e-9), from stream (seed, INIT_STREAM)."""
+    lo = _quantile(finals_x, 0.10)
+    hi = _quantile(finals_x, 0.90)
+    span = np.maximum(hi - lo, 1e-9)
+    gen = RngStream(seed, INIT_STREAM).generator()
+    return lo + span * gen.uniform(size=finals_x.shape)
+
+
 def strict_json(data: dict) -> str:
     """`data` as indented, key-sorted strict JSON: a non-finite float
     value is written as null, never as NaN or Infinity."""
@@ -167,14 +212,12 @@ def persist_ensemble(
     `summary.json` is strict JSON: a non-finite value, such as the
     always-nan `success_fraction`, is written as null.
     """
+    table, summary, histogram = (os.path.join(out_dir, name) for name in _ENSEMBLE_FILES)
     os.makedirs(out_dir, exist_ok=True)
-    result.write_table(obj, os.path.join(out_dir, "trajectories.npy"))
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+    result.write_table(obj, table)
+    with open(summary, "w") as fh:
         fh.write(strict_json(report.summary_dict()) + "\n")
-    emit_svg_histogram(
-        _histogram_scalars(result), bins, os.path.join(out_dir, "finals.svg"),
-        title="final iterates",
-    )
+    emit_svg_histogram(_histogram_scalars(result), bins, histogram, title="final iterates")
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +369,14 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
     # Row 2: ensembles across noise levels, zero-noise baseline first;
     # each persists to its own panel directory
     row2: list[EnsembleReport] = []
+    shared = None
     for j, r in enumerate((0.0, *config.noise_levels)):
         stage = StageSpec(base.eta, base.steps, KernelSpec(base.kernel.kind, r))
         panel_dir = None if out is None else os.path.join(out, f"row2_level{j}")
-        row2.append(ensemble(replace(config, stages=(stage,), out_dir=panel_dir))[1])
+        report, finals_x = _report_and_finals(replace(config, stages=(stage,), out_dir=panel_dir))
+        row2.append(report)
+        if shared is None and stage == base:
+            shared = (report, finals_x, panel_dir)
     # Row 3: staged shrink; stage k runs at seed + k
     row3: list[EnsembleReport] = []
     medians: list[float] = []
@@ -337,18 +384,19 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
     x0s = None
     for k, stage in enumerate(config.stages):
         stage_dir = None if out is None else os.path.join(out, f"row3_stage{k}")
-        result, report = ensemble(
-            replace(config, stages=(stage,), seed=config.seed + k, out_dir=stage_dir), x0s
-        )
+        if k == 0 and shared is not None:
+            report, finals_x, panel_dir = shared
+            if stage_dir is not None:
+                os.makedirs(stage_dir, exist_ok=True)
+                for name in _ENSEMBLE_FILES:
+                    shutil.copyfile(os.path.join(panel_dir, name), os.path.join(stage_dir, name))
+        else:
+            report, finals_x = _report_and_finals(
+                replace(config, stages=(stage,), seed=config.seed + k, out_dir=stage_dir), x0s
+            )
         row3.append(report)
-        medians.append(float(np.median(np.linalg.norm(result.finals_x - center, axis=1))))
-        lo = np.quantile(result.finals_x, 0.10, axis=0)
-        hi = np.quantile(result.finals_x, 0.90, axis=0)
-        # free this stage's histories before the next stage allocates its own
-        del result
-        span = np.maximum(hi - lo, 1e-9)
-        gen = RngStream(config.seed + k + 1, INIT_STREAM).generator()
-        x0s = lo + span * gen.uniform(size=(config.n_trials, obj.dimension))
+        medians.append(_median(np.linalg.norm(finals_x - center, axis=1)))
+        x0s = _shrink_inits(finals_x, config.seed + k + 1)
 
     return Figure3Report(
         noise_levels=tuple(config.noise_levels),

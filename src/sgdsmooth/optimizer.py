@@ -32,11 +32,11 @@ stage and the iterates of a block go to one reused (64, n, d) block
 buffer, with no shadow rows stored, so memory is O(n*d) plus one
 stage's noise.  The finals and flags are bitwise the same either way.
 `EnsembleResult.trajectory` is the one place a `Trajectory` record is
-built.  A record is persisted either alone, as a CSV
-(`Trajectory.write_csv`, through the package's one CSV writer,
-`write_csv_columns`), or
-with every trial of an ensemble, as one streamed `.npy` trajectory table
-(`EnsembleResult.write_table`).
+built; `_record_columns` defines a record's derived columns.  A record
+is persisted either alone, as a CSV (`Trajectory.write_csv`, through
+the package's one CSV writer, `write_csv_columns`), or with every trial
+of an ensemble, as one `.npy` trajectory table
+(`EnsembleResult.write_table`), built in chunks of whole trials.
 """
 from __future__ import annotations
 
@@ -60,6 +60,8 @@ DIVERGENCE_CUTOFF = 1e6
 _BLOCK = 64
 # rows formatted at a time in write_csv_columns
 _CSV_CHUNK = 1024
+# rows built at a time in EnsembleResult.write_table
+_TABLE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,27 @@ def _csv_cells(col: np.ndarray):
     return map(str, col.astype(int).tolist())
 
 
+def _record_columns(obj: Objective, xs: np.ndarray, omegas: np.ndarray) -> dict:
+    """The derived columns of the (m, d) record rows `xs` with noise
+    `omegas`, by `table_dtype` field name; a row's values depend on it alone."""
+    lo, hi = obj.domain_box
+    # an unknown target is NaN, so the distance comes out NaN
+    target = np.full(obj.dimension, np.nan) if obj.target is None else obj.target
+    dx = xs - target
+    # a diverged trial's last row lies past the cutoff, where f and the
+    # gradient norm may overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs = obj.values_at(xs)
+        grad_norms = np.linalg.norm(obj.grads_at(xs), axis=1)
+    return {
+        "f": fs,
+        "grad_norm": grad_norms,
+        "noise_norm": np.linalg.norm(omegas, axis=1),
+        "dist2": np.einsum("ij,ij->i", dx, dx),
+        "out_of_box": np.any((xs < lo) | (xs > hi), axis=1),
+    }
+
+
 def _bounded(xs: np.ndarray) -> np.ndarray:
     """Divergence predicate over the last axis: True where every coordinate
     is finite and at most DIVERGENCE_CUTOFF in absolute value (NaN
@@ -253,45 +276,53 @@ class EnsembleResult:
         """
         end = self.record_end(i)
         xs, ys, omegas = self.x_hist[:end, i], self.y_hist[:end, i], self.omegas[:end, i]
-        lo, hi = obj.domain_box
-        # an unknown target is NaN, so the distance comes out NaN
-        target = np.full(obj.dimension, np.nan) if obj.target is None else obj.target
-        dx = xs - target
-        # a diverged trial's last row lies past the cutoff, where f and the
-        # gradient norm may overflow to inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            fs = obj.values_at(xs)
-            grad_norms = np.linalg.norm(obj.grads_at(xs), axis=1)
+        cols = _record_columns(obj, xs, omegas)
         return Trajectory(
             xs=xs,
             ys=ys,
             omegas=omegas,
-            fs=fs,
-            grad_norms=grad_norms,
-            noise_norms=np.linalg.norm(omegas, axis=1),
-            dist2=np.einsum("ij,ij->i", dx, dx),
+            fs=cols["f"],
+            grad_norms=cols["grad_norm"],
+            noise_norms=cols["noise_norm"],
+            dist2=cols["dist2"],
             stage_idx=self.stage_idx[:end],
             etas=self.etas[:end],
-            out_of_box=np.any((xs < lo) | (xs > hi), axis=1),
+            out_of_box=cols["out_of_box"],
             diverged=bool(self.diverged[i]),
         )
 
     def write_table(self, obj: Objective, path) -> None:
-        """Write every trial's record to `path` as one `.npy` table of
-        `table_dtype` rows, trials in order.
+        """Write every trial's record, the rows of `trajectory`, to `path`
+        as one `.npy` table of `table_dtype` rows, trials in order.
 
-        The header states the total row count, summed over `record_end`;
-        the rows then follow one trial at a time, each built by
-        `trajectory`, so only one trial's record is in memory at once.
+        The rows are built in chunks of whole trials, as many as fit in
+        `_TABLE_ROWS` rows and at least one, with one call of each oracle
+        per chunk, in one reused buffer.
         """
+        self._require_history()
         fmt = np.lib.format
-        rows = sum(self.record_end(i) for i in range(self.n_trials))
-        dtype = table_dtype(self.x_hist.shape[2])
-        header = {"descr": fmt.dtype_to_descr(dtype), "fortran_order": False, "shape": (rows,)}
+        steps, n, d = self.x_hist.shape
+        ends = np.array([self.record_end(i) for i in range(n)])
+        per = max(1, _TABLE_ROWS // steps)  # trials per chunk
+        buf = np.empty(per * steps, table_dtype(d))
+        buf["t"] = np.tile(np.arange(steps), per)
+        buf["stage"] = np.tile(self.stage_idx, per)
+        trial = np.repeat(np.arange(per), steps)
+        noise = self.omegas.transpose(1, 0, 2)  # the trial-major (n, T+1, d) buffer
+        header = {"descr": fmt.dtype_to_descr(buf.dtype), "fortran_order": False, "shape": (int(ends.sum()),)}
         with open(path, "wb") as fh:
             fmt.write_array_header_1_0(fh, header)
-            for i in range(self.n_trials):
-                fh.write(self.trajectory(obj, i).table_rows(i).tobytes())
+            for i0 in range(0, n, per):
+                i1 = min(i0 + per, n)
+                rows = buf[: (i1 - i0) * steps]
+                xs = self.x_hist[:, i0:i1].transpose(1, 0, 2).reshape(-1, d)
+                rows["trial"] = trial[: len(rows)] + i0
+                rows["x"] = xs
+                for name, col in _record_columns(obj, xs, noise[i0:i1].reshape(-1, d)).items():
+                    rows[name] = col
+                if self.diverged[i0:i1].any():
+                    rows = rows[rows["t"] < np.repeat(ends[i0:i1], steps)]
+                rows.tofile(fh)
 
 
 def lockstep_run(

@@ -64,12 +64,12 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
     the b/lambda floor (log argument <= 1); the degenerate noiseless case
     b = 0 clamps the same way.
     """
-    if not c > 0:  # NaN fails too
-        raise ValueError(f"c must be positive, got {c}")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not (L >= 0 and r >= 0 and y0_dist2 >= 0 and T2 >= 0):
-        raise ValueError("L, r, y0_dist2, T2 must be nonnegative")
+    for name, value in (("c", c), ("eta", eta)):
+        if not (value > 0 and math.isfinite(value)):  # NaN fails too
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    for name, value in (("L", L), ("r", r), ("y0_dist2", y0_dist2), ("T2", T2)):
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     lam = 2.0 * eta * c - eta**2 * L**2
     b = eta**2 * r**2 * (1.0 + eta * L) ** 2

@@ -45,6 +45,7 @@ from sgdsmooth.expcli import (
     summarize_ensemble,
     svg_histogram_string,
 )
+from sgdsmooth import optimizer as optimizer_module
 from sgdsmooth.expcli import cli as cli_module
 from sgdsmooth.expcli import cluster as cluster_module
 from sgdsmooth.expcli import pipeline as pipeline_module
@@ -414,6 +415,19 @@ class TestConfig:
         assert cfg.cert_grid == GridSpec(-1.0, 1.0, 5)
         assert type(cfg.cert_grid.lo) is float and type(cfg.cert_grid.count) is int
 
+    def test_non_finite_numbers_rejected_in_python(self):
+        # the JSON walker rejects these when a document is parsed; a config
+        # built in Python gets the same check and message
+        cases = [
+            (lambda: ExperimentConfig(init_box=(math.nan, 1.0)), "init_box must be a finite number, got nan"),
+            (lambda: ExperimentConfig(init_box=(-1.0, math.inf)), "init_box must be a finite number, got inf"),
+            (lambda: GridSpec(lo=-math.inf), "cert_grid lo must be a finite number, got -inf"),
+            (lambda: GridSpec(hi=math.nan), "cert_grid hi must be a finite number, got nan"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                build()
+
     def test_build_helpers(self):
         cfg = _small_config()
         obj = cfg.build_objective()
@@ -516,8 +530,17 @@ class TestEnsemble:
         assert np.count_nonzero(tab["trial"] == 1) == 101
         assert len(tab) == 122
 
-    @pytest.mark.parametrize("dimension", [1, 2])
-    def test_table_round_trips_every_trial(self, tmp_path, dimension):
+    # each trial has 43 rows: chunks of 1 or 43 rows hold one trial, so a
+    # trial is longer than a chunk or fills it; 100 rows hold two, so the
+    # chunks do not divide the 5 trials and each diverged trial shares one
+    @pytest.mark.parametrize(
+        "dimension, table_rows",
+        [(d, rows) for rows in (None, 1, 43, 100) for d in (1, 2, 3)],
+        ids=[f"{d}" if rows is None else f"{d}-rows{rows}" for rows in (None, 1, 43, 100) for d in (1, 2, 3)],
+    )
+    def test_table_round_trips_every_trial(self, tmp_path, monkeypatch, dimension, table_rows):
+        if table_rows is not None:
+            monkeypatch.setattr(optimizer_module, "_TABLE_ROWS", table_rows)
         obj = make_spiky(SpikyParams(dimension=dimension))
         if dimension == 2:
             obj = replace(obj, target=None)  # the distance column is then all NaN
@@ -981,6 +1004,12 @@ class TestFigure3:
             panel, tmp_path / "stage0", names, shallow=False
         )
         assert mismatch == [] and errors == []
+        # the first stage's spec is the first noise level's panel, so its
+        # files are that panel's
+        match, mismatch, errors = filecmp.cmpfiles(
+            panel, tmp_path / "fig" / "row2_level1", names, shallow=False
+        )
+        assert mismatch == [] and errors == []
 
     def test_row1_mc_inside_ci_everywhere(self, tmp_path):
         cfg = _figure3_config(out_dir=str(tmp_path / "fig"))
@@ -1006,8 +1035,14 @@ class TestFigure3:
         for path in paths:
             assert _strict_json(path.read_text())["success_fraction"] is None
 
-    @pytest.mark.parametrize("persist", [False, True])
-    def test_keeps_history_only_when_persisting(self, tmp_path, monkeypatch, persist):
+    # the first stage's radius 3.1416 is a noise level, so row 3 reuses that
+    # row-2 panel, unless the levels leave it out
+    @pytest.mark.parametrize(
+        "persist, shared",
+        [(False, True), (True, True), (False, False), (True, False)],
+        ids=["False", "True", "False-unshared", "True-unshared"],
+    )
+    def test_keeps_history_only_when_persisting(self, tmp_path, monkeypatch, persist, shared):
         flags = []
         run = pipeline_module.run_lockstep_ensemble
 
@@ -1016,10 +1051,65 @@ class TestFigure3:
             return run(*args, keep_history=keep_history)
 
         monkeypatch.setattr(pipeline_module, "run_lockstep_ensemble", recording)
-        cfg = _figure3_config(out_dir=str(tmp_path / "fig") if persist else None)
-        figure3(cfg)
-        # row 2: zero noise and each level, then row 3: each stage
-        assert flags == [persist] * (1 + len(cfg.noise_levels) + len(cfg.stages))
+        cfg = _figure3_config(
+            out_dir=str(tmp_path / "fig") if persist else None,
+            noise_levels=(3.1416, 3.1, 2.0) if shared else (3.0, 3.1, 2.0),
+        )
+        report = figure3(cfg)
+        # row 2: zero noise and each level, then row 3: each stage but a
+        # first one that a row-2 panel already ran
+        assert flags == [persist] * (1 + len(cfg.noise_levels) + len(cfg.stages) - shared)
+        assert (report.row3_reports[0] is report.row2_reports[1]) == shared
+
+    def test_row3_statistics_are_bitwise_numpy(self):
+        # sizes 1-64 and 100, with ties, signed zeros, infinities and NaN
+        # columns.  The NaN is np.nan: numpy 1.x returns np.nan for a slice
+        # holding a NaN and numpy 2 that slice's NaN, so both give its bits
+        gen = np.random.default_rng(11)
+        for n in [*range(1, 65), 100]:
+            pools = [
+                gen.random((n, 3)),
+                np.round(gen.normal(size=(n, 3)), 1),
+                gen.integers(0, 3, size=(n, 3)).astype(float),
+                np.where(gen.random((n, 3)) < 0.5, -0.0, 0.0),
+                gen.choice([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf], size=(n, 3)),
+            ]
+            special = gen.normal(size=(n, 3))
+            special[gen.integers(n), 0] = np.nan
+            special[:, 1] = np.nan
+            special[gen.integers(n), 2] = np.inf
+            pools.append(special)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+                for a in pools:
+                    for q in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
+                        got = pipeline_module._quantile(a.copy(), q)
+                        assert got.tobytes() == np.quantile(a, q, axis=0).tobytes(), (n, q, a)
+                    for col in a.T:
+                        got = pipeline_module._median(col.copy())
+                        assert np.float64(got).tobytes() == np.float64(np.median(col)).tobytes(), (n, col)
+
+    def test_does_not_import_numpy_ma(self, tmp_path):
+        # np.median and np.quantile import numpy.ma on their first call;
+        # figure3's row 3 must not.  A numpy that imports numpy.ma with
+        # itself (1.x) has nothing to save.
+        path = tmp_path / "cfg.json"
+        path.write_text(_figure3_config().dumps())
+        src = str(Path(pipeline_module.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys, numpy\n"
+            "eager = 'numpy.ma' in sys.modules\n"
+            "from sgdsmooth.expcli import cli\n"
+            f"assert cli.main(['figure3', '--config', {str(path)!r}, '--out', {str(tmp_path / 'fig')!r}]) == 0\n"
+            "print('eager' if eager else 'numpy.ma' in sys.modules)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        imported = run.stdout.splitlines()[-1]
+        if imported == "eager":
+            pytest.skip("this numpy imports numpy.ma on import")
+        assert imported == "False"
 
 
 class TestCli:

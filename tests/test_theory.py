@@ -115,6 +115,18 @@ class TestConstants:
         ):
             with pytest.raises(ValueError):
                 constants(*args)
+        # an infinite input fails its finiteness check, named in the message
+        inf = math.inf
+        for name, args in (
+            ("c", (inf, 0.1, 1.0, 1.0, 1.0, 10)),
+            ("eta", (1.0, inf, 1.0, 1.0, 1.0, 10)),
+            ("L", (1.0, 0.1, inf, 1.0, 1.0, 10)),
+            ("r", (1.0, 0.1, 1.0, inf, 1.0, 10)),
+            ("y0_dist2", (1.0, 0.1, 1.0, 1.0, inf, 10)),
+            ("T2", (1.0, 0.1, 1.0, 1.0, 1.0, inf)),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                constants(*args)
 
 
 class TestDivergenceThreshold:
