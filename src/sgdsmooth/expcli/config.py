@@ -204,6 +204,10 @@ class ExperimentConfig:
             raise ConfigError("init_box must be a non-empty interval [lo, hi]")
         if len(self.stages) == 0:
             raise ConfigError("at least one stage is required")
+        _finite(self.cluster_tol, "cluster_tol")
+        for i, stage in enumerate(self.stages):
+            _finite(stage.eta, f"stages[{i}].eta")
+            _finite(stage.kernel.radius, f"stages[{i}].kernel.radius")
         if not self.cluster_tol > 0:
             raise ConfigError("cluster_tol must be > 0")
         if self.histogram_bins < 1:
@@ -217,8 +221,11 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         try:
             levels = tuple(float(r) for r in self.noise_levels)
-            for r in levels:
+            for i, r in enumerate(levels):
+                _finite(r, f"noise_levels[{i}]")
                 KernelSpec(self.stages[0].kernel.kind, r).build(self.objective.dimension)
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"noise_levels: {exc}") from exc
         object.__setattr__(self, "noise_levels", levels)

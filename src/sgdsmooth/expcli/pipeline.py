@@ -14,10 +14,11 @@ ensemble with an output directory persists three artifacts there:
 `optimizer.table_dtype`), `summary.json` (strict JSON: a non-finite
 summary value is written as null) and `finals.svg`, the histogram of
 the finals that did not diverge.  Only such an ensemble keeps the
-engine's (T+1, n, d) histories; one that persists nothing runs
-finals-only, in O(n*d) memory plus one stage's noise, with the same
-finals, flags and summary.  The summary's median is `np.median`'s, bit
-for bit, taken without the `numpy.ma` import that `np.median` makes.
+engine's two (T+1, n, d) histories, iterates and noise; one that
+persists nothing runs finals-only, in O(n*d) memory plus one stage's
+noise, with the same finals, flags and summary.  The summary's median
+is `np.median`'s, bit for bit, taken without the `numpy.ma` import that
+`np.median` makes.
 `figure3` writes one ensemble directory per row-2 and row-3 panel, next
 to its row-1 curve CSVs.  A row-2 panel whose stage spec equals row
 3's first stage is that stage's ensemble, so row 3 reuses its report
@@ -160,8 +161,8 @@ def ensemble(
     directory.
 
     The engine keeps its histories only for that table: without an
-    output directory the result is finals-only (`x_hist`, `y_hist` and
-    `omegas` are None), and the report is the same.
+    output directory the result is finals-only (`x_hist` and `omegas`
+    are None), and the report is the same.
     """
     obj = config.build_objective()
     schedule = config.build_schedule()
@@ -171,7 +172,7 @@ def ensemble(
     result = run_lockstep_ensemble(obj, schedule, x0s, config.seed, keep_history=persist)
     report = summarize_ensemble(result, config.cluster_tol)
     if persist:
-        persist_ensemble(config.out_dir, obj, result, report, config.histogram_bins)
+        persist_ensemble(config.out_dir, result, report, config.histogram_bins)
     return result, report
 
 
@@ -203,9 +204,7 @@ def strict_json(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
 
 
-def persist_ensemble(
-    out_dir, obj: Objective, result: EnsembleResult, report: EnsembleReport, bins: int
-) -> None:
+def persist_ensemble(out_dir, result: EnsembleResult, report: EnsembleReport, bins: int) -> None:
     """Write `trajectories.npy`, `summary.json` and `finals.svg` (`bins`
     bars) to out_dir.
 
@@ -214,7 +213,7 @@ def persist_ensemble(
     """
     table, summary, histogram = (os.path.join(out_dir, name) for name in _ENSEMBLE_FILES)
     os.makedirs(out_dir, exist_ok=True)
-    result.write_table(obj, table)
+    result.write_table(table)
     with open(summary, "w") as fh:
         fh.write(strict_json(report.summary_dict()) + "\n")
     emit_svg_histogram(_histogram_scalars(result), bins, histogram, title="final iterates")

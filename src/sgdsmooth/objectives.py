@@ -45,7 +45,9 @@ class Objective:
     `value` maps an (n, d) batch of points, d = `dimension`, to n values
     and `grad` maps it to the (n, d) array of their gradients; these are
     the only oracles, and the one-point `value_at`/`grad_at` evaluate a
-    one-row batch.  `smoothness` is an upper bound L on the gradient
+    one-row batch.  They are row-wise: a row's value and gradient are the
+    same bits in any batch, which `values_at` and `grads_at` pass on
+    C-contiguous.  `smoothness` is an upper bound L on the gradient
     Lipschitz constant, so the descent lemma
     f(y) <= f(x) + <grad f(x), y-x> + L/2 |y-x|^2 holds everywhere in
     `domain_box`.
@@ -76,7 +78,7 @@ class Objective:
         return g
 
     def _batch(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+        xs = np.ascontiguousarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dimension:
             raise ValueError(f"expected batch of shape (n, {self.dimension})")
         return xs

@@ -1,12 +1,13 @@
 """Staged SGD / GD engine with shadow-sequence bookkeeping.
 
 The iterate update is split exactly as x_{t+1} = y_t - eta*omega_t with
-y_t = x_t - eta*grad f(x_t), so the recorded shadow sequence satisfies
-the one-step identity
+y_t = x_t - eta*grad f(x_t), so the shadow sequence satisfies the
+one-step identity
 
     y_{t+1} = y_t - eta*omega_t - eta*grad f(y_t - eta*omega_t)
 
-bitwise within any constant-eta stage.
+bitwise within any constant-eta stage.  No shadow row is stored:
+`EnsembleResult.y_history` derives them from the iterates.
 
 `lockstep_run` is the only stepping loop.  It advances n trials together
 with batched oracle calls.  When a stage starts, each trial draws that
@@ -16,21 +17,15 @@ by construction.  One predicate flags divergence at every recorded
 iterate, the final one included.  The loop applies it once per block of
 `_BLOCK` rows rather than once per step; blocks start at each stage
 start.  A trial first beyond the cutoff at row k has its rows after k in
-that block rewritten to the frozen x_k and y = x_k - eta_t * grad f(x_k),
-so every history is bitwise the one a per-step freeze gives.  Stepping
-past the cutoff until the block ends may overflow; those rows are
-overwritten and the overflow is not reported.
+that block rewritten to the frozen x_k, so every history is bitwise the
+one a per-step freeze gives.  Stepping past the cutoff until the block
+ends may overflow; those rows are overwritten and the overflow is not
+reported.
 
-Noise is stored trial-major: one (n, rows, d) buffer in which each
-trial's draws for a stage are one contiguous run of rows, written in
-place by `NoiseKernel.sample_batch(..., out=)`; the steps read it
-through a (rows, n, d) transposed view.  A run keeps the (T+1, n, d)
-iterate, shadow and noise histories (`omegas` is that view of a
-T+1-row buffer), or, with `keep_history=False`, only the final iterates
-and the divergence flags: the noise buffer then holds the longest
-stage and the iterates of a block go to one reused (64, n, d) block
-buffer, with no shadow rows stored, so memory is O(n*d) plus one
-stage's noise.  The finals and flags are bitwise the same either way.
+A run keeps two (T+1, n, d) histories, the iterates and the noise, the
+latter stored trial-major (see `lockstep_run`), or, with
+`keep_history=False`, only the final iterates and the divergence flags,
+bitwise the same, in O(n*d) memory plus one stage's noise.
 `EnsembleResult.trajectory` is the one place a `Trajectory` record is
 built; `_record_columns` defines a record's derived columns.  A record
 is persisted either alone, as a CSV (`Trajectory.write_csv`, through
@@ -60,7 +55,7 @@ DIVERGENCE_CUTOFF = 1e6
 _BLOCK = 64
 # rows formatted at a time in write_csv_columns
 _CSV_CHUNK = 1024
-# rows built at a time in EnsembleResult.write_table
+# rows built at a time in EnsembleResult.write_table and _shadow
 _TABLE_ROWS = 4096
 
 
@@ -153,21 +148,6 @@ class Trajectory:
             "dist2": self.dist2, "out_of_box": self.out_of_box,
         })
 
-    def table_rows(self, trial: int) -> np.ndarray:
-        """This record as `table_dtype` rows labelled with `trial`; each field
-        holds the same values as the matching CSV column."""
-        rows = np.empty(len(self), table_dtype(self.dimension))
-        rows["trial"] = trial
-        rows["t"] = np.arange(len(self))
-        rows["stage"] = self.stage_idx
-        rows["x"] = self.xs
-        rows["f"] = self.fs
-        rows["grad_norm"] = self.grad_norms
-        rows["noise_norm"] = self.noise_norms
-        rows["dist2"] = self.dist2
-        rows["out_of_box"] = self.out_of_box
-        return rows
-
 
 def write_csv_columns(path, columns: Mapping[str, Sequence]) -> None:
     """Write equal-length columns, each anything that slices into an array
@@ -220,24 +200,22 @@ def _bounded(xs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EnsembleResult:
-    """A lockstep run: its histories, if kept, and its finals and flags.
+    """A lockstep run: its objective, histories, if kept, finals and flags.
 
     In the histories axis 0 is the step index and axis 1 the trial.
     `omegas[t]` is the noise applied when leaving step t, with a zero row
-    at the end, so the three histories share one (T+1, n, d) shape;
+    at the end, so the two histories share one (T+1, n, d) shape;
     `omegas` is a view of a trial-major buffer, each `omegas[:, i]`
-    C-contiguous.  A diverged trial stays frozen at its first iterate
-    beyond the cutoff.
+    C-contiguous; `y_history` derives the shadow rows from `x_hist`.  A
+    diverged trial stays frozen at its first iterate beyond the cutoff.
     A run without history (`lockstep_run(..., keep_history=False)`) has
-    `x_hist`, `y_hist` and `omegas` None, and the methods that read them
-    raise ValueError.  `finals_x` holds the final iterates, a copy even
-    with a history, so a report that keeps them does not pin the
-    histories.  The objective's target is not stored; methods that need
-    it take the objective or the target as an argument.
+    `x_hist` and `omegas` None, and the methods that read them raise
+    ValueError.  `finals_x` holds the final iterates, a copy even with a
+    history, so a report that keeps them does not pin the histories.
     """
 
+    objective: Objective
     x_hist: Optional[np.ndarray]   # (T+1, n, d)
-    y_hist: Optional[np.ndarray]   # (T+1, n, d)
     omegas: Optional[np.ndarray]   # (T+1, n, d)
     etas: np.ndarray               # (T+1,)
     stage_idx: np.ndarray          # (T+1,)
@@ -254,10 +232,30 @@ class EnsembleResult:
                 "this run kept no history; run lockstep_run with keep_history=True"
             )
 
+    def _shadow(self, xs: np.ndarray) -> np.ndarray:
+        """y = x - eta * grad f(x) for the (m, k, d) history rows `xs` from row
+        0, about `_TABLE_ROWS` rows per row-wise oracle call: the step's bits."""
+        ys = np.empty(xs.shape)
+        per = max(1, _TABLE_ROWS // max(1, xs.shape[1]))  # steps per call
+        # frozen rows past the cutoff may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t0 in range(0, len(xs), per):
+                x = xs[t0 : t0 + per]
+                g = self.objective.grads_at(x.reshape(-1, x.shape[2])).reshape(x.shape)
+                g *= self.etas[t0 : t0 + len(x), None, None]
+                np.subtract(x, g, out=ys[t0 : t0 + per])
+        return ys
+
+    def y_history(self) -> np.ndarray:
+        """(T+1, n, d) shadow points y_t = x_t - eta_t * grad f(x_t), frozen
+        rows included, bit for bit the ones the engine stepped through."""
+        self._require_history()
+        return self._shadow(self.x_hist)
+
     def y_dist2_history(self, target) -> np.ndarray:
         """(T+1, n) squared distances of the shadow points to `target`."""
-        self._require_history()
-        diff = self.y_hist - np.asarray(target, dtype=float)[None, None, :]
+        diff = self.y_history()
+        diff -= np.asarray(target, dtype=float)
         return np.einsum("tnd,tnd->tn", diff, diff)
 
     def record_end(self, i: int) -> int:
@@ -268,18 +266,18 @@ class EnsembleResult:
             return self.x_hist.shape[0]
         return int(np.argmin(_bounded(self.x_hist[:, i]))) + 1
 
-    def trajectory(self, obj: Objective, i: int) -> Trajectory:
+    def trajectory(self, i: int) -> Trajectory:
         """Materialize trial i as a Trajectory record of `record_end(i)` rows.
 
-        The iterate, shadow, noise, eta and stage arrays are views of the
-        history.
+        The iterate, noise, eta and stage arrays are views of the history;
+        the shadow rows are `y_history`'s rows of trial i.
         """
         end = self.record_end(i)
-        xs, ys, omegas = self.x_hist[:end, i], self.y_hist[:end, i], self.omegas[:end, i]
-        cols = _record_columns(obj, xs, omegas)
+        xs, omegas = self.x_hist[:end, i], self.omegas[:end, i]
+        cols = _record_columns(self.objective, xs, omegas)
         return Trajectory(
             xs=xs,
-            ys=ys,
+            ys=self._shadow(self.x_hist[:end, i : i + 1])[:, 0],
             omegas=omegas,
             fs=cols["f"],
             grad_norms=cols["grad_norm"],
@@ -291,7 +289,7 @@ class EnsembleResult:
             diverged=bool(self.diverged[i]),
         )
 
-    def write_table(self, obj: Objective, path) -> None:
+    def write_table(self, path) -> None:
         """Write every trial's record, the rows of `trajectory`, to `path`
         as one `.npy` table of `table_dtype` rows, trials in order.
 
@@ -318,7 +316,7 @@ class EnsembleResult:
                 xs = self.x_hist[:, i0:i1].transpose(1, 0, 2).reshape(-1, d)
                 rows["trial"] = trial[: len(rows)] + i0
                 rows["x"] = xs
-                for name, col in _record_columns(obj, xs, noise[i0:i1].reshape(-1, d)).items():
+                for name, col in _record_columns(self.objective, xs, noise[i0:i1].reshape(-1, d)).items():
                     rows[name] = col
                 if self.diverged[i0:i1].any():
                     rows = rows[rows["t"] < np.repeat(ends[i0:i1], steps)]
@@ -344,21 +342,19 @@ def lockstep_run(
     Steps run in blocks of at most `_BLOCK` rows, which start at each
     stage start, with the predicate applied once per block.  A trial
     that first fails it at row k of a block has the rest of that block
-    rewritten to the frozen x_k, with y = x_k - eta_t * grad f(x_k) at
-    each row t, and continues from x_k, so the histories and flags are
-    bitwise those of a per-step freeze.  The steps it took past the
-    cutoff raise no overflow or invalid-value warning.
+    rewritten to the frozen x_k and continues from x_k, so the histories
+    and flags are bitwise those of a per-step freeze.  The steps it took
+    past the cutoff raise no overflow or invalid-value warning.
 
     Trial i's draws for a stage land in place, by `sample_batch(...,
     out=)`, in one contiguous run of rows of its slice of a trial-major
     (n, rows, d) noise buffer.  With `keep_history` the buffer has T+1
-    rows and the result holds the (T+1, n, d) iterate and shadow
-    histories and, as `omegas`, the (T+1, n, d) transposed view of that
-    buffer, so `omegas[:, i]` is C-contiguous.  Without it, the buffer is
-    sized for the longest stage, a block's iterates go to one reused
-    block buffer, no shadow row is stored, and the result holds only the
-    finals, flags, etas and stage indices, bitwise equal to those of a
-    history run.
+    rows and the result holds the (T+1, n, d) iterate history and, as
+    `omegas`, the (T+1, n, d) transposed view of that buffer, so
+    `omegas[:, i]` is C-contiguous.  Without it, the buffer is sized for
+    the longest stage, a block's iterates go to one reused block buffer,
+    and the result holds only the finals, flags, etas and stage indices,
+    bitwise equal to those of a history run.
     """
     x0s = np.asarray(x0s, dtype=float)
     n, d = x0s.shape
@@ -379,9 +375,8 @@ def lockstep_run(
     omegas = noise_buf.transpose(1, 0, 2)
     if keep_history:
         x_hist = np.empty((total + 1, n, d))
-        y_hist = np.empty((total + 1, n, d))
     else:
-        x_hist = y_hist = None
+        x_hist = None
         x_block = np.empty((_BLOCK, n, d))
     gens = [None] * n
     active = np.ones(n, dtype=bool)
@@ -404,7 +399,6 @@ def lockstep_run(
             for b0 in range(t0, t1, _BLOCK):
                 b1 = min(b0 + _BLOCK, t1)
                 xb = x_hist[b0:b1] if keep_history else x_block[: b1 - b0]
-                yb = y_hist[b0:b1] if keep_history else None
                 # the same products as eta * omegas[t] row by row, each held in
                 # its x row until the iterate is recorded there
                 kicks = np.multiply(etas[b0:b1, None, None], noise[b0 - t0 : b1 - t0], out=xb)
@@ -414,26 +408,20 @@ def lockstep_run(
                     y = x - eta * grads_at(x)
                     x_next = y - kick if keep is None else np.where(keep, y - kick, x)
                     xb[j] = x
-                    if keep_history:
-                        yb[j] = y
                     x = x_next
                 ok = _bounded(xb)
                 for i in np.flatnonzero(active & ~ok.all(axis=0)):
                     # freeze trial i at its first iterate k beyond the cutoff,
                     # as a per-step check would have
                     k = int(np.argmin(ok[:, i]))
-                    xk = xb[k, i]
-                    if k + 1 < b1 - b0:
-                        xb[k + 1 :, i] = xk
-                        if keep_history:
-                            yb[k + 1 :, i] = xk - etas[b0 + k + 1 : b1, None] * grads_at(xk[None, :])
-                    x[i] = xk
+                    xb[k + 1 :, i] = xb[k, i]
+                    x[i] = xb[k, i]
                     active[i] = False
             t0 = t1
 
     return EnsembleResult(
+        objective=obj,
         x_hist=x_hist,
-        y_hist=y_hist,
         omegas=omegas if keep_history else None,
         etas=etas,
         stage_idx=stage_idx,
@@ -453,7 +441,7 @@ def sgd_run(obj: Objective, schedule: StepSchedule, x0, rng: RngStream = RngStre
     and marks it diverged.
     """
     x0 = as_point(x0, obj.dimension)
-    return lockstep_run(obj, schedule, x0[None, :], [rng]).trajectory(obj, 0)
+    return lockstep_run(obj, schedule, x0[None, :], [rng]).trajectory(0)
 
 
 def gd_run(obj: Objective, eta: float, steps: int, x0) -> Trajectory:

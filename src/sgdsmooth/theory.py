@@ -73,8 +73,11 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
 
     lam = 2.0 * eta * c - eta**2 * L**2
     b = eta**2 * r**2 * (1.0 + eta * L) ** 2
-    if b > 0 and lam > 0 and lam * y0_dist2 / b > 1.0:
-        t1 = math.ceil(math.log(lam * y0_dist2 / b) / lam)
+    ratio = lam * y0_dist2 / b if b > 0 else 0.0
+    if lam > 0 and ratio > 1.0:
+        # a ratio that overflows still has a finite log
+        log_ratio = math.log(ratio) if ratio < math.inf else math.log(lam) + math.log(y0_dist2) - math.log(b)
+        t1 = math.ceil(log_ratio / lam)
     else:
         t1 = 0
     stay_radius2 = 20.0 * b / lam if lam > 0 else math.inf

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +427,25 @@ class TestConfig:
         for build, message in cases:
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 build()
+        # these are checked at the walker's paths, so a document and the
+        # config built from its values fail with one message
+        ball = KernelSpec("uniform-ball", 1.0)
+        stage = StageSpec(0.1, 5, ball)
+        cases = [
+            ({"cluster_tol": math.inf}, "cluster_tol must be a finite number, got inf"),
+            ({"noise_levels": (math.inf, 1.0, 1.0)}, "noise_levels[0] must be a finite number, got inf"),
+            ({"noise_levels": (1.0, math.nan)}, "noise_levels[1] must be a finite number, got nan"),
+            ({"stages": (StageSpec(math.inf, 5, ball),)}, "stages[0].eta must be a finite number, got inf"),
+            ({"stages": (StageSpec(math.nan, 5, ball),)}, "stages[0].eta must be a finite number, got nan"),
+            ({"stages": (stage, StageSpec(0.1, 5, KernelSpec("uniform-ball", math.inf)))},
+             "stages[1].kernel.radius must be a finite number, got inf"),
+        ]
+        for values, message in cases:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                ExperimentConfig(**values)
+            document = json.loads(json.dumps(values, default=asdict))
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                ExperimentConfig.from_json_dict(document)
 
     def test_build_helpers(self):
         cfg = _small_config()
@@ -442,17 +461,19 @@ class TestLockstep:
         sched = cfg.build_schedule()
         x0s = draw_inits(4, 1, cfg.init_box, cfg.seed)
         result = run_lockstep_ensemble(spiky_default, sched, x0s, cfg.seed)
+        ys = result.y_history()
         for i in range(4):
             traj = sgd_run(spiky_default, sched, x0s[i], RngStream(cfg.seed, 1000 + i))
             assert np.array_equal(result.x_hist[:, i, :], traj.xs)
-            assert np.array_equal(result.y_hist[:, i, :], traj.ys)
+            assert ys[:, i].tobytes() == traj.ys.tobytes()
+            assert result.trajectory(i).ys.tobytes() == traj.ys.tobytes()
 
     def test_materialized_trajectory_round_trip(self, tmp_path, spiky_default):
         cfg = _small_config(n_trials=2)
         sched = cfg.build_schedule()
         x0s = draw_inits(2, 1, cfg.init_box, cfg.seed)
         result = run_lockstep_ensemble(spiky_default, sched, x0s, cfg.seed)
-        traj = result.trajectory(spiky_default, 1)
+        traj = result.trajectory(1)
         seq = sgd_run(spiky_default, sched, x0s[1], RngStream(cfg.seed, 1001))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         traj.write_csv(a)
@@ -463,7 +484,7 @@ class TestLockstep:
         sched_2d = StepSchedule((Stage(0.05, 300, NoiseKernel("uniform-ball", 1.0, 2)),))
         x0s_2d = draw_inits(2, 2, cfg.init_box, cfg.seed)
         result = run_lockstep_ensemble(spiky_2d, sched_2d, x0s_2d, cfg.seed)
-        result.trajectory(spiky_2d, 1).write_csv(a)
+        result.trajectory(1).write_csv(a)
         sgd_run(spiky_2d, sched_2d, x0s_2d[1], RngStream(cfg.seed, 1001)).write_csv(b)
         assert a.read_bytes() == b.read_bytes()
 
@@ -494,7 +515,7 @@ class TestLockstep:
         # with eta = 3, |x_t| = 2**t first passes the cutoff at t = 20
         sched = StepSchedule((Stage(3.0, 100, NoiseKernel("zero", 0.0, 1)),))
         result = run_lockstep_ensemble(obj, sched, np.array([[1.0]]), 0)
-        traj = result.trajectory(obj, 0)
+        traj = result.trajectory(0)
         assert len(traj) == 21 and abs(traj.xs[-1, 0]) > 1e6 >= abs(traj.xs[-2, 0])
 
 
@@ -502,6 +523,20 @@ def _same_bits(expected, column) -> bool:
     """Bitwise equality of a table column with a record array (NaN equals NaN)."""
     expected = np.asarray(expected, dtype=column.dtype)
     return expected.shape == column.shape and expected.tobytes() == column.tobytes()
+
+
+def _assert_rows_hold_record(rows, traj):
+    """One trial's table rows hold the fields of its `trajectory` record,
+    bit for bit."""
+    assert len(rows) == len(traj)
+    expected = {
+        "t": np.arange(len(traj)), "stage": traj.stage_idx, "x": traj.xs, "f": traj.fs,
+        "grad_norm": traj.grad_norms, "noise_norm": traj.noise_norms, "dist2": traj.dist2,
+        "out_of_box": traj.out_of_box,
+    }
+    assert set(expected) == set(rows.dtype.names) - {"trial"}
+    for name, values in expected.items():
+        assert _same_bits(values, rows[name]), name
 
 
 class TestEnsemble:
@@ -524,11 +559,13 @@ class TestEnsemble:
         sched = StepSchedule((Stage(3.0, 100, NoiseKernel("zero", 0.0, 1)),))
         result = run_lockstep_ensemble(obj, sched, np.array([[1.0], [0.0]]), 1)
         assert [result.record_end(0), result.record_end(1)] == [21, 101]
-        result.write_table(obj, tmp_path / "t.npy")
+        result.write_table(tmp_path / "t.npy")
         tab = np.load(tmp_path / "t.npy")
         assert np.count_nonzero(tab["trial"] == 0) == 21
         assert np.count_nonzero(tab["trial"] == 1) == 101
         assert len(tab) == 122
+        for i in range(2):
+            _assert_rows_hold_record(tab[tab["trial"] == i], result.trajectory(i))
 
     # each trial has 43 rows: chunks of 1 or 43 rows hold one trial, so a
     # trial is longer than a chunk or fills it; 100 rows hold two, so the
@@ -557,21 +594,13 @@ class TestEnsemble:
         assert list(result.diverged) == [False, False, False, True, True]
         assert 1 < ends[3] < 43 and ends[4] == 1
         report = summarize_ensemble(result, 0.05)
-        persist_ensemble(tmp_path, obj, result, report, 8)
+        persist_ensemble(tmp_path, result, report, 8)
         tab = np.load(tmp_path / "trajectories.npy")
         assert len(tab) == sum(ends)
         for i in range(5):
-            traj = result.trajectory(obj, i)
-            rows = tab[tab["trial"] == i]
-            assert len(rows) == ends[i] == len(traj)
-            assert _same_bits(np.arange(len(traj)), rows["t"])
-            assert _same_bits(traj.stage_idx, rows["stage"])
-            assert _same_bits(traj.xs, rows["x"])
-            assert _same_bits(traj.fs, rows["f"])
-            assert _same_bits(traj.grad_norms, rows["grad_norm"])
-            assert _same_bits(traj.noise_norms, rows["noise_norm"])
-            assert _same_bits(traj.dist2, rows["dist2"])
-            assert _same_bits(traj.out_of_box, rows["out_of_box"])
+            traj = result.trajectory(i)
+            assert len(traj) == ends[i]
+            _assert_rows_hold_record(tab[tab["trial"] == i], traj)
         assert np.all(np.isnan(tab["dist2"])) == (dimension == 2)
 
     def test_diverged_trials_cluster_as_reference(self):
@@ -601,7 +630,7 @@ class TestEnsemble:
         monkeypatch.setattr(pipeline_module, "emit_svg_histogram", recording)
         bare, bare_report = ensemble(cfg)
         kept, kept_report = ensemble(replace(cfg, out_dir=str(tmp_path / "out")))
-        assert bare.x_hist is None and bare.y_hist is None and bare.omegas is None
+        assert bare.x_hist is None and bare.omegas is None
         assert kept.x_hist is not None
         assert 0 < kept_report.diverged_count < cfg.n_trials
         # the finals histogram bins the trials that did not diverge
@@ -747,8 +776,8 @@ def _traced_peak(fn) -> int:
 
 class TestFinalsOnlyMemory:
     """Three stages of 1,000, 1,500 and 2,000 steps over 200 trials in 1-d:
-    the histories are 3 x 4,501 x 200 float64, the longest stage's noise
-    2,000 x 200."""
+    the histories, iterates and noise, are 2 x 4,501 x 200 float64, the
+    longest stage's noise 2,000 x 200."""
 
     TRIALS = 200
 
@@ -770,7 +799,9 @@ class TestFinalsOnlyMemory:
         peak = _traced_peak(
             lambda: run_lockstep_ensemble(obj, sched, x0s, cfg.seed, keep_history=True)
         )
-        assert peak >= 3 * 4501 * self.TRIALS * 8
+        # the iterates and the noise, and no third, shadow history
+        history = 4501 * self.TRIALS * 8
+        assert 2 * history <= peak < 3 * history
 
     def test_finals_only_run_stores_no_shadow_block(self):
         # 2,000 trials x 200 steps in 1-d: the noise buffer is 2,000 x 201

@@ -91,6 +91,36 @@ class TestOracleForm:
             assert obj.value_at(x) == obj.values_at([x])[0]
             assert np.array_equal(obj.grad_at(x), obj.grads_at([x])[0])
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["spiky", "quadratic"])
+    def test_batch_oracles_are_row_wise(self, kind, d):
+        # a row's value and gradient are the same bits in any batch: the
+        # shadow rows a result derives from its iterates rely on it
+        if kind == "spiky":
+            obj = make_spiky(SpikyParams(dimension=d))
+        else:
+            obj = make_quadratic(d, np.linspace(-0.5, 0.5, d))
+        gen = np.random.default_rng(10 + d)
+        # a (steps, trials, d) history, with rows past the divergence cutoff
+        hist = gen.uniform(-6.0, 6.0, size=(300, 4, d)) * 10.0 ** gen.integers(0, 9, size=(300, 4, 1))
+        hist[5, 1] = np.inf
+        hist[7, 2, 0] = np.nan
+        hist[9, 3] = 1e300
+        xs = hist.reshape(-1, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, grads = obj.values_at(xs), obj.grads_at(xs)
+            batches = {
+                "trial rows": (hist[:, 1], slice(1, None, 4)),
+                "every other row": (xs[::2], slice(None, None, 2)),
+                "column-strided": (np.repeat(xs, 2, axis=1)[:, ::2], slice(None)),
+                "fortran order": (np.asfortranarray(xs), slice(None)),
+                **{f"chunk {c0}:{c0 + k}": (xs[c0 : c0 + k], slice(c0, c0 + k))
+                   for k in (1, 7, 64) for c0 in range(0, len(xs), 97)},
+            }
+            for name, (batch, rows) in batches.items():
+                assert obj.values_at(batch).tobytes() == values[rows].tobytes(), name
+                assert obj.grads_at(batch).tobytes() == grads[rows].tobytes(), name
+
     @pytest.mark.parametrize(
         "shape",
         [lambda n: (n,), lambda n: (n, 2), lambda n: (n - 1, 1)],

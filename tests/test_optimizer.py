@@ -40,7 +40,8 @@ def _bounded_reference(xs):
 
 def _reference_lockstep(obj, schedule, x0s, streams):
     """Reference: the per-step engine that `lockstep_run` replaced, with
-    the divergence predicate applied at every step."""
+    the divergence predicate applied at every step.  Returns its result
+    and the (T+1, n, d) shadow rows it stepped through."""
     x0s = np.asarray(x0s, dtype=float)
     n, d = x0s.shape
     stages = schedule.stages
@@ -70,14 +71,14 @@ def _reference_lockstep(obj, schedule, x0s, streams):
         x = np.where(active[:, None], y - eta * omegas[t], x)
 
     return EnsembleResult(
+        objective=obj,
         x_hist=x_hist,
-        y_hist=y_hist,
         omegas=omegas,
         etas=etas,
         stage_idx=stage_idx,
         diverged=~active,
         finals_x=x_hist[-1].copy(),
-    )
+    ), y_hist
 
 
 def _reference_write_csv(traj, path):
@@ -265,18 +266,24 @@ class TestShadowCheck:
 
 def _run_both(obj, schedule, x0s, seed=5):
     """(lockstep_run, reference) on the same streams, checked field by
-    field for bitwise equality, NaN equal to NaN.  A finals-only run on
-    the same streams must give the same finals, flags, etas and stages."""
+    field for bitwise equality, NaN equal to NaN, and the derived shadow
+    rows against the ones the reference stepped through.  A finals-only
+    run on the same streams must give the same finals, flags, etas and
+    stages."""
     x0s = np.asarray(x0s, dtype=float)
     streams = [RngStream(seed, 1000 + i) for i in range(len(x0s))]
     got = lockstep_run(obj, schedule, x0s, streams)
     # the reference's frozen non-finite trials warn at every step
     with np.errstate(all="ignore"):
-        ref = _reference_lockstep(obj, schedule, x0s, streams)
-    for field in ("x_hist", "y_hist", "omegas", "etas", "stage_idx", "diverged", "finals_x"):
+        ref, ref_y = _reference_lockstep(obj, schedule, x0s, streams)
+    for field in ("x_hist", "omegas", "etas", "stage_idx", "diverged", "finals_x"):
         assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), field
+    # deriving the shadow rows of frozen non-finite trials must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _bits(got.y_history()) == _bits(ref_y)
     finals = lockstep_run(obj, schedule, x0s, streams, keep_history=False)
-    assert finals.x_hist is None and finals.y_hist is None and finals.omegas is None
+    assert finals.x_hist is None and finals.omegas is None
     for field in ("finals_x", "diverged", "etas", "stage_idx"):
         assert _bits(getattr(finals, field)) == _bits(getattr(got, field)), field
     return got
@@ -403,7 +410,7 @@ class TestBlockwiseDivergence:
             lockstep_run(obj, sched, np.ones((1, 1)), [RngStream(0)], keep_history=False)
             traj = sgd_run(obj, sched, [1.0])
         result = _run_both(obj, sched, np.ones((1, 1)))
-        assert _bits(got.y_hist) == _bits(result.y_hist)
+        assert _bits(got.y_history()) == _bits(result.y_history())
         assert _first_beyond(result, 0) == 1
         assert traj.diverged and len(traj) == 2
         assert np.all(result.x_hist[1:, 0, 0] == -1e100)
@@ -472,9 +479,10 @@ class TestFinalsOnly:
                               [RngStream(4, i) for i in range(3)], keep_history=False)
         assert result.n_trials == 3 and result.finals_x.shape == (3, 1)
         calls = [
-            lambda: result.trajectory(spiky_default, 0),
+            lambda: result.trajectory(0),
             lambda: result.record_end(0),
-            lambda: result.write_table(spiky_default, tmp_path / "t.npy"),
+            lambda: result.write_table(tmp_path / "t.npy"),
+            result.y_history,
             lambda: result.y_dist2_history(spiky_default.target),
         ]
         for call in calls:

@@ -1,4 +1,5 @@
 """Derived constants, drift inequality and ensemble stay validation."""
+import json
 import math
 import warnings
 
@@ -18,6 +19,7 @@ from sgdsmooth import (
     sgd_run,
     stay_validate,
 )
+from sgdsmooth.expcli.cli import main
 from sgdsmooth.expcli.pipeline import draw_inits, run_lockstep_ensemble
 
 from conftest import poisoned
@@ -45,6 +47,21 @@ class TestConstants:
         # ceil(ln(0.19 * 100 / 1.21e-4) / 0.19) = 63 by hand
         cons = constants(1.0, 0.1, 1.0, 0.1, 100.0, 10)
         assert cons.T1_min == 63
+
+    def test_t1_when_the_log_argument_overflows(self, tmp_path, capsys):
+        # lam * y0 / b = 0.19 * 1e308 / 0.0121 overflows a double, but
+        # ln(0.19) + 308 ln(10) - ln(0.0121) = 711.95 does not:
+        # ceil(711.95 / 0.19) = 3748 by hand
+        assert constants(1.0, 0.1, 1.0, 1.0, 1e308, 10).T1_min == 3748
+        # a finite ratio, 1.57e306 here, keeps the direct log
+        cons = constants(1.0, 0.1, 1.0, 1.0, 1e305, 10)
+        assert cons.T1_min == math.ceil(math.log(cons.lam * 1e305 / cons.b) / cons.lam) == 3711
+        path = tmp_path / "bounds.json"
+        theorem = {"c": 1.0, "eta": 0.1, "L": 1.0, "r": 1.0, "y0_dist2": 1e308, "T2": 10}
+        path.write_text(json.dumps({"theorem": theorem}))
+        assert main(["bounds", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("\n{") + 1 :])["T1_min"] == 3748
 
     def test_t1_clamps_to_zero_inside_floor(self):
         cons = constants(1.0, 0.1, 1.0, 1.0, 0.01, 10)
