@@ -5,6 +5,9 @@ JSON keys, their annotations the types each value is coerced to, and
 their defaults the values of the keys a document leaves out; parsing and
 serialization are both derived from them.  parse(serialize(cfg)) == cfg
 holds by plain equality; sequences are stored as tuples for that reason.
+The one schema walk (`_coerce`) checks every value, whether the config
+was parsed from JSON or built in Python, and names a bad value by its
+path (`stages[0].eta`, `cert_grid.lo`).
 """
 from __future__ import annotations
 
@@ -60,12 +63,6 @@ def _integer(value, name: str) -> int:
     return value
 
 
-def _finite(value: float, name: str) -> None:
-    """Reject a NaN or infinite number, in the words of the JSON walker."""
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-
-
 @functools.cache
 def _hints(spec) -> dict:
     """The resolved field types of a spec class."""
@@ -73,16 +70,19 @@ def _hints(spec) -> dict:
 
 
 def _parse(spec, data, where: str):
-    """A `spec` from the JSON object `data` at path `where` ("" for the
-    root); a missing key takes its field's default."""
-    data = _keys(data, spec, where or "config")
+    """A `spec` from the JSON object `data` at path `where`, or from a
+    `spec` instance as the object of its fields; a missing key takes its
+    field's default."""
+    if isinstance(data, spec):
+        data = vars(data)
+    data = _keys(data, spec, where)
     values = {}
     for f in fields(spec):
         if f.name in data:
-            path = f"{where}.{f.name}" if where else f.name
+            path = f"{where}.{f.name}"
             values[f.name] = _coerce(_hints(spec)[f.name], data[f.name], path)
         elif f.default is MISSING:
-            raise ConfigError(f"missing key {f.name!r} in {where or 'config'}")
+            raise ConfigError(f"missing key {f.name!r} in {where}")
     return spec(**values)
 
 
@@ -94,7 +94,8 @@ def _coerce(tp, value, where: str):
         return _integer(value, where)
     if tp is float:
         value = float(value)
-        _finite(value, where)  # json reads NaN and Infinity
+        if not math.isfinite(value):  # json reads NaN and Infinity
+            raise ConfigError(f"{where} must be a finite number, got {value!r}")
         return value
     if get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
@@ -103,6 +104,8 @@ def _coerce(tp, value, where: str):
         return tuple(_coerce(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if get_origin(tp) is Union:  # Optional[X]
         return None if value is None else _coerce(get_args(tp)[0], value, where)
+    if not isinstance(value, str):  # the schema's other leaves are str
+        raise ConfigError(f"{where} must be a string, got {value!r}")
     return value
 
 
@@ -150,15 +153,6 @@ class GridSpec:
     hi: float = 3.0
     count: int = 50
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "count", _integer(self.count, "cert_grid count"))
-        for name in ("lo", "hi"):
-            _finite(getattr(self, name), f"cert_grid {name}")
-        if self.count < 1:
-            raise ConfigError("grid count must be >= 1")
-
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
 
@@ -194,24 +188,28 @@ class ExperimentConfig:
     theorem: Optional[TheoremSpec] = None
 
     def __post_init__(self):
+        try:
+            for f in fields(self):
+                value = _coerce(_hints(type(self))[f.name], getattr(self, f.name), f.name)
+                object.__setattr__(self, f.name, value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad experiment config: {exc}") from exc
         if self.n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError("confidence must be in (0, 1)")
-        for bound in self.init_box:
-            _finite(bound, "init_box")
         if len(self.init_box) != 2 or self.init_box[0] >= self.init_box[1]:
             raise ConfigError("init_box must be a non-empty interval [lo, hi]")
         if len(self.stages) == 0:
             raise ConfigError("at least one stage is required")
-        _finite(self.cluster_tol, "cluster_tol")
-        for i, stage in enumerate(self.stages):
-            _finite(stage.eta, f"stages[{i}].eta")
-            _finite(stage.kernel.radius, f"stages[{i}].kernel.radius")
         if not self.cluster_tol > 0:
             raise ConfigError("cluster_tol must be > 0")
         if self.histogram_bins < 1:
             raise ConfigError("histogram_bins must be >= 1")
+        if self.cert_grid.count < 1:
+            raise ConfigError("grid count must be >= 1")
         if self.cert_samples < 2:
             raise ConfigError("cert_samples must be >= 2")
         try:
@@ -220,15 +218,10 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         try:
-            levels = tuple(float(r) for r in self.noise_levels)
-            for i, r in enumerate(levels):
-                _finite(r, f"noise_levels[{i}]")
+            for r in self.noise_levels:
                 KernelSpec(self.stages[0].kernel.kind, r).build(self.objective.dimension)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"noise_levels: {exc}") from exc
-        object.__setattr__(self, "noise_levels", levels)
 
     # ---- construction helpers ----
 
@@ -251,12 +244,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        try:
-            return _parse(cls, data, "")
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from exc
+        return cls(**_keys(data, cls, "config"))
 
     @classmethod
     def loads(cls, text: str) -> "ExperimentConfig":

@@ -101,11 +101,11 @@ class SpikyParams:
     dimension: int = 1
 
     def __post_init__(self):
-        if self.quad <= 0:
+        if not self.quad > 0:  # NaN fails too
             raise ValueError(f"quad must be positive, got {self.quad}")
-        if self.freq <= 0:
+        if not self.freq > 0:
             raise ValueError(f"freq must be positive, got {self.freq}")
-        if self.amp < 0:
+        if not self.amp >= 0:
             raise ValueError(f"amp must be nonnegative, got {self.amp}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
@@ -147,6 +147,8 @@ def make_quadratic(dimension: int, center=0.0) -> Objective:
     c = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (dimension,)).copy()
     if np.atleast_1d(np.asarray(center)).shape[0] not in (1, dimension):
         raise ValueError("center dimension does not match")
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"center must be finite, got {center}")
 
     def value(xs: np.ndarray) -> np.ndarray:
         diff = xs - c

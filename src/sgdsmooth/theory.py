@@ -62,7 +62,7 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
 
     T1_min clamps to 0 when the starting shadow point already lies within
     the b/lambda floor (log argument <= 1); the degenerate noiseless case
-    b = 0 clamps the same way.
+    b = 0 clamps the same way.  A square beyond the double range is inf.
     """
     for name, value in (("c", c), ("eta", eta)):
         if not (value > 0 and math.isfinite(value)):  # NaN fails too
@@ -71,8 +71,18 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
         if not (value >= 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
-    lam = 2.0 * eta * c - eta**2 * L**2
-    b = eta**2 * r**2 * (1.0 + eta * L) ** 2
+    try:
+        L2 = L**2
+        lam = 2.0 * eta * c - eta**2 * L2
+        b = eta**2 * r**2 * (1.0 + eta * L) ** 2
+    except OverflowError:
+        # a float ** raises where * returns inf: multiply instead, in an
+        # order where an overflow is inf, L = 0 or r = 0 gives no
+        # inf * 0 = NaN, and lam is no inf - inf unless 2c overflows
+        L2 = L * L
+        lam = eta * (2.0 * c - eta * L * L)
+        s = eta * r * (1.0 + eta * L) if r > 0 else 0.0
+        b = s * s
     ratio = lam * y0_dist2 / b if b > 0 else 0.0
     if lam > 0 and ratio > 1.0:
         # a ratio that overflows still has a finite log
@@ -86,7 +96,7 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
     delta2 = mu**2 * b / lam if lam > 0 else math.inf
     limits = [1.0 / (2.0 * c)]
     if L > 0:
-        limits += [1.0 / (2.0 * L), c / L**2]
+        limits += [1.0 / (2.0 * L), c / L2 if L2 > 0 else math.inf]  # L2 may underflow
     eta_valid = eta < min(limits)
     return TheoremConstants(
         c=c, eta=eta, L=L, r=r, y0_dist2=y0_dist2, T2=T2,

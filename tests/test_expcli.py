@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -282,6 +283,32 @@ _SPEC_LEVELS = (
 _FIELD_CASES = [(path, f) for path, spec in _SPEC_LEVELS for f in fields(spec)]
 
 
+def _number_leaves():
+    """(path, leaf, value) for every float and int leaf of the schema: NaN,
+    inf and -inf for a float, 2.5 for an int.  `leaf` is (field name,) or,
+    for a tuple of floats, (field name, 0), its first element."""
+    cases = []
+    for path, f in _FIELD_CASES:
+        tp = get_type_hints(dict(_SPEC_LEVELS)[path])[f.name]
+        leaf = (f.name,)
+        if get_origin(tp) is tuple:
+            tp, leaf = get_args(tp)[0], (f.name, 0)
+        if tp is float:
+            cases += [(path, leaf, bad) for bad in (math.nan, math.inf, -math.inf)]
+        elif tp is int:
+            cases.append((path, leaf, 2.5))
+    return cases
+
+
+def _where(path, leaf) -> str:
+    """The walker's name for `leaf` of the spec at `path`: stages[0].eta."""
+    steps = [f"[{s}]" if isinstance(s, int) else f".{s}" for s in path + leaf]
+    return "".join(steps).lstrip(".")
+
+
+_NUMBER_CASES = _number_leaves()
+
+
 def _replace_at(node, path, name, value):
     """`node` with field `name` of the spec found at `path` set to `value`."""
     if not path:
@@ -290,6 +317,13 @@ def _replace_at(node, path, name, value):
     if isinstance(head, int):  # a tuple element
         return node[:head] + (_replace_at(node[head], rest, name, value),) + node[head + 1 :]
     return replace(node, **{head: _replace_at(getattr(node, head), rest, name, value)})
+
+
+def _spec_node(node, path):
+    """The spec found at `path` inside the config `node`."""
+    for step in path:
+        node = node[step] if isinstance(step, int) else getattr(node, step)
+    return node
 
 
 def _json_node(data, path):
@@ -344,6 +378,8 @@ class TestConfig:
             ExperimentConfig(confidence=1.0)
         with pytest.raises(ConfigError):
             ExperimentConfig(init_box=(1.0, 1.0))
+        with pytest.raises(ConfigError):
+            ExperimentConfig(noise_levels=("x", 1, 2))
 
     @pytest.mark.parametrize(
         "path, where",
@@ -416,22 +452,16 @@ class TestConfig:
         assert type(cfg.cert_grid.lo) is float and type(cfg.cert_grid.count) is int
 
     def test_non_finite_numbers_rejected_in_python(self):
-        # the JSON walker rejects these when a document is parsed; a config
-        # built in Python gets the same check and message
-        cases = [
-            (lambda: ExperimentConfig(init_box=(math.nan, 1.0)), "init_box must be a finite number, got nan"),
-            (lambda: ExperimentConfig(init_box=(-1.0, math.inf)), "init_box must be a finite number, got inf"),
-            (lambda: GridSpec(lo=-math.inf), "cert_grid lo must be a finite number, got -inf"),
-            (lambda: GridSpec(hi=math.nan), "cert_grid hi must be a finite number, got nan"),
-        ]
-        for build, message in cases:
-            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-                build()
-        # these are checked at the walker's paths, so a document and the
-        # config built from its values fail with one message
+        # the one schema walk checks a config built in Python, so a document
+        # and the config built from its values fail with one message, which
+        # names the value by its path
         ball = KernelSpec("uniform-ball", 1.0)
         stage = StageSpec(0.1, 5, ball)
         cases = [
+            ({"init_box": (math.nan, 1.0)}, "init_box[0] must be a finite number, got nan"),
+            ({"init_box": (-1.0, math.inf)}, "init_box[1] must be a finite number, got inf"),
+            ({"cert_grid": GridSpec(lo=-math.inf)}, "cert_grid.lo must be a finite number, got -inf"),
+            ({"cert_grid": GridSpec(hi=math.nan)}, "cert_grid.hi must be a finite number, got nan"),
             ({"cluster_tol": math.inf}, "cluster_tol must be a finite number, got inf"),
             ({"noise_levels": (math.inf, 1.0, 1.0)}, "noise_levels[0] must be a finite number, got inf"),
             ({"noise_levels": (1.0, math.nan)}, "noise_levels[1] must be a finite number, got nan"),
@@ -446,6 +476,36 @@ class TestConfig:
             document = json.loads(json.dumps(values, default=asdict))
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 ExperimentConfig.from_json_dict(document)
+
+    @pytest.mark.parametrize(
+        "path, leaf, value", _NUMBER_CASES,
+        ids=[f"{_where(path, leaf)}={value}" for path, leaf, value in _NUMBER_CASES],
+    )
+    def test_bad_number_leaf_same_message_both_routes(self, path, leaf, value):
+        where = _where(path, leaf)
+        kind = "a finite number" if not math.isfinite(value) else "an integer"
+        message = f"^{re.escape(f'{where} must be {kind}, got {value!r}')}$"
+        name, *index = leaf
+        if index:  # the first element of a tuple of floats
+            field_value = (value,) + getattr(_spec_node(_FULL, path), name)[1:]
+        else:
+            field_value = value
+        with pytest.raises(ConfigError, match=message):
+            _replace_at(_FULL, path, name, field_value)
+        data = json.loads(_FULL.dumps())
+        node = _json_node(data, path + leaf[:-1])
+        node[leaf[-1]] = value
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_json_dict(data)
+
+    def test_python_lists_stored_as_tuples(self):
+        cfg = ExperimentConfig(
+            stages=[StageSpec(0.1, 5, KernelSpec("uniform-ball", 1.0))],
+            noise_levels=[1, 2, 3],
+        )
+        assert type(cfg.stages) is tuple and type(cfg.noise_levels) is tuple
+        assert all(type(r) is float for r in cfg.noise_levels)
+        assert ExperimentConfig.loads(cfg.dumps()) == cfg
 
     def test_build_helpers(self):
         cfg = _small_config()
@@ -1223,6 +1283,7 @@ class TestCli:
                                     "y0_dist2": 1.0, "T2": 10}}),
             ("certify", {"cert_grid": {"lo": -math.inf}}),
             ("ensemble", {"objective": {"freq": math.inf}}),
+            ("run", {"out_dir": 5}),
         ],
         ids=[
             "kernel-kind", "eta", "cluster-tol", "histogram-bins", "init-box", "cert-samples",
@@ -1230,7 +1291,7 @@ class TestCli:
             "grid-count-fraction",
             "grid-count-zero", "unknown-key", "n-trials-beyond-int64",
             "center-not-an-array", "eta-nan", "init-box-nan", "theorem-c-nan",
-            "grid-lo-minus-infinity", "freq-infinity",
+            "grid-lo-minus-infinity", "freq-infinity", "out-dir-not-a-string",
         ],
     )
     def test_config_errors_exit_1(self, tmp_path, capsys, command, patch):

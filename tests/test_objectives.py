@@ -48,7 +48,10 @@ class TestSpiky:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(quad=0.0), dict(quad=-1.0), dict(freq=0.0), dict(amp=-0.1), dict(dimension=0)],
+        [
+            dict(quad=0.0), dict(quad=-1.0), dict(freq=0.0), dict(amp=-0.1), dict(dimension=0),
+            dict(quad=math.nan), dict(freq=math.nan), dict(amp=math.nan),
+        ],
     )
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -77,6 +80,11 @@ class TestQuadratic:
     def test_center_dimension_mismatch(self):
         with pytest.raises(ValueError):
             make_quadratic(2, center=(1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("center", [math.nan, (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            make_quadratic(2, center=center)
 
 
 class TestOracleForm:

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdsmooth import (
     NoiseKernel,
@@ -23,6 +25,31 @@ from sgdsmooth.expcli.cli import main
 from sgdsmooth.expcli.pipeline import draw_inits, run_lockstep_ensemble
 
 from conftest import poisoned
+
+
+def _power_form(c, eta, L, r):
+    """lambda, b and c / L^2 as Python's float ** evaluates them: the
+    formulas `constants` must reproduce bit for bit wherever no square
+    overflows (there ** raises OverflowError)."""
+    lam = 2.0 * eta * c - eta**2 * L**2
+    b = eta**2 * r**2 * (1.0 + eta * L) ** 2
+    return lam, b, (c / L**2 if L > 0 else None)
+
+
+def _same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# the literal inputs of the tests below, as (c, eta, L, r)
+_LITERAL_INPUTS = [
+    (1.0, 0.1, 1.0, 1.0), (1.0, 0.1, 1.0, 0.0), (1.0, 0.6, 1.0, 1.0), (1.0, 0.4, 1.0, 1.0),
+    (1.0, 0.1, 1.0, 0.1), (0.7, 0.05, 2.0, 1.5), (0.1, 0.1, 10.0, 1.0), (0.5, 0.1, 1.0, 1.0),
+    (0.8, 0.05, 1.0, 1.0), (1.0, 0.1, 1.0, 0.5), (0.9, 0.01, 2.0, 1.5), (0.001, 0.01, 101.0, 1.0),
+    *[(1.0, float(e), 2.0, 1.0) for e in np.linspace(1e-4, 0.24, 20)],
+    *[(1.0, float(e), 1.0, 1.0) for e in np.linspace(0.01, 0.2, 8)],
+    *[(1.0, 0.1, 1.0, float(r)) for r in np.linspace(0.5, 2.0, 8)],
+    *[(float(c), 0.1, 1.0, 1.0) for c in np.linspace(0.5, 2.0, 8)],
+]
 
 
 class TestConstants:
@@ -144,6 +171,59 @@ class TestConstants:
         ):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 constants(*args)
+
+    @pytest.mark.parametrize("args, expected", [
+        # eta * L = 0: lambda = 2 eta c, and b = 0 with no inf * 0
+        ((1.0, 1e200, 0.0, 0.0, 1.0, 1), {"lambda": 2e200, "b": 0.0}),
+        ((1.0, 0.1, 1e200, 0.0, 1.0, 1), {"lambda": -math.inf, "stay_radius2": math.inf, "eta_valid": False}),
+        ((1.0, 0.1, 0.0, 1e200, 1.0, 1), {"lambda": 0.2, "b": math.inf, "T1_min": 0}),
+        # L^2 underflows to 0, so its step-size limit c / L^2 is inf
+        ((1.0, 0.1, 1e-162, 1.0, 1.0, 1), {"lambda": 0.2, "eta_valid": True}),
+    ], ids=["eta", "L", "r", "L-underflow"])
+    def test_square_out_of_range_is_not_nan(self, args, expected):
+        # Python's float ** raised OverflowError on the first three squares,
+        # and c / L^2 raised ZeroDivisionError on the last
+        d = constants(*args).as_dict()
+        assert not any(isinstance(v, float) and math.isnan(v) for v in d.values()), d
+        assert {k: d[k] for k in expected} == expected
+
+    def test_bounds_cli_strict_json_when_a_square_overflows(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        theorem = {"c": 1.0, "eta": 1e200, "L": 0.0, "r": 0.0, "y0_dist2": 1.0, "T2": 1}
+        path.write_text(json.dumps({"theorem": theorem}))
+        assert main(["bounds", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        assert json.loads(out[out.index("\n{") + 1 :], parse_constant=reject)["lambda"] == 2e200
+
+    @pytest.mark.parametrize("c, eta, L, r", _LITERAL_INPUTS)
+    def test_literal_inputs_keep_the_power_form_bits(self, c, eta, L, r):
+        self._check_power_form_bits(c, eta, L, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-170, 170), st.floats(-170, 170), st.floats(-170, 170), st.floats(-170, 170),
+        st.booleans(), st.booleans(),
+    )
+    def test_power_form_bits_wherever_it_returns(self, lc, le, lL, lr, L_zero, r_zero):
+        L = 0.0 if L_zero else 10.0**lL
+        r = 0.0 if r_zero else 10.0**lr
+        self._check_power_form_bits(10.0**lc, 10.0**le, L, r)
+
+    @staticmethod
+    def _check_power_form_bits(c, eta, L, r):
+        # constants returns on every input; y0 = 0 keeps T1_min at 0
+        cons = constants(c, eta, L, r, 0.0, 10)
+        try:
+            lam, b, limit = _power_form(c, eta, L, r)
+        except (OverflowError, ZeroDivisionError):  # a square out of range
+            return
+        assert _same_bits(cons.lam, lam) and _same_bits(cons.b, b)
+        limits = [1.0 / (2.0 * c)] + ([] if limit is None else [1.0 / (2.0 * L), limit])
+        assert cons.eta_valid == (eta < min(limits))
 
 
 class TestDivergenceThreshold:
