@@ -1,11 +1,7 @@
 """SGD as gradient descent on a noise-convolved loss: simulation,
 one-point-convexity certification and convergence-bound validation."""
 
-from .certifier import (
-    assumption1_estimate,
-    region_scan,
-    trajectory_opc,
-)
+from .certifier import assumption1_estimate, region_scan
 from .noise import NoiseKernel, RngStream, second_moment
 from .objectives import (
     Objective,

@@ -6,20 +6,17 @@ x* - y, with a Hoeffding confidence interval propagated through the
 inner product.  A point certifies at level c_min when even the CI lower
 bound clears c_min * |x* - y|^2.  A region scan splits its confidence
 across the points of its grid (Bonferroni), so every certificate of the
-scan holds jointly at the stated family-wise level.  `trajectory_opc`
-is the one uncertified probe: the per-step inner products along a run.
+scan holds jointly at the stated family-wise level.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .noise import NoiseKernel, RngStream
 from .objectives import Objective, as_point
-from .optimizer import Trajectory
 from .smoothing import smoothed_grad_mc
 
 __all__ = [
@@ -27,8 +24,6 @@ __all__ = [
     "ScanReport",
     "assumption1_estimate",
     "region_scan",
-    "trajectory_opc",
-    "TrajectoryOpcReport",
 ]
 
 DEGENERATE_DIST2 = 1e-12
@@ -138,26 +133,4 @@ def region_scan(
         degenerate_count=len(certs) - len(live),
         c_min=c_min,
         confidence=confidence,
-    )
-
-
-@dataclass(frozen=True)
-class TrajectoryOpcReport:
-    inners: np.ndarray
-    min_inner: float
-    argmin: int
-    first_positive: Optional[int]
-
-
-def trajectory_opc(traj: Trajectory, obj: Objective, target) -> TrajectoryOpcReport:
-    """Per-step inner products <-grad f(x_t), target - x_t> along a run."""
-    tgt = as_point(target, obj.dimension)
-    grads = obj.grads_at(traj.xs)
-    inners = np.einsum("ij,ij->i", -grads, tgt[None, :] - traj.xs)
-    positive = np.nonzero(inners > 0)[0]
-    return TrajectoryOpcReport(
-        inners=inners,
-        min_inner=float(inners.min()),
-        argmin=int(inners.argmin()),
-        first_positive=int(positive[0]) if positive.size else None,
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..certifier import region_scan
 from ..noise import RngStream
-from ..optimizer import sgd_run, write_csv_columns
+from ..optimizer import _record_columns, sgd_run, write_csv_columns
 from ..theory import constants
 from .config import ConfigError, ExperimentConfig
 from .pipeline import (
@@ -68,7 +68,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         traj.write_csv(os.path.join(cfg.out_dir, "trial_0.csv"))
     print(f"steps recorded: {len(traj) - 1}")
     print(f"final x: {traj.final_x}")
-    print(f"final f: {traj.fs[-1]:.6g}  grad norm: {traj.grad_norms[-1]:.6g}")
+    last = _record_columns(traj.objective, traj.xs[-1:], traj.omegas[-1:])
+    print(f"final f: {last['f'][0]:.6g}  grad norm: {last['grad_norm'][0]:.6g}")
     if traj.diverged:
         print("trajectory diverged", file=sys.stderr)
         return EXIT_DIVERGED

@@ -51,11 +51,12 @@ def _keys(data, spec, where: str) -> dict:
 
 
 def _integer(value, name: str) -> int:
-    """An integral int64 value as an int; 2.5 or "3" are rejected, not truncated."""
+    """An integral int64 value as an int; 2.5, "3" or true are rejected, not truncated."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     try:
-        value = operator.index(value)
+        # a bool is an int to operator.index, but JSON true is no count
+        value = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
     if not -(2**63) <= value < 2**63:
@@ -93,8 +94,8 @@ def _coerce(tp, value, where: str):
     if tp is int:
         return _integer(value, where)
     if tp is float:
-        value = float(value)
-        if not math.isfinite(value):  # json reads NaN and Infinity
+        value = value if isinstance(value, bool) else float(value)  # float(true) is 1.0
+        if isinstance(value, bool) or not math.isfinite(value):  # json reads NaN and Infinity
             raise ConfigError(f"{where} must be a finite number, got {value!r}")
         return value
     if get_origin(tp) is tuple:

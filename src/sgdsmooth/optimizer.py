@@ -6,8 +6,8 @@ one-step identity
 
     y_{t+1} = y_t - eta*omega_t - eta*grad f(y_t - eta*omega_t)
 
-bitwise within any constant-eta stage.  No shadow row is stored:
-`EnsembleResult.y_history` derives them from the iterates.
+bitwise within any constant-eta stage.  No shadow row is stored: the
+`y_history` methods derive them from the iterates.
 
 `lockstep_run` is the only stepping loop.  It advances n trials together
 with batched oracle calls.  When a stage starts, each trial draws that
@@ -27,7 +27,8 @@ latter stored trial-major (see `lockstep_run`), or, with
 `keep_history=False`, only the final iterates and the divergence flags,
 bitwise the same, in O(n*d) memory plus one stage's noise.
 `EnsembleResult.trajectory` is the one place a `Trajectory` record is
-built; `_record_columns` defines a record's derived columns.  A record
+built, as views of one trial's iterates and noise, all a record stores;
+`_record_columns` is the one builder of the derived columns.  A record
 is persisted either alone, as a CSV (`Trajectory.write_csv`, through
 the package's one CSV writer, `write_csv_columns`), or with every trial
 of an ensemble, as one `.npy` trajectory table
@@ -108,7 +109,8 @@ def table_dtype(dimension: int) -> np.dtype:
 
 @dataclass
 class Trajectory:
-    """Full record of one run: iterates, shadow points, losses and noise.
+    """Record of one run: its objective, iterates and noise, from which
+    `y_history` and `columns` derive the shadow points and columns.
 
     Arrays have length T+1 (T = recorded steps); `omegas[t]` is the noise
     applied when leaving step t, with a zero row at the end.  `etas[t]`
@@ -116,16 +118,11 @@ class Trajectory:
     point inherits the last stage).
     """
 
+    objective: Objective
     xs: np.ndarray          # (T+1, d)
-    ys: np.ndarray          # (T+1, d), y_t = x_t - eta_t * grad f(x_t)
     omegas: np.ndarray      # (T+1, d)
-    fs: np.ndarray          # (T+1,)
-    grad_norms: np.ndarray  # (T+1,)
-    noise_norms: np.ndarray # (T+1,)
-    dist2: np.ndarray       # (T+1,) squared x-distance to target (nan if unknown)
-    stage_idx: np.ndarray   # (T+1,) int
     etas: np.ndarray        # (T+1,)
-    out_of_box: np.ndarray  # (T+1,) bool
+    stage_idx: np.ndarray   # (T+1,) int
     diverged: bool = False
 
     def __len__(self) -> int:
@@ -139,14 +136,18 @@ class Trajectory:
     def final_x(self) -> np.ndarray:
         return self.xs[-1]
 
+    def columns(self) -> dict:
+        """The derived columns of every row, by `table_dtype` field name."""
+        return _record_columns(self.objective, self.xs, self.omegas)
+
+    def y_history(self) -> np.ndarray:
+        """(T+1, d) shadow points, bit for bit `EnsembleResult.y_history`'s."""
+        return _shadow(self.objective, self.etas, self.xs[:, None])[:, 0]
+
     def write_csv(self, path) -> None:
         """Write the record as CSV, one row per point, with `write_csv_columns`."""
         xs = {f"x_{i}": x for i, x in enumerate(self.xs.T)}
-        write_csv_columns(path, {
-            "t": range(len(self)), "stage": self.stage_idx, **xs, "f": self.fs,
-            "grad_norm": self.grad_norms, "noise_norm": self.noise_norms,
-            "dist2": self.dist2, "out_of_box": self.out_of_box,
-        })
+        write_csv_columns(path, {"t": range(len(self)), "stage": self.stage_idx, **xs, **self.columns()})
 
 
 def write_csv_columns(path, columns: Mapping[str, Sequence]) -> None:
@@ -198,6 +199,21 @@ def _bounded(xs: np.ndarray) -> np.ndarray:
     return np.all((xs >= -DIVERGENCE_CUTOFF) & (xs <= DIVERGENCE_CUTOFF), axis=-1)
 
 
+def _shadow(obj: Objective, etas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """y = x - eta * grad f(x) for the (m, k, d) history rows `xs` from row
+    0, about `_TABLE_ROWS` rows per row-wise oracle call: the step's bits."""
+    ys = np.empty(xs.shape)
+    per = max(1, _TABLE_ROWS // max(1, xs.shape[1]))  # steps per call
+    # frozen rows past the cutoff may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, len(xs), per):
+            x = xs[t0 : t0 + per]
+            g = obj.grads_at(x.reshape(-1, x.shape[2])).reshape(x.shape)
+            g *= etas[t0 : t0 + len(x), None, None]
+            np.subtract(x, g, out=ys[t0 : t0 + per])
+    return ys
+
+
 @dataclass
 class EnsembleResult:
     """A lockstep run: its objective, histories, if kept, finals and flags.
@@ -232,25 +248,11 @@ class EnsembleResult:
                 "this run kept no history; run lockstep_run with keep_history=True"
             )
 
-    def _shadow(self, xs: np.ndarray) -> np.ndarray:
-        """y = x - eta * grad f(x) for the (m, k, d) history rows `xs` from row
-        0, about `_TABLE_ROWS` rows per row-wise oracle call: the step's bits."""
-        ys = np.empty(xs.shape)
-        per = max(1, _TABLE_ROWS // max(1, xs.shape[1]))  # steps per call
-        # frozen rows past the cutoff may overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t0 in range(0, len(xs), per):
-                x = xs[t0 : t0 + per]
-                g = self.objective.grads_at(x.reshape(-1, x.shape[2])).reshape(x.shape)
-                g *= self.etas[t0 : t0 + len(x), None, None]
-                np.subtract(x, g, out=ys[t0 : t0 + per])
-        return ys
-
     def y_history(self) -> np.ndarray:
         """(T+1, n, d) shadow points y_t = x_t - eta_t * grad f(x_t), frozen
         rows included, bit for bit the ones the engine stepped through."""
         self._require_history()
-        return self._shadow(self.x_hist)
+        return _shadow(self.objective, self.etas, self.x_hist)
 
     def y_dist2_history(self, target) -> np.ndarray:
         """(T+1, n) squared distances of the shadow points to `target`."""
@@ -267,26 +269,12 @@ class EnsembleResult:
         return int(np.argmin(_bounded(self.x_hist[:, i]))) + 1
 
     def trajectory(self, i: int) -> Trajectory:
-        """Materialize trial i as a Trajectory record of `record_end(i)` rows.
-
-        The iterate, noise, eta and stage arrays are views of the history;
-        the shadow rows are `y_history`'s rows of trial i.
-        """
+        """Trial i as a Trajectory record of `record_end(i)` rows, each of
+        its arrays a view of the history; no oracle is called."""
         end = self.record_end(i)
-        xs, omegas = self.x_hist[:end, i], self.omegas[:end, i]
-        cols = _record_columns(self.objective, xs, omegas)
         return Trajectory(
-            xs=xs,
-            ys=self._shadow(self.x_hist[:end, i : i + 1])[:, 0],
-            omegas=omegas,
-            fs=cols["f"],
-            grad_norms=cols["grad_norm"],
-            noise_norms=cols["noise_norm"],
-            dist2=cols["dist2"],
-            stage_idx=self.stage_idx[:end],
-            etas=self.etas[:end],
-            out_of_box=cols["out_of_box"],
-            diverged=bool(self.diverged[i]),
+            self.objective, self.x_hist[:end, i], self.omegas[:end, i],
+            self.etas[:end], self.stage_idx[:end], bool(self.diverged[i]),
         )
 
     def write_table(self, path) -> None:
@@ -454,12 +442,14 @@ def gd_run(obj: Objective, eta: float, steps: int, x0) -> Trajectory:
 def shadow_check(traj: Trajectory, obj: Objective) -> float:
     """Max residual of the shadow update identity over constant-eta pairs.
 
+    The shadow points are `traj.y_history()`, checked against `obj`.
     Stage-boundary indices (where eta changes) are skipped: the identity
     is only defined within a stage.  NaN residuals are ignored.
     """
     t = np.flatnonzero(traj.etas[1:] == traj.etas[:-1])
+    ys = traj.y_history()
     eta = traj.etas[t, None]
-    inner = traj.ys[t] - eta * traj.omegas[t]
+    inner = ys[t] - eta * traj.omegas[t]
     predicted = inner - eta * obj.grads_at(inner)
-    residuals = np.linalg.norm(traj.ys[t + 1] - predicted, axis=1)
+    residuals = np.linalg.norm(ys[t + 1] - predicted, axis=1)
     return float(np.fmax.reduce(residuals, initial=0.0))

@@ -63,6 +63,8 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
     T1_min clamps to 0 when the starting shadow point already lies within
     the b/lambda floor (log argument <= 1); the degenerate noiseless case
     b = 0 clamps the same way.  A square beyond the double range is inf.
+    Where float arithmetic meets inf - inf, inf / inf or an infinite
+    T1_min quotient, `_exact_derived` computes them instead: no NaN.
     """
     for name, value in (("c", c), ("eta", eta)):
         if not (value > 0 and math.isfinite(value)):  # NaN fails too
@@ -83,17 +85,22 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
         lam = eta * (2.0 * c - eta * L * L)
         s = eta * r * (1.0 + eta * L) if r > 0 else 0.0
         b = s * s
-    ratio = lam * y0_dist2 / b if b > 0 else 0.0
-    if lam > 0 and ratio > 1.0:
-        # a ratio that overflows still has a finite log
-        log_ratio = math.log(ratio) if ratio < math.inf else math.log(lam) + math.log(y0_dist2) - math.log(b)
-        t1 = math.ceil(log_ratio / lam)
-    else:
-        t1 = 0
-    stay_radius2 = 20.0 * b / lam if lam > 0 else math.inf
     zeta = 9.0 * T2 / 4.0
     mu = max(8.0, 42.0 * math.sqrt(math.log(zeta))) if zeta > 1.0 else 8.0
-    delta2 = mu**2 * b / lam if lam > 0 else math.inf
+    try:
+        ratio = lam * y0_dist2 / b if b > 0 else 0.0
+        if lam > 0 and ratio > 1.0:
+            # a ratio that overflows still has a finite log
+            log_ratio = math.log(ratio) if ratio < math.inf else math.log(lam) + math.log(y0_dist2) - math.log(b)
+            t1 = math.ceil(log_ratio / lam)
+        else:
+            t1 = 0
+        stay_radius2 = 20.0 * b / lam if lam > 0 else math.inf
+        delta2 = mu**2 * b / lam if lam > 0 else math.inf
+    except (ValueError, OverflowError):  # math.ceil of a NaN or inf quotient
+        stay_radius2 = delta2 = math.nan
+    if any(map(math.isnan, (lam, b, stay_radius2, delta2))):
+        lam, b, t1, stay_radius2, delta2 = _exact_derived(c, eta, L, r, y0_dist2, mu)
     limits = [1.0 / (2.0 * c)]
     if L > 0:
         limits += [1.0 / (2.0 * L), c / L2 if L2 > 0 else math.inf]  # L2 may underflow
@@ -103,6 +110,35 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
         lam=lam, b=b, T1_min=t1, stay_radius2=stay_radius2,
         zeta=zeta, mu=mu, delta2=delta2, eta_valid=eta_valid,
     )
+
+
+def _exact_derived(c, eta, L, r, y0_dist2, mu) -> tuple:
+    """(lambda, b, T1_min, stay_radius2, delta2) in exact rational
+    arithmetic on the float inputs, rounded once to floats, +-inf beyond
+    the double range, and T1_min to an int of any size."""
+    from fractions import Fraction  # here: it imports decimal, +0.3 MB RSS
+
+    c, eta, L, r, y0, mu = map(Fraction, (c, eta, L, r, y0_dist2, mu))
+    lam = 2 * eta * c - eta**2 * L**2
+    b = (eta * r * (1 + eta * L)) ** 2
+    t1 = 0
+    if lam > 0 and lam * y0 > b:
+        excess = lam * y0 / b - 1
+        try:
+            log_ratio = math.log1p(excess)
+        except OverflowError:  # the ratio is beyond a double, its log is not
+            log_ratio = math.log(excess.numerator) - math.log(excess.denominator)
+        t1 = math.ceil(Fraction(log_ratio) / lam)
+    radii = (20 * b / lam, mu**2 * b / lam) if lam > 0 else (math.inf, math.inf)
+    return (_rounded(lam), _rounded(b), t1, *map(_rounded, radii))
+
+
+def _rounded(q) -> float:
+    """The float nearest to the Fraction `q`, or +-inf beyond the double range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 def divergence_threshold(c_prime: float, dist2: float, grad_norm2: float) -> float:

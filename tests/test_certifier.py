@@ -1,4 +1,4 @@
-"""One-point-convexity certificates and the trajectory probe."""
+"""One-point-convexity certificates and region scans."""
 import math
 from dataclasses import replace
 
@@ -10,12 +10,10 @@ from sgdsmooth import (
     RngStream,
     SpikyParams,
     assumption1_estimate,
-    gd_run,
     make_quadratic,
     make_spiky,
     region_scan,
     smoothed_grad_closed,
-    trajectory_opc,
 )
 
 
@@ -176,22 +174,4 @@ class TestRegionScan:
             c_closed = inner_closed / cert.dist2
             covered += abs(cert.c_hat - c_closed) <= cert.ci_halfwidth / cert.dist2
         assert covered >= 990
-
-
-class TestTrajectoryOpc:
-    def test_quadratic_inner_equals_dist2(self, quadratic_1d):
-        traj = gd_run(quadratic_1d, 0.1, 30, [2.0])
-        report = trajectory_opc(traj, quadratic_1d, [0.0])
-        assert np.allclose(report.inners, traj.dist2, rtol=1e-12)
-        assert report.min_inner > 0
-
-    def test_stuck_run_ends_stationary(self, spiky_default):
-        traj = gd_run(spiky_default, 0.01, 10_000, [2.0])
-        report = trajectory_opc(traj, spiky_default, [0.0])
-        assert abs(report.inners[-1]) < 1e-5
-
-    def test_first_positive_index(self, quadratic_1d):
-        traj = gd_run(quadratic_1d, 0.1, 10, [1.0])
-        report = trajectory_opc(traj, quadratic_1d, [0.0])
-        assert report.first_positive == 0
 

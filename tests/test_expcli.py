@@ -284,9 +284,10 @@ _FIELD_CASES = [(path, f) for path, spec in _SPEC_LEVELS for f in fields(spec)]
 
 
 def _number_leaves():
-    """(path, leaf, value) for every float and int leaf of the schema: NaN,
-    inf and -inf for a float, 2.5 for an int.  `leaf` is (field name,) or,
-    for a tuple of floats, (field name, 0), its first element."""
+    """(path, leaf, value, kind) for every float and int leaf of the schema:
+    NaN, inf, -inf and true for a float, 2.5 and true for an int, with the
+    kind of value the message asks for.  `leaf` is (field name,) or, for a
+    tuple of floats, (field name, 0), its first element."""
     cases = []
     for path, f in _FIELD_CASES:
         tp = get_type_hints(dict(_SPEC_LEVELS)[path])[f.name]
@@ -294,9 +295,9 @@ def _number_leaves():
         if get_origin(tp) is tuple:
             tp, leaf = get_args(tp)[0], (f.name, 0)
         if tp is float:
-            cases += [(path, leaf, bad) for bad in (math.nan, math.inf, -math.inf)]
+            cases += [(path, leaf, bad, "a finite number") for bad in (math.nan, math.inf, -math.inf, True)]
         elif tp is int:
-            cases.append((path, leaf, 2.5))
+            cases += [(path, leaf, bad, "an integer") for bad in (2.5, True)]
     return cases
 
 
@@ -478,12 +479,11 @@ class TestConfig:
                 ExperimentConfig.from_json_dict(document)
 
     @pytest.mark.parametrize(
-        "path, leaf, value", _NUMBER_CASES,
-        ids=[f"{_where(path, leaf)}={value}" for path, leaf, value in _NUMBER_CASES],
+        "path, leaf, value, kind", _NUMBER_CASES,
+        ids=[f"{_where(path, leaf)}={value}" for path, leaf, value, _ in _NUMBER_CASES],
     )
-    def test_bad_number_leaf_same_message_both_routes(self, path, leaf, value):
+    def test_bad_number_leaf_same_message_both_routes(self, path, leaf, value, kind):
         where = _where(path, leaf)
-        kind = "a finite number" if not math.isfinite(value) else "an integer"
         message = f"^{re.escape(f'{where} must be {kind}, got {value!r}')}$"
         name, *index = leaf
         if index:  # the first element of a tuple of floats
@@ -525,8 +525,8 @@ class TestLockstep:
         for i in range(4):
             traj = sgd_run(spiky_default, sched, x0s[i], RngStream(cfg.seed, 1000 + i))
             assert np.array_equal(result.x_hist[:, i, :], traj.xs)
-            assert ys[:, i].tobytes() == traj.ys.tobytes()
-            assert result.trajectory(i).ys.tobytes() == traj.ys.tobytes()
+            assert ys[:, i].tobytes() == traj.y_history().tobytes()
+            assert result.trajectory(i).y_history().tobytes() == traj.y_history().tobytes()
 
     def test_materialized_trajectory_round_trip(self, tmp_path, spiky_default):
         cfg = _small_config(n_trials=2)
@@ -589,11 +589,7 @@ def _assert_rows_hold_record(rows, traj):
     """One trial's table rows hold the fields of its `trajectory` record,
     bit for bit."""
     assert len(rows) == len(traj)
-    expected = {
-        "t": np.arange(len(traj)), "stage": traj.stage_idx, "x": traj.xs, "f": traj.fs,
-        "grad_norm": traj.grad_norms, "noise_norm": traj.noise_norms, "dist2": traj.dist2,
-        "out_of_box": traj.out_of_box,
-    }
+    expected = {"t": np.arange(len(traj)), "stage": traj.stage_idx, "x": traj.xs, **traj.columns()}
     assert set(expected) == set(rows.dtype.names) - {"trial"}
     for name, values in expected.items():
         assert _same_bits(values, rows[name]), name

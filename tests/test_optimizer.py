@@ -87,15 +87,16 @@ def _reference_write_csv(traj, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "stage", *(f"x_{i}" for i in range(traj.dimension)),
                          "f", "grad_norm", "noise_norm", "dist2", "out_of_box"])
+        cols = traj.columns()
         for t in range(len(traj)):
             row = [t, int(traj.stage_idx[t])]
             row += [repr(float(v)) for v in traj.xs[t]]
             row += [
-                repr(float(traj.fs[t])),
-                repr(float(traj.grad_norms[t])),
-                repr(float(traj.noise_norms[t])),
-                repr(float(traj.dist2[t])),
-                int(traj.out_of_box[t]),
+                repr(float(cols["f"][t])),
+                repr(float(cols["grad_norm"][t])),
+                repr(float(cols["noise_norm"][t])),
+                repr(float(cols["dist2"][t])),
+                int(cols["out_of_box"][t]),
             ]
             writer.writerow(row)
 
@@ -113,13 +114,14 @@ def _shadow_check_loop(traj, obj):
     calls (not `grad_at`, which rejects the non-finite points of diverged
     runs)."""
     worst = 0.0
+    ys = traj.y_history()
     for t in range(len(traj) - 1):
         if traj.etas[t + 1] != traj.etas[t]:
             continue
         eta = traj.etas[t]
-        inner = traj.ys[t] - eta * traj.omegas[t]
+        inner = ys[t] - eta * traj.omegas[t]
         predicted = inner - eta * obj.grads_at(inner[None, :])[0]
-        residual = float(np.linalg.norm(traj.ys[t + 1] - predicted))
+        residual = float(np.linalg.norm(ys[t + 1] - predicted))
         worst = max(worst, residual)
     return worst
 
@@ -132,7 +134,7 @@ class TestGd:
 
     def test_shadow_equals_next_iterate_without_noise(self, quadratic_1d):
         traj = gd_run(quadratic_1d, 0.1, 20, [1.0])
-        assert np.array_equal(traj.ys[:-1], traj.xs[1:])
+        assert np.array_equal(traj.y_history()[:-1], traj.xs[1:])
 
     def test_full_step_converges_in_one(self, quadratic_1d):
         traj = gd_run(quadratic_1d, 1.0, 3, [2.5])
@@ -145,7 +147,7 @@ class TestGd:
 
     def test_spiky_traps_in_a_side_basin(self, spiky_default):
         traj = gd_run(spiky_default, 0.01, 10_000, [2.0])
-        assert traj.grad_norms[-1] < 1e-6
+        assert traj.columns()["grad_norm"][-1] < 1e-6
         assert abs(traj.final_x[0]) > 0.3
         # independent oracle: the stationary point in the basin containing 2.0
         root = bisect_root(lambda x: x + 10 * math.cos(10 * x), 1.6, 1.8)
@@ -153,7 +155,7 @@ class TestGd:
 
     def test_monotone_distance_below_critical_step(self, quadratic_1d):
         traj = gd_run(quadratic_1d, 0.5, 50, [3.0])
-        assert np.all(np.diff(traj.dist2) < 0)
+        assert np.all(np.diff(traj.columns()["dist2"]) < 0)
 
 
 class TestSgd:
@@ -184,7 +186,7 @@ class TestSgd:
         sched = StepSchedule((Stage(0.02, 300, NoiseKernel("uniform-ball", 3.0, 1)),))
         traj = sgd_run(spiky_default, sched, [0.5], RngStream(23, 1000))
         # x_{t+1} = y_t - eta * omega_t bitwise
-        rebuilt = traj.ys[:-1] - 0.02 * traj.omegas[:-1]
+        rebuilt = traj.y_history()[:-1] - 0.02 * traj.omegas[:-1]
         assert np.array_equal(rebuilt, traj.xs[1:])
 
     def test_determinism(self, spiky_default):
@@ -202,8 +204,9 @@ class TestSgd:
 
     def test_out_of_box_flagging(self, quadratic_1d):
         traj = gd_run(quadratic_1d, 2.1, 40, [1.0])
-        assert traj.out_of_box.any()
-        assert not traj.out_of_box[0]
+        out_of_box = traj.columns()["out_of_box"]
+        assert out_of_box.any()
+        assert not out_of_box[0]
 
     def test_noise_is_stored_trial_major(self):
         obj = make_spiky(SpikyParams(dimension=2))
@@ -241,8 +244,10 @@ class TestShadowCheck:
         )
         traj = sgd_run(obj, staged, np.ones(d), RngStream(41, 1000))
         diverged = gd_run(make_quadratic(d), 3.0, 200, np.ones(d))
-        poisoned = replace(traj, ys=traj.ys.copy())
-        poisoned.ys[5] = np.nan  # its NaN residuals are skipped, as in the loop
+        poisoned = replace(traj, xs=traj.xs.copy())
+        # a NaN iterate gives a NaN shadow row, whose residuals are skipped,
+        # as in the loop
+        poisoned.xs[5] = np.nan
         return [
             (poisoned, other),
             (traj, obj),
@@ -262,6 +267,61 @@ class TestShadowCheck:
         for traj, obj in self._cases(2):
             loop = _shadow_check_loop(traj, obj)
             assert abs(shadow_check(traj, obj) - loop) <= 4 * np.spacing(loop)
+
+
+def _counting(obj):
+    """`obj` with its `value` and `grad` oracles wrapped to count calls in
+    the returned dict."""
+    calls = {"value": 0, "grad": 0}
+
+    def counted(name, oracle):
+        def batch(xs):
+            calls[name] += 1
+            return oracle(xs)
+
+        return batch
+
+    return replace(obj, value=counted("value", obj.value), grad=counted("grad", obj.grad)), calls
+
+
+class TestRecord:
+    """A `Trajectory` is one trial's slice of the engine's iterate and noise
+    rows; its shadow rows and columns are derived where they are read."""
+
+    def _result(self):
+        # |x_t| = 2**t |x_0|: trial 0 passes the cutoff at row 20 and trial
+        # 2 at row 30, while trial 1 sits at the minimum for all 41 rows
+        obj, calls = _counting(make_quadratic(1))
+        streams = [RngStream(8, i) for i in range(3)]
+        return lockstep_run(obj, _zero_schedule(3.0, 40), np.array([[1.0], [0.0], [1e-3]]), streams), calls
+
+    def test_trajectory_calls_no_oracle(self):
+        result, calls = self._result()
+        assert calls["grad"] > 0
+        assert [result.record_end(i) for i in range(3)] == [21, 41, 31]
+        calls.update(value=0, grad=0)
+        for i in range(result.n_trials):
+            traj = result.trajectory(i)
+            assert np.shares_memory(traj.xs, result.x_hist)
+            assert np.shares_memory(traj.omegas, result.omegas)
+        assert calls == {"value": 0, "grad": 0}
+
+    def test_y_history_is_the_ensemble_rows_bitwise(self):
+        result, _ = self._result()
+        ys = result.y_history()
+        for i in range(result.n_trials):
+            end = result.record_end(i)
+            assert _bits(result.trajectory(i).y_history()) == _bits(ys[:end, i])
+        # the spiky gradient in 2-d, over two stages
+        obj = make_spiky(SpikyParams(dimension=2))
+        sched = StepSchedule((
+            Stage(0.1, 150, NoiseKernel("uniform-cube", 1.0, 2)),
+            Stage(0.05, 150, NoiseKernel("uniform-ball", 0.5, 2)),
+        ))
+        result = lockstep_run(obj, sched, np.ones((3, 2)), [RngStream(9, i) for i in range(3)])
+        ys = result.y_history()
+        for i in range(result.n_trials):
+            assert _bits(result.trajectory(i).y_history()) == _bits(ys[:, i])
 
 
 def _run_both(obj, schedule, x0s, seed=5):
@@ -553,10 +613,11 @@ class TestPersistence:
         path = tmp_path / "trial_0.csv"
         traj.write_csv(path)
         cols = read_csv_columns(path)
+        derived = traj.columns()
         assert np.array_equal(cols["x_0"], traj.xs[:, 0])
-        assert np.array_equal(cols["f"], traj.fs)
-        assert np.array_equal(cols["grad_norm"], traj.grad_norms)
-        assert np.array_equal(cols["dist2"], traj.dist2)
+        assert np.array_equal(cols["f"], derived["f"])
+        assert np.array_equal(cols["grad_norm"], derived["grad_norm"])
+        assert np.array_equal(cols["dist2"], derived["dist2"])
 
     def test_csv_header(self, tmp_path, quadratic_1d):
         traj = gd_run(quadratic_1d, 0.1, 5, [1.0])
@@ -616,8 +677,8 @@ class TestCsvBytes:
 
     def test_cases_cover_the_odd_values(self):
         cases = dict(CSV_CASES)
-        assert np.isnan(cases["no-target"].dist2).all()
-        assert cases["out-of-box"].out_of_box.any()
+        assert np.isnan(cases["no-target"].columns()["dist2"]).all()
+        assert cases["out-of-box"].columns()["out_of_box"].any()
         assert cases["diverged"].diverged
         assert np.signbit(cases["negative-zero"].xs[0, 0])
         assert set(cases["staged"].stage_idx.tolist()) == {0, 1}

@@ -2,6 +2,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,6 +188,56 @@ class TestConstants:
         assert not any(isinstance(v, float) and math.isnan(v) for v in d.values()), d
         assert {k: d[k] for k in expected} == expected
 
+    @pytest.mark.parametrize("args, expected", [
+        # 2 eta c overflows: lambda is inf, and log(lambda) / lambda is tiny
+        ((1e308, 1.0, 0.0, 1.0, 1.0, 1), {"lambda": math.inf, "b": 1.0, "T1_min": 1}),
+        # lambda = b = inf, but their ratio and the radii are finite
+        ((1e300, 1e10, 0.0, 1e150, 1.0, 1), {"lambda": math.inf, "b": math.inf, "T1_min": 0}),
+    ], ids=["lambda-inf", "lambda-and-b-inf"])
+    def test_overflowing_lambda_gives_exact_radii(self, args, expected):
+        # these raised ValueError from math.ceil and returned a NaN
+        # stay_radius2; the radii are 20 b / lambda and mu^2 b / lambda
+        cons = constants(*args)
+        d = cons.as_dict()
+        assert {k: d[k] for k in expected} == expected
+        c, eta, L, r, _, _ = map(Fraction, args)
+        b_over_lam = (eta * r * (1 + eta * L)) ** 2 / (2 * eta * c - eta**2 * L**2)
+        assert cons.stay_radius2 == float(20 * b_over_lam)
+        assert cons.delta2 == float(Fraction(cons.mu) ** 2 * b_over_lam)
+
+    def test_t1_min_beyond_the_double_range_is_an_exact_int(self):
+        # log(ratio) / lambda overflowed to inf, and math.ceil raised
+        # OverflowError; T1_min is the int ceiling of the exact quotient
+        args = (1.558e-292, 4.228e-15, 0.0, 9.546e-88, 3.595e296, 1)
+        cons = constants(*args)
+        assert type(cons.T1_min) is int and cons.T1_min > 2**1024
+        log_ratio = math.log(cons.lam * args[4] / cons.b)
+        steps = Fraction(cons.T1_min) * Fraction(cons.lam)
+        assert math.isclose(float(steps), log_ratio, rel_tol=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.floats(-300, 300), min_size=5, max_size=5),
+        st.lists(st.booleans(), min_size=3, max_size=3),
+        st.integers(0, 10**12),
+    )
+    def test_no_nan_on_finite_inputs(self, exponents, zeros, T2):
+        c, eta, L, r, y0 = (10.0**e for e in exponents)
+        L, r, y0 = (0.0 if zero else v for zero, v in zip(zeros, (L, r, y0)))
+        d = constants(c, eta, L, r, y0, T2).as_dict()
+        assert not any(isinstance(v, float) and math.isnan(v) for v in d.values()), d
+        assert type(d["T1_min"]) is int and d["T1_min"] >= 0
+        assert d["b"] >= 0 and 0 <= d["stay_radius2"] <= d["delta2"]
+
+    def test_bounds_cli_when_lambda_overflows(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        theorem = {"c": 1e308, "eta": 1.0, "L": 0.0, "r": 1.0, "y0_dist2": 1.0, "T2": 1}
+        path.write_text(json.dumps({"theorem": theorem}))
+        assert main(["bounds", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        d = json.loads(out[out.index("\n{") + 1 :])
+        assert d["lambda"] is None and d["T1_min"] == 1
+
     def test_bounds_cli_strict_json_when_a_square_overflows(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         theorem = {"c": 1.0, "eta": 1e200, "L": 0.0, "r": 0.0, "y0_dist2": 1.0, "T2": 1}
@@ -297,7 +348,8 @@ def _stay_validate_loop(trajectories, cons, target):
         if len(traj) < T + T2 + 1:
             raise ValueError(f"trajectory too short: {len(traj)} <= {T + T2}")
         tgt = np.asarray(target, dtype=float)
-        d2 = np.einsum("ij,ij->i", traj.ys - tgt[None, :], traj.ys - tgt[None, :])
+        ys = traj.y_history()
+        d2 = np.einsum("ij,ij->i", ys - tgt[None, :], ys - tgt[None, :])
         hit = d2[T] <= cons.stay_radius2
         stay = bool(np.all(d2[T : T + T2 + 1] <= cons.delta2))
         hits += hit
