@@ -9,18 +9,25 @@ one-step identity
 bitwise within any constant-eta stage.  No shadow row is stored: the
 `y_history` methods derive them from the iterates.
 
+Every pass that derives rows from a history reads it in row chunks
+(`_chunks`): shadow rows `_TABLE_ROWS` at a time for `y_dist2_history`
+and `shadow_check`, record columns `_CSV_CHUNK` at a time for
+`write_csv`.  It holds one chunk, never a whole-history temporary, and
+since every oracle is row-wise it gives the bits of a whole-array pass.
+
 `lockstep_run` is the only stepping loop.  It advances n trials together
 with batched oracle calls.  When a stage starts, each trial draws that
 stage's noise from its own stream, so `sgd_run` is a one-trial run of
 the same loop and a lockstep trial replays `sgd_run` for the same stream
-by construction.  One predicate flags divergence at every recorded
-iterate, the final one included.  The loop applies it once per block of
-`_BLOCK` rows rather than once per step; blocks start at each stage
-start.  A trial first beyond the cutoff at row k has its rows after k in
-that block rewritten to the frozen x_k, so every history is bitwise the
-one a per-step freeze gives.  Stepping past the cutoff until the block
-ends may overflow; those rows are overwritten and the overflow is not
-reported.
+by construction, whether the trial's generator is its own or, in a
+one-stage run, the run's one generator re-keyed to its stream.  One
+predicate flags divergence at every recorded iterate, the final one
+included.  The loop applies it once per block of `_BLOCK` rows rather
+than once per step; blocks start at each stage start.  A trial first
+beyond the cutoff at row k has its rows after k in that block rewritten
+to the frozen x_k, so every history is bitwise the one a per-step
+freeze gives.  Stepping past the cutoff until the block ends may
+overflow; those rows are overwritten and the overflow is not reported.
 
 A run keeps two (T+1, n, d) histories, the iterates and the noise, the
 latter stored trial-major (see `lockstep_run`), or, with
@@ -29,10 +36,11 @@ bitwise the same, in O(n*d) memory plus one stage's noise.
 `EnsembleResult.trajectory` is the one place a `Trajectory` record is
 built, as views of one trial's iterates and noise, all a record stores;
 `_record_columns` is the one builder of the derived columns.  A record
-is persisted either alone, as a CSV (`Trajectory.write_csv`, through
-the package's one CSV writer, `write_csv_columns`), or with every trial
-of an ensemble, as one `.npy` trajectory table
-(`EnsembleResult.write_table`), built in chunks of whole trials.
+is persisted either alone, as a CSV (`Trajectory.write_csv`, formatted
+by `_write_csv` as the package's one CSV writer, `write_csv_columns`,
+formats its columns), or with every trial of an ensemble, as one `.npy`
+trajectory table (`EnsembleResult.write_table`), built in chunks of
+whole trials.
 """
 from __future__ import annotations
 
@@ -142,12 +150,23 @@ class Trajectory:
 
     def y_history(self) -> np.ndarray:
         """(T+1, d) shadow points, bit for bit `EnsembleResult.y_history`'s."""
-        return _shadow(self.objective, self.etas, self.xs[:, None])[:, 0]
+        return _shadow_history(self.objective, self.etas, self.xs[:, None])[:, 0]
 
     def write_csv(self, path) -> None:
-        """Write the record as CSV, one row per point, with `write_csv_columns`."""
-        xs = {f"x_{i}": x for i, x in enumerate(self.xs.T)}
-        write_csv_columns(path, {"t": range(len(self)), "stage": self.stage_idx, **xs, **self.columns()})
+        """Write the record as CSV, one row per point: the bytes
+        `write_csv_columns` writes for `{"t", "stage", x_0.., **columns()}`,
+        with the columns derived `_CSV_CHUNK` rows at a time as each chunk
+        is formatted, so no whole-record column is built."""
+        # the record columns, in the order _record_columns builds them
+        names = ["t", "stage", *(f"x_{i}" for i in range(self.dimension)), *table_dtype(1).names[4:]]
+
+        def chunks():
+            for t0, t1 in _chunks(len(self), _CSV_CHUNK):
+                xs = self.xs[t0:t1]
+                derived = _record_columns(self.objective, xs, self.omegas[t0:t1])
+                yield [range(t0, t1), self.stage_idx[t0:t1], *xs.T, *derived.values()]
+
+        _write_csv(path, names, chunks())
 
 
 def write_csv_columns(path, columns: Mapping[str, Sequence]) -> None:
@@ -158,10 +177,17 @@ def write_csv_columns(path, columns: Mapping[str, Sequence]) -> None:
     lengths = {len(col) for col in columns.values()}
     if len(lengths) != 1:
         raise ValueError(f"need columns of one length, got lengths {sorted(lengths)}")
+    cols = list(columns.values())
+    _write_csv(path, columns, ([col[t0:t1] for col in cols] for t0, t1 in _chunks(lengths.pop(), _CSV_CHUNK)))
+
+
+def _write_csv(path, names, chunks) -> None:
+    """Write a header of `names`, then each chunk, a list of equal-length
+    columns in `names` order, as CSV rows."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for c0 in range(0, lengths.pop(), _CSV_CHUNK):
-            cells = [_csv_cells(np.asarray(col[c0 : c0 + _CSV_CHUNK])) for col in columns.values()]
+        fh.write(",".join(names) + "\n")
+        for chunk in chunks:
+            cells = [_csv_cells(np.asarray(col)) for col in chunk]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -199,18 +225,36 @@ def _bounded(xs: np.ndarray) -> np.ndarray:
     return np.all((xs >= -DIVERGENCE_CUTOFF) & (xs <= DIVERGENCE_CUTOFF), axis=-1)
 
 
-def _shadow(obj: Objective, etas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """y = x - eta * grad f(x) for the (m, k, d) history rows `xs` from row
-    0, about `_TABLE_ROWS` rows per row-wise oracle call: the step's bits."""
-    ys = np.empty(xs.shape)
-    per = max(1, _TABLE_ROWS // max(1, xs.shape[1]))  # steps per call
-    # frozen rows past the cutoff may overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t0 in range(0, len(xs), per):
-            x = xs[t0 : t0 + per]
+def _chunks(rows: int, size: int, overlap: int = 0):
+    """(start, stop) of consecutive chunks of at most `size` rows that
+    cover range(rows), each after the first starting `overlap` rows
+    before the previous one stops: the one row-chunk pass of every
+    derived pass over a history."""
+    for start in range(0, rows - overlap, size - overlap):
+        yield start, min(start + size, rows)
+
+
+def _shadow(obj: Objective, etas: np.ndarray, xs: np.ndarray, overlap: int = 0):
+    """(t0, ys) per chunk of the (m, k, d) history rows `xs`: ys holds the
+    shadow rows y = x - eta * grad f(x) from row t0 on, the step's bits,
+    about `_TABLE_ROWS` rows per row-wise oracle call, each chunk after
+    the first starting `overlap` rows before the previous one ends."""
+    per = max(overlap + 1, _TABLE_ROWS // max(1, xs.shape[1]))  # steps per call
+    for t0, t1 in _chunks(len(xs), per, overlap):
+        x = xs[t0:t1]
+        # frozen rows past the cutoff may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
             g = obj.grads_at(x.reshape(-1, x.shape[2])).reshape(x.shape)
-            g *= etas[t0 : t0 + len(x), None, None]
-            np.subtract(x, g, out=ys[t0 : t0 + per])
+            g *= etas[t0:t1, None, None]
+            np.subtract(x, g, out=g)
+        yield t0, g
+
+
+def _shadow_history(obj: Objective, etas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The whole (m, k, d) shadow history of the rows `xs`, from `_shadow`."""
+    ys = np.empty(xs.shape)
+    for t0, y in _shadow(obj, etas, xs):
+        ys[t0 : t0 + len(y)] = y
     return ys
 
 
@@ -252,13 +296,19 @@ class EnsembleResult:
         """(T+1, n, d) shadow points y_t = x_t - eta_t * grad f(x_t), frozen
         rows included, bit for bit the ones the engine stepped through."""
         self._require_history()
-        return _shadow(self.objective, self.etas, self.x_hist)
+        return _shadow_history(self.objective, self.etas, self.x_hist)
 
     def y_dist2_history(self, target) -> np.ndarray:
-        """(T+1, n) squared distances of the shadow points to `target`."""
-        diff = self.y_history()
-        diff -= np.asarray(target, dtype=float)
-        return np.einsum("tnd,tnd->tn", diff, diff)
+        """(T+1, n) squared distances of the shadow points to `target`,
+        filled from `_shadow` chunks: beyond the result it holds one chunk
+        of shadow rows, never the whole `y_history()`."""
+        self._require_history()
+        target = np.asarray(target, dtype=float)
+        d2 = np.empty(self.x_hist.shape[:2])
+        for t0, ys in _shadow(self.objective, self.etas, self.x_hist):
+            ys -= target
+            np.einsum("tnd,tnd->tn", ys, ys, out=d2[t0 : t0 + len(ys)])
+        return d2
 
     def record_end(self, i: int) -> int:
         """Row count of trial i's record.  A diverged trial's record ends at
@@ -321,8 +371,11 @@ def lockstep_run(
     """Advance n trials of staged SGD together with batched oracle calls.
 
     When a stage starts, trial i draws that stage's noise with one
-    `sample_batch` call on its generator from `streams[i]`, created at
-    its first draw and dropped after the last stage.  Iterates are never
+    `sample_batch` call on a generator at its place in `streams[i]`:
+    its own, built at its first draw and dropped after its last, or,
+    for a trial that holds none when it draws its last stage (every
+    trial of a one-stage run), the run's one generator re-keyed by
+    `RngStream.rekey`.  Iterates are never
     projected.  Every recorded iterate, the final one included, goes
     through the divergence predicate; a trial that fails it freezes in
     place and is flagged rather than aborting the others.
@@ -367,6 +420,7 @@ def lockstep_run(
         x_hist = None
         x_block = np.empty((_BLOCK, n, d))
     gens = [None] * n
+    shared = None  # the one generator of trials that hold none at their last stage
     active = np.ones(n, dtype=bool)
     grads_at = obj.grads_at
     x = x0s
@@ -378,7 +432,14 @@ def lockstep_run(
             s0 = t0 if keep_history else 0  # the stage's first row in noise_buf
             last = t1 > total  # only the last stage holds the final row
             for i, stream in enumerate(streams):
-                gen = stream.generator() if gens[i] is None else gens[i]
+                if gens[i] is not None:
+                    gen = gens[i]
+                elif not last:
+                    gen = stream.generator()
+                elif shared is None:
+                    gen = shared = stream.generator()
+                else:
+                    gen = stream.rekey(shared)
                 stage.kernel.sample_batch(stage.steps, gen, out=noise_buf[i, s0 : s0 + stage.steps])
                 gens[i] = None if last else gen
             noise = omegas[s0 : s0 + t1 - t0]
@@ -442,14 +503,20 @@ def gd_run(obj: Objective, eta: float, steps: int, x0) -> Trajectory:
 def shadow_check(traj: Trajectory, obj: Objective) -> float:
     """Max residual of the shadow update identity over constant-eta pairs.
 
-    The shadow points are `traj.y_history()`, checked against `obj`.
+    The shadow points are those of `traj.y_history()`, read in `_shadow`
+    chunks with one row of overlap, so each pair (t, t+1) lies in one
+    chunk and is checked once; they are checked against `obj`.
     Stage-boundary indices (where eta changes) are skipped: the identity
     is only defined within a stage.  NaN residuals are ignored.
     """
-    t = np.flatnonzero(traj.etas[1:] == traj.etas[:-1])
-    ys = traj.y_history()
-    eta = traj.etas[t, None]
-    inner = ys[t] - eta * traj.omegas[t]
-    predicted = inner - eta * obj.grads_at(inner)
-    residuals = np.linalg.norm(ys[t + 1] - predicted, axis=1)
-    return float(np.fmax.reduce(residuals, initial=0.0))
+    worst = 0.0
+    for t0, ys in _shadow(traj.objective, traj.etas, traj.xs[:, None], overlap=1):
+        ys = ys[:, 0]
+        etas = traj.etas[t0 : t0 + len(ys)]
+        t = np.flatnonzero(etas[1:] == etas[:-1])
+        eta = etas[t, None]
+        inner = ys[t] - eta * traj.omegas[t0 + t]
+        predicted = inner - eta * obj.grads_at(inner)
+        residuals = np.linalg.norm(ys[t + 1] - predicted, axis=1)
+        worst = np.fmax.reduce(residuals, initial=worst)
+    return float(worst)

@@ -63,8 +63,9 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
     T1_min clamps to 0 when the starting shadow point already lies within
     the b/lambda floor (log argument <= 1); the degenerate noiseless case
     b = 0 clamps the same way.  A square beyond the double range is inf.
-    Where float arithmetic meets inf - inf, inf / inf or an infinite
-    T1_min quotient, `_exact_derived` computes them instead: no NaN.
+    Where float arithmetic meets inf - inf, inf / inf, an infinite
+    T1_min quotient or an overflowing 2*eta*c, `_exact_derived` computes
+    them instead: no NaN, and radii that do not depend on y0_dist2.
     """
     for name, value in (("c", c), ("eta", eta)):
         if not (value > 0 and math.isfinite(value)):  # NaN fails too
@@ -99,7 +100,9 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
         delta2 = mu**2 * b / lam if lam > 0 else math.inf
     except (ValueError, OverflowError):  # math.ceil of a NaN or inf quotient
         stay_radius2 = delta2 = math.nan
-    if any(map(math.isnan, (lam, b, stay_radius2, delta2))):
+    # lam = inf from finite inputs is an overflow of 2*eta*c, over which
+    # the float radii would round to 0
+    if lam == math.inf or any(map(math.isnan, (lam, b, stay_radius2, delta2))):
         lam, b, t1, stay_radius2, delta2 = _exact_derived(c, eta, L, r, y0_dist2, mu)
     limits = [1.0 / (2.0 * c)]
     if L > 0:
@@ -122,7 +125,7 @@ def _exact_derived(c, eta, L, r, y0_dist2, mu) -> tuple:
     lam = 2 * eta * c - eta**2 * L**2
     b = (eta * r * (1 + eta * L)) ** 2
     t1 = 0
-    if lam > 0 and lam * y0 > b:
+    if lam > 0 and b > 0 and lam * y0 > b:  # b = 0 clamps as in the float path
         excess = lam * y0 / b - 1
         try:
             log_ratio = math.log1p(excess)

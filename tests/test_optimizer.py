@@ -1,6 +1,7 @@
 """Runner semantics: contraction, shadow identity, persistence, divergence."""
 import csv
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -19,11 +20,16 @@ from sgdsmooth import (
     sgd_run,
     shadow_check,
 )
+import sgdsmooth.optimizer as optimizer_module
 from sgdsmooth.optimizer import (
+    _CSV_CHUNK,
+    _TABLE_ROWS,
     DIVERGENCE_CUTOFF,
     EnsembleResult,
+    Trajectory,
     _bounded,
     lockstep_run,
+    write_csv_columns,
 )
 
 from conftest import bisect_root, read_csv_columns
@@ -324,6 +330,135 @@ class TestRecord:
             assert _bits(result.trajectory(i).y_history()) == _bits(ys[:, i])
 
 
+def _whole_record_csv(traj, path):
+    """Reference: `write_csv` as one `write_csv_columns` call over the
+    whole record's columns."""
+    xs = {f"x_{i}": x for i, x in enumerate(traj.xs.T)}
+    write_csv_columns(path, {"t": range(len(traj)), "stage": traj.stage_idx, **xs, **traj.columns()})
+
+
+def _shadow_check_whole(traj, obj):
+    """Reference: `shadow_check` over the whole shadow history at once."""
+    t = np.flatnonzero(traj.etas[1:] == traj.etas[:-1])
+    ys = traj.y_history()
+    eta = traj.etas[t, None]
+    inner = ys[t] - eta * traj.omegas[t]
+    predicted = inner - eta * obj.grads_at(inner)
+    residuals = np.linalg.norm(ys[t + 1] - predicted, axis=1)
+    return float(np.fmax.reduce(residuals, initial=0.0))
+
+
+def _traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedPasses:
+    """The passes that derive rows from a history read it in chunks; each
+    gives the bits of the same pass over the whole history at once."""
+
+    # 4 trials make _TABLE_ROWS // 4 steps per shadow chunk
+    PER = _TABLE_ROWS // 4
+
+    @pytest.mark.parametrize("rows", [PER - 1, PER, PER + 1])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_y_dist2_history_is_the_whole_history_formula(self, d, rows):
+        obj = make_spiky(SpikyParams(dimension=d))
+        sched = StepSchedule((Stage(0.05, rows - 1, NoiseKernel("uniform-ball", 2.0, d)),))
+        x0s = np.linspace(-3.0, 3.0, 4 * d).reshape(4, d)
+        result = lockstep_run(obj, sched, x0s, [RngStream(12, i) for i in range(4)])
+        self._check_y_dist2(result, obj.target)
+
+    def test_y_dist2_history_of_a_trial_frozen_at_inf(self):
+        # eta = 1e308 on x^2/2: the trial from 2 freezes at -inf (its
+        # shadow row is NaN), the ones from 1 and 1e-300 beyond the cutoff
+        # (an inf distance), and the one at 0 stays there
+        sched = StepSchedule((Stage(1e308, 6, NoiseKernel("zero", 0.0, 1)),))
+        x0s = np.array([[2.0], [1.0], [0.0], [1e-300]])
+        result = lockstep_run(make_quadratic(1), sched, x0s, [RngStream(13, i) for i in range(4)])
+        assert result.diverged.tolist() == [True, True, False, True]
+        assert np.isneginf(result.x_hist[-1, 0, 0])
+        d2 = self._check_y_dist2(result, [0.0])
+        assert np.isnan(d2[-1, 0]) and np.isinf(d2[-1, [1, 3]]).all() and d2[-1, 2] == 0.0
+
+    @staticmethod
+    def _check_y_dist2(result, target):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d2 = result.y_dist2_history(target)
+            diff = result.y_history() - np.asarray(target, dtype=float)
+        assert _bits(d2) == _bits(np.einsum("tnd,tnd->tn", diff, diff))
+        return d2
+
+    # with 64 rows per chunk the chunks are [0, 64), [63, 127), ...: a first
+    # stage of s steps puts the stage edge at the pair (s - 1, s), the last
+    # pair of the first chunk for s = 63 and the first of the second for 64
+    @pytest.mark.parametrize("steps", [62, 63, 64, 65])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("poison", [None, "nan", "kick"])
+    def test_shadow_check_is_the_whole_history_formula(self, monkeypatch, steps, d, poison):
+        monkeypatch.setattr(optimizer_module, "_TABLE_ROWS", 64)
+        obj = make_spiky(SpikyParams(dimension=d))
+        other = make_spiky(SpikyParams(amp=0.9, dimension=d))
+        sched = StepSchedule((
+            Stage(0.01, steps, NoiseKernel("uniform-ball", 2.0, d)),
+            Stage(0.005, 150, NoiseKernel("uniform-cube", 1.0, d)),
+        ))
+        traj = sgd_run(obj, sched, np.ones(d), RngStream(42, steps))
+        # row 63 is the one both chunks hold: a NaN there gives NaN
+        # residuals, skipped, and a kick there the largest residual, at
+        # the pair (63, 64) that only the second chunk holds whole
+        if poison == "nan":
+            traj = replace(traj, xs=traj.xs.copy())
+            traj.xs[63] = np.nan
+        elif poison == "kick":
+            traj = replace(traj, omegas=traj.omegas.copy())
+            traj.omegas[63] += 1.0
+        for check in (obj, other):
+            residual = shadow_check(traj, check)
+            assert residual == _shadow_check_whole(traj, check)
+        assert residual > 0.0
+        # against its own objective only the kicked pair leaves a residual;
+        # at steps = 64 that pair is the stage edge
+        assert (shadow_check(traj, obj) > 0.0) == (poison == "kick" and steps != 64)
+
+    def test_shadow_check_across_full_size_chunks(self, quadratic_1d):
+        # the stage edge is the pair (4095, 4096), the first pair of the
+        # second chunk [4095, 8191)
+        sched = StepSchedule((
+            Stage(0.01, _TABLE_ROWS, NoiseKernel("uniform-ball", 0.5, 1)),
+            Stage(0.02, 500, NoiseKernel("uniform-ball", 0.5, 1)),
+        ))
+        traj = sgd_run(quadratic_1d, sched, [1.0], RngStream(43, 0))
+        other = make_quadratic(1, 1.5)
+        assert shadow_check(traj, other) == _shadow_check_whole(traj, other) > 0.0
+
+    def test_write_csv_peak_memory(self, tmp_path, spiky_default):
+        rows = 200_000
+        rng = np.random.default_rng(14)
+        traj = Trajectory(
+            spiky_default, rng.uniform(-3.0, 3.0, (rows, 1)), rng.uniform(-2.0, 2.0, (rows, 1)),
+            np.full(rows, 0.01), np.zeros(rows, dtype=np.int64),
+        )
+        peak = _traced_peak(lambda: traj.write_csv(tmp_path / "long.csv"))
+        assert peak < 2 * 2**20
+
+    def test_y_dist2_history_peak_memory(self):
+        steps, n, d = 2001, 100, 3
+        x_hist = np.random.default_rng(15).uniform(-3.0, 3.0, (steps, n, d))
+        result = EnsembleResult(
+            make_spiky(SpikyParams(dimension=d)), x_hist, x_hist, np.full(steps, 0.05),
+            np.zeros(steps, dtype=np.int64), np.zeros(n, dtype=bool), x_hist[-1].copy(),
+        )
+        peak = _traced_peak(lambda: result.y_dist2_history(np.zeros(d)))
+        assert peak < steps * n * 8 + 2**20
+
+
 def _run_both(obj, schedule, x0s, seed=5):
     """(lockstep_run, reference) on the same streams, checked field by
     field for bitwise equality, NaN equal to NaN, and the derived shadow
@@ -477,11 +612,12 @@ class TestBlockwiseDivergence:
 
 
 class _CountedGenerator:
-    """A generator that counts how many of its kind are alive."""
+    """A generator that counts how many of its kind are built and alive."""
 
-    def __init__(self, gen, live):
+    def __init__(self, gen, live, built):
         self._gen, self._live = gen, live
         live.append(None)
+        built.append(None)
 
     def __getattr__(self, name):
         return getattr(self._gen, name)
@@ -491,11 +627,15 @@ class _CountedGenerator:
 
 
 class _CountedStream:
-    def __init__(self, stream, live):
-        self._stream, self._live = stream, live
+    def __init__(self, stream, live, built):
+        self._stream, self._live, self._built = stream, live, built
 
     def generator(self):
-        return _CountedGenerator(self._stream.generator(), self._live)
+        return _CountedGenerator(self._stream.generator(), self._live, self._built)
+
+    def rekey(self, gen):
+        # resets the wrapped generator's Philox state and returns the wrapper
+        return self._stream.rekey(gen)
 
 
 class TestFinalsOnly:
@@ -552,24 +692,28 @@ class TestFinalsOnly:
 
     @pytest.mark.parametrize("keep_history", [True, False])
     def test_one_generator_per_trial_while_its_stages_last(self, monkeypatch, keep_history):
-        live, seen = [], []
+        live, built, seen, used = [], [], [], []
         sample_batch = NoiseKernel.sample_batch
 
         def counted(kernel, steps, gen, **kw):
             seen.append(len(live))
+            used.append(id(gen))
             return sample_batch(kernel, steps, gen, **kw)
 
         monkeypatch.setattr(NoiseKernel, "sample_batch", counted)
         kernel = NoiseKernel("uniform-ball", 2.0, 1)
-        streams = [_CountedStream(RngStream(6, i), live) for i in range(5)]
+        streams = [_CountedStream(RngStream(6, i), live, built) for i in range(5)]
         one = StepSchedule((Stage(0.01, 30, kernel),))
         lockstep_run(make_spiky(SpikyParams()), one, np.zeros((5, 1)), streams, keep_history)
-        # a one-stage run holds one generator at each draw
+        # a one-stage run builds one generator and re-keys it for each trial
+        assert len(built) == 1 and len(set(used)) == 1
         assert seen == [1] * 5 and live == []
+        built.clear()
         seen.clear()
         three = StepSchedule((Stage(0.01, 30, kernel),) * 3)
         lockstep_run(make_spiky(SpikyParams()), three, np.zeros((5, 1)), streams, keep_history)
-        # the first stage creates them, the last drops each after its draw
+        # the first stage builds one per trial, the last drops each after its draw
+        assert len(built) == 5
         assert seen == [1, 2, 3, 4, 5] + [5] * 5 + [5, 4, 3, 2, 1] and live == []
 
 
@@ -664,19 +808,22 @@ CSV_CASES = _csv_cases()
 
 
 class TestCsvBytes:
-    """The column-wise writer against the row-wise `csv.writer` body it
-    replaced."""
+    """The chunked writer against the row-wise `csv.writer` body it
+    replaced and against one `write_csv_columns` call over the whole
+    record's columns."""
 
     @pytest.mark.parametrize("traj", [pytest.param(t, id=name) for name, t in CSV_CASES])
     def test_bytes_equal_reference(self, tmp_path, traj):
         traj.write_csv(tmp_path / "new.csv")
         _reference_write_csv(traj, tmp_path / "ref.csv")
+        _whole_record_csv(traj, tmp_path / "whole.csv")
         new = (tmp_path / "new.csv").read_bytes()
-        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
         assert new.count(b"\n") == len(traj) + 1
 
     def test_cases_cover_the_odd_values(self):
         cases = dict(CSV_CASES)
+        assert {1, _CSV_CHUNK, _CSV_CHUNK + 1} <= {len(t) for t in cases.values()}
         assert np.isnan(cases["no-target"].columns()["dist2"]).all()
         assert cases["out-of-box"].columns()["out_of_box"].any()
         assert cases["diverged"].diverged

@@ -193,7 +193,10 @@ class TestConstants:
         ((1e308, 1.0, 0.0, 1.0, 1.0, 1), {"lambda": math.inf, "b": 1.0, "T1_min": 1}),
         # lambda = b = inf, but their ratio and the radii are finite
         ((1e300, 1e10, 0.0, 1e150, 1.0, 1), {"lambda": math.inf, "b": math.inf, "T1_min": 0}),
-    ], ids=["lambda-inf", "lambda-and-b-inf"])
+        # 2 eta c overflows, lambda does not, and b = 0: T1_min clamps to 0,
+        # as in the float path
+        ((1e154, 1e154, 1.0, 0.0, 1.0, 0), {"lambda": 1e308, "b": 0.0, "T1_min": 0}),
+    ], ids=["lambda-inf", "lambda-and-b-inf", "lambda-inf-noiseless"])
     def test_overflowing_lambda_gives_exact_radii(self, args, expected):
         # these raised ValueError from math.ceil and returned a NaN
         # stay_radius2; the radii are 20 b / lambda and mu^2 b / lambda
@@ -204,6 +207,35 @@ class TestConstants:
         b_over_lam = (eta * r * (1 + eta * L)) ** 2 / (2 * eta * c - eta**2 * L**2)
         assert cons.stay_radius2 == float(20 * b_over_lam)
         assert cons.delta2 == float(Fraction(cons.mu) ** 2 * b_over_lam)
+
+    @pytest.mark.parametrize("args", [(1e308, 1.0, 0.0, 1.0), (1e300, 1e10, 0.0, 1e150)],
+                             ids=["lambda-inf", "lambda-and-b-inf"])
+    def test_overflowing_lambda_radii_do_not_depend_on_y0(self, args):
+        # at y0_dist2 = 0 the float path gave 20 b / inf = 0 for both radii
+        radii = {(cons.stay_radius2, cons.delta2)
+                 for cons in (constants(*args, y0, 1) for y0 in (0.0, 1.0, 1e300))}
+        assert len(radii) == 1
+        assert 0.0 < min(radii.pop())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-170, 170), st.floats(-170, 170), st.floats(-170, 170), st.floats(-170, 170),
+        st.booleans(), st.booleans(), st.floats(-300, 300),
+    )
+    def test_finite_float_radii_keep_their_bits(self, lc, le, lL, lr, L_zero, r_zero, ly):
+        c, eta = 10.0**lc, 10.0**le
+        L = 0.0 if L_zero else 10.0**lL
+        r = 0.0 if r_zero else 10.0**lr
+        try:
+            lam, b, _ = _power_form(c, eta, L, r)
+        except (OverflowError, ZeroDivisionError):  # a square out of range
+            return
+        cons = constants(c, eta, L, r, 10.0**ly, 10)
+        if not 0.0 < lam < math.inf:
+            return
+        radii = (20.0 * b / lam, cons.mu**2 * b / lam)
+        if all(map(math.isfinite, radii)):
+            assert _same_bits(cons.stay_radius2, radii[0]) and _same_bits(cons.delta2, radii[1])
 
     def test_t1_min_beyond_the_double_range_is_an_exact_int(self):
         # log(ratio) / lambda overflowed to inf, and math.ceil raised
