@@ -3,11 +3,7 @@
 PRNG: numpy's Philox 4x64 counter-based generator (numpy >= 1.17,
 pinned in pyproject).  The 128-bit Philox key is (seed, stream_id), so
 distinct stream ids give independent streams and identical pairs replay
-the exact same sample sequence on any platform.  `RngStream.rekey`
-resets an existing Philox generator to a stream's first draw (counter 0,
-empty buffer, no cached uint32), the bytes of a fresh `generator()`
-without building one; the SGD engine re-keys one generator for every
-trial of a one-stage run.
+the exact same sample sequence on any platform.
 
 `NoiseKernel.sample_batch` draws i.i.d. samples; it drives the SGD engine
 and every kernel in every dimension.  Given a caller's (n, d) buffer
@@ -44,25 +40,9 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self._key()))
-
-    def rekey(self, gen: np.random.Generator) -> np.random.Generator:
-        """Reset the Philox generator `gen` to this stream's first draw and
-        return it: counter 0, an empty buffer and no cached uint32, so it
-        draws the bytes of a fresh `generator()` without building one."""
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key()},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen
-
-    def _key(self) -> np.ndarray:
         # a uint64 array: numpy casts a list entry >= 2**63 through float64
-        return np.array([self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64)
+        key = np.array([self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)

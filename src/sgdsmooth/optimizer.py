@@ -19,15 +19,14 @@ since every oracle is row-wise it gives the bits of a whole-array pass.
 with batched oracle calls.  When a stage starts, each trial draws that
 stage's noise from its own stream, so `sgd_run` is a one-trial run of
 the same loop and a lockstep trial replays `sgd_run` for the same stream
-by construction, whether the trial's generator is its own or, in a
-one-stage run, the run's one generator re-keyed to its stream.  One
-predicate flags divergence at every recorded iterate, the final one
-included.  The loop applies it once per block of `_BLOCK` rows rather
-than once per step; blocks start at each stage start.  A trial first
-beyond the cutoff at row k has its rows after k in that block rewritten
-to the frozen x_k, so every history is bitwise the one a per-step
-freeze gives.  Stepping past the cutoff until the block ends may
-overflow; those rows are overwritten and the overflow is not reported.
+by construction.  One predicate flags divergence at every recorded
+iterate, the final one included.  The loop applies it once per block of
+`_BLOCK` rows rather than once per step; blocks start at each stage
+start.  A trial first beyond the cutoff at row k has its rows after k in
+that block rewritten to the frozen x_k, so every history is bitwise the
+one a per-step freeze gives.  Stepping past the cutoff until the block
+ends may overflow; those rows are overwritten and the overflow is not
+reported.
 
 A run keeps two (T+1, n, d) histories, the iterates and the noise, the
 latter stored trial-major (see `lockstep_run`), or, with
@@ -36,14 +35,15 @@ bitwise the same, in O(n*d) memory plus one stage's noise.
 `EnsembleResult.trajectory` is the one place a `Trajectory` record is
 built, as views of one trial's iterates and noise, all a record stores;
 `_record_columns` is the one builder of the derived columns.  A record
-is persisted either alone, as a CSV (`Trajectory.write_csv`, formatted
-by `_write_csv` as the package's one CSV writer, `write_csv_columns`,
-formats its columns), or with every trial of an ensemble, as one `.npy`
+is persisted either alone, as a CSV (`Trajectory.write_csv`, through
+`_write_csv`, the formatter of the package's one CSV writer,
+`write_csv_columns`), or with every trial of an ensemble, as one `.npy`
 trajectory table (`EnsembleResult.write_table`), built in chunks of
 whole trials.
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -62,7 +62,7 @@ DIVERGENCE_CUTOFF = 1e6
 
 # rows stepped between two divergence checks in lockstep_run
 _BLOCK = 64
-# rows formatted at a time in write_csv_columns
+# rows formatted at a time by the CSV writers
 _CSV_CHUNK = 1024
 # rows built at a time in EnsembleResult.write_table and _shadow
 _TABLE_ROWS = 4096
@@ -157,16 +157,17 @@ class Trajectory:
         `write_csv_columns` writes for `{"t", "stage", x_0.., **columns()}`,
         with the columns derived `_CSV_CHUNK` rows at a time as each chunk
         is formatted, so no whole-record column is built."""
-        # the record columns, in the order _record_columns builds them
-        names = ["t", "stage", *(f"x_{i}" for i in range(self.dimension)), *table_dtype(1).names[4:]]
 
         def chunks():
             for t0, t1 in _chunks(len(self), _CSV_CHUNK):
                 xs = self.xs[t0:t1]
-                derived = _record_columns(self.objective, xs, self.omegas[t0:t1])
-                yield [range(t0, t1), self.stage_idx[t0:t1], *xs.T, *derived.values()]
+                yield {
+                    "t": range(t0, t1), "stage": self.stage_idx[t0:t1],
+                    **{f"x_{i}": x for i, x in enumerate(xs.T)},
+                    **_record_columns(self.objective, xs, self.omegas[t0:t1]),
+                }
 
-        _write_csv(path, names, chunks())
+        _write_csv(path, chunks())
 
 
 def write_csv_columns(path, columns: Mapping[str, Sequence]) -> None:
@@ -177,18 +178,24 @@ def write_csv_columns(path, columns: Mapping[str, Sequence]) -> None:
     lengths = {len(col) for col in columns.values()}
     if len(lengths) != 1:
         raise ValueError(f"need columns of one length, got lengths {sorted(lengths)}")
-    cols = list(columns.values())
-    _write_csv(path, columns, ([col[t0:t1] for col in cols] for t0, t1 in _chunks(lengths.pop(), _CSV_CHUNK)))
+    # one chunk even of no rows, which writes the header alone
+    starts = range(0, max(1, lengths.pop()), _CSV_CHUNK)
+    _write_csv(path, ({name: col[t0 : t0 + _CSV_CHUNK] for name, col in columns.items()} for t0 in starts))
 
 
-def _write_csv(path, names, chunks) -> None:
-    """Write a header of `names`, then each chunk, a list of equal-length
-    columns in `names` order, as CSV rows."""
+def _write_csv(path, chunks) -> None:
+    """Write each chunk, a dict of equal-length columns, as CSV rows under
+    a header of the first chunk's names; every chunk has those names in
+    that order."""
+    chunks = iter(chunks)
+    first = next(chunks)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for chunk in chunks:
-            cells = [_csv_cells(np.asarray(col)) for col in chunk]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        fh.write(",".join(first) + "\n")
+        for chunk in itertools.chain([first], chunks):
+            cells = [_csv_cells(np.asarray(col)) for col in chunk.values()]
+            rows = "\n".join(map(",".join, zip(*cells)))
+            if rows:
+                fh.write(rows + "\n")
 
 
 def _csv_cells(col: np.ndarray):
@@ -371,11 +378,8 @@ def lockstep_run(
     """Advance n trials of staged SGD together with batched oracle calls.
 
     When a stage starts, trial i draws that stage's noise with one
-    `sample_batch` call on a generator at its place in `streams[i]`:
-    its own, built at its first draw and dropped after its last, or,
-    for a trial that holds none when it draws its last stage (every
-    trial of a one-stage run), the run's one generator re-keyed by
-    `RngStream.rekey`.  Iterates are never
+    `sample_batch` call on its generator from `streams[i]`, created at
+    its first draw and dropped after the last stage.  Iterates are never
     projected.  Every recorded iterate, the final one included, goes
     through the divergence predicate; a trial that fails it freezes in
     place and is flagged rather than aborting the others.
@@ -420,7 +424,6 @@ def lockstep_run(
         x_hist = None
         x_block = np.empty((_BLOCK, n, d))
     gens = [None] * n
-    shared = None  # the one generator of trials that hold none at their last stage
     active = np.ones(n, dtype=bool)
     grads_at = obj.grads_at
     x = x0s
@@ -432,14 +435,7 @@ def lockstep_run(
             s0 = t0 if keep_history else 0  # the stage's first row in noise_buf
             last = t1 > total  # only the last stage holds the final row
             for i, stream in enumerate(streams):
-                if gens[i] is not None:
-                    gen = gens[i]
-                elif not last:
-                    gen = stream.generator()
-                elif shared is None:
-                    gen = shared = stream.generator()
-                else:
-                    gen = stream.rekey(shared)
+                gen = stream.generator() if gens[i] is None else gens[i]
                 stage.kernel.sample_batch(stage.steps, gen, out=noise_buf[i, s0 : s0 + stage.steps])
                 gens[i] = None if last else gen
             noise = omegas[s0 : s0 + t1 - t0]

@@ -126,29 +126,6 @@ class TestStreams:
         ref = np.random.Generator(np.random.Philox(key=[20240, 1000])).uniform(size=3)
         assert RngStream(20240, 1000).generator().uniform(size=3).tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("seed, stream_id", [(42, 7), (-3, 1000), (5, 2**63 + 11)],
-                             ids=["plain", "negative-seed", "stream-id-past-2**63"])
-    @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("kind", ["zero", "uniform-cube", "uniform-ball"])
-    def test_rekey_draws_the_bytes_of_a_fresh_generator(self, kind, d, seed, stream_id):
-        k = NoiseKernel(kind, 1.5, d)
-        stream = RngStream(seed, stream_id)
-        gen = RngStream(9, 4).generator()
-        # leave it mid-buffer and holding the upper half of a uint64
-        gen.random(2)
-        gen.integers(0, 2**32, dtype=np.uint32)
-        state = gen.bit_generator.state
-        assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
-        assert stream.rekey(gen) is gen
-        fresh = stream.generator()
-        for g in (gen, fresh):
-            assert g.bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, 0]
-        # an odd count of uint32s reads a cached half, if one were kept
-        draws = [(k.sample_batch(37, g), g.integers(0, 2**32, size=3, dtype=np.uint32))
-                 for g in (gen, fresh)]
-        for a, b in zip(*draws):
-            assert a.tobytes() == b.tobytes()
-
 
 def _formula_draw(kernel, n, gen):
     """Reference: the allocating formulas the in-place draw replaced."""
