@@ -15,8 +15,9 @@ ensemble with an output directory persists three artifacts there:
 summary value is written as null) and `finals.svg`, the histogram of
 the finals that did not diverge.  Only such an ensemble keeps the
 engine's two (T+1, n, d) histories, iterates and noise; one that
-persists nothing runs finals-only, in O(n*d) memory plus one stage's
-noise, with the same finals, flags and summary.  The summary's median
+persists nothing runs finals-only, with the same finals, flags and
+summary, in O(n*d) memory plus 1,024 rows of noise per trial (a
+whole stage's for the d > 1 ball).  The summary's median
 is `np.median`'s, bit for bit, taken without the `numpy.ma` import that
 `np.median` makes.
 `figure3` writes one ensemble directory per row-2 and row-3 panel, next
@@ -340,7 +341,8 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
     inside the [q10, q90] spread of the previous stage's finals.  The
     default stage ladder halves the noise level per stage, echoing the
     0.3 -> 0.15 shrink of the original demonstration.  Without an
-    output directory every ensemble runs finals-only.
+    output directory row 1 is skipped and every ensemble runs
+    finals-only.
     """
     if len(config.noise_levels) < 3:
         raise ValueError("figure3 needs at least 3 noise levels")
@@ -353,8 +355,9 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
 
     base = config.stages[0]
 
-    # Row 1: smoothed curves (closed form needs the 1-d spiky landscape)
-    if config.objective.kind == "spiky" and obj.dimension == 1:
+    # Row 1: smoothed curves (closed form needs the 1-d spiky landscape),
+    # only written, never reported
+    if out is not None and config.objective.kind == "spiky" and obj.dimension == 1:
         params = config.objective.spiky_params()
         ys = np.linspace(config.cert_grid.lo, config.cert_grid.hi, 121)
         for j, r in enumerate(config.noise_levels):
@@ -362,8 +365,7 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
                 params, base.eta, r, ys, n=10_000, seed=config.seed,
                 confidence=config.confidence,
             )
-            if out is not None:
-                write_csv_columns(os.path.join(out, f"row1_level{j}.csv"), cols)
+            write_csv_columns(os.path.join(out, f"row1_level{j}.csv"), cols)
 
     # Row 2: ensembles across noise levels, zero-noise baseline first;
     # each persists to its own panel directory

@@ -8,7 +8,8 @@ the exact same sample sequence on any platform.
 `NoiseKernel.sample_batch` draws i.i.d. samples; it drives the SGD engine
 and every kernel in every dimension.  Given a caller's (n, d) buffer
 (`out=`), it draws in place, so the engine stores each trial's noise
-where it reads it.  Philox is counter-based: a draw depends only on its
+where it reads it (a piece at a time where `splits_by_row` holds).
+Philox is counter-based: a draw depends only on its
 key and stream position, not on where it lands.  In place, the interval
 and cube kinds compute -h + (h - -h)*u from uniforms u = `gen.random`,
 the same doubles as `gen.uniform(-h, h)` (low + (high - low)*u), with
@@ -71,6 +72,12 @@ class NoiseKernel:
     @property
     def is_zero(self) -> bool:
         return self.kind == "zero" or self.radius == 0.0
+
+    @property
+    def splits_by_row(self) -> bool:
+        """Whether draws of m then k rows give one m + k row draw's bytes:
+        false for the d > 1 ball, which draws every normal first."""
+        return self.is_zero or self.kind == "uniform-cube" or self.dimension == 1
 
     def sample_batch(
         self, n: int, gen: np.random.Generator, out: Optional[np.ndarray] = None

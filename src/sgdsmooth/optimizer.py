@@ -31,15 +31,15 @@ reported.
 A run keeps two (T+1, n, d) histories, the iterates and the noise, the
 latter stored trial-major (see `lockstep_run`), or, with
 `keep_history=False`, only the final iterates and the divergence flags,
-bitwise the same, in O(n*d) memory plus one stage's noise.
+bitwise the same, in O(n*d) memory plus `_NOISE_ROWS` rows of noise per
+trial (a whole stage's for the d > 1 ball, see `lockstep_run`).
 `EnsembleResult.trajectory` is the one place a `Trajectory` record is
 built, as views of one trial's iterates and noise, all a record stores;
 `_record_columns` is the one builder of the derived columns.  A record
 is persisted either alone, as a CSV (`Trajectory.write_csv`, through
 `_write_csv`, the formatter of the package's one CSV writer,
 `write_csv_columns`), or with every trial of an ensemble, as one `.npy`
-trajectory table (`EnsembleResult.write_table`), built in chunks of
-whole trials.
+trajectory table (`EnsembleResult.write_table`), built in row chunks.
 """
 from __future__ import annotations
 
@@ -62,6 +62,8 @@ DIVERGENCE_CUTOFF = 1e6
 
 # rows stepped between two divergence checks in lockstep_run
 _BLOCK = 64
+# noise rows a finals-only lockstep_run draws at a time, 16 blocks
+_NOISE_ROWS = 16 * _BLOCK
 # rows formatted at a time by the CSV writers
 _CSV_CHUNK = 1024
 # rows built at a time in EnsembleResult.write_table and _shadow
@@ -338,8 +340,8 @@ class EnsembleResult:
         """Write every trial's record, the rows of `trajectory`, to `path`
         as one `.npy` table of `table_dtype` rows, trials in order.
 
-        The rows are built in chunks of whole trials, as many as fit in
-        `_TABLE_ROWS` rows and at least one, with one call of each oracle
+        The rows are built in chunks of at most `_TABLE_ROWS` rows, whole
+        trials or `_chunks` of one record, with one call of each oracle
         per chunk, in one reused buffer.
         """
         self._require_history()
@@ -347,24 +349,26 @@ class EnsembleResult:
         steps, n, d = self.x_hist.shape
         ends = np.array([self.record_end(i) for i in range(n)])
         per = max(1, _TABLE_ROWS // steps)  # trials per chunk
-        buf = np.empty(per * steps, table_dtype(d))
-        buf["t"] = np.tile(np.arange(steps), per)
-        buf["stage"] = np.tile(self.stage_idx, per)
-        trial = np.repeat(np.arange(per), steps)
+        # a one-trial chunk covers only its record's rows, in row chunks
+        chunks = [(i0, min(i0 + per, n), t0, t1) for i0 in range(0, n, per)
+                  for t0, t1 in _chunks(steps if per > 1 else ends[i0], _TABLE_ROWS)]
+        buf = np.empty(per * min(steps, _TABLE_ROWS), table_dtype(d))
         noise = self.omegas.transpose(1, 0, 2)  # the trial-major (n, T+1, d) buffer
         header = {"descr": fmt.dtype_to_descr(buf.dtype), "fortran_order": False, "shape": (int(ends.sum()),)}
         with open(path, "wb") as fh:
             fmt.write_array_header_1_0(fh, header)
-            for i0 in range(0, n, per):
-                i1 = min(i0 + per, n)
-                rows = buf[: (i1 - i0) * steps]
-                xs = self.x_hist[:, i0:i1].transpose(1, 0, 2).reshape(-1, d)
-                rows["trial"] = trial[: len(rows)] + i0
+            for i0, i1, t0, t1 in chunks:
+                m = t1 - t0
+                rows = buf[: (i1 - i0) * m]
+                xs = self.x_hist[t0:t1, i0:i1].transpose(1, 0, 2).reshape(-1, d)
+                rows["trial"] = np.repeat(np.arange(i0, i1), m)
+                rows["t"] = np.tile(np.arange(t0, t1), i1 - i0)
+                rows["stage"] = np.tile(self.stage_idx[t0:t1], i1 - i0)
                 rows["x"] = xs
-                for name, col in _record_columns(self.objective, xs, noise[i0:i1].reshape(-1, d)).items():
+                for name, col in _record_columns(self.objective, xs, noise[i0:i1, t0:t1].reshape(-1, d)).items():
                     rows[name] = col
                 if self.diverged[i0:i1].any():
-                    rows = rows[rows["t"] < np.repeat(ends[i0:i1], steps)]
+                    rows = rows[rows["t"] < np.repeat(ends[i0:i1], m)]
                 rows.tofile(fh)
 
 
@@ -377,9 +381,9 @@ def lockstep_run(
 ) -> EnsembleResult:
     """Advance n trials of staged SGD together with batched oracle calls.
 
-    When a stage starts, trial i draws that stage's noise with one
-    `sample_batch` call on its generator from `streams[i]`, created at
-    its first draw and dropped after the last stage.  Iterates are never
+    Trial i draws each stage's noise with one `sample_batch` call, or
+    one per piece (below), on its generator from `streams[i]`, created
+    at its first draw and dropped after its last.  Iterates are never
     projected.  Every recorded iterate, the final one included, goes
     through the divergence predicate; a trial that fails it freezes in
     place and is flagged rather than aborting the others.
@@ -391,15 +395,18 @@ def lockstep_run(
     and flags are bitwise those of a per-step freeze.  The steps it took
     past the cutoff raise no overflow or invalid-value warning.
 
-    Trial i's draws for a stage land in place, by `sample_batch(...,
-    out=)`, in one contiguous run of rows of its slice of a trial-major
-    (n, rows, d) noise buffer.  With `keep_history` the buffer has T+1
-    rows and the result holds the (T+1, n, d) iterate history and, as
-    `omegas`, the (T+1, n, d) transposed view of that buffer, so
-    `omegas[:, i]` is C-contiguous.  Without it, the buffer is sized for
-    the longest stage, a block's iterates go to one reused block buffer,
-    and the result holds only the finals, flags, etas and stage indices,
-    bitwise equal to those of a history run.
+    Trial i's draws land in place, by `sample_batch(..., out=)`, in one
+    contiguous run of rows of its slice of a trial-major (n, rows, d)
+    noise buffer.  With `keep_history` the buffer has T+1 rows and the
+    result holds the (T+1, n, d) iterate history and, as `omegas`, the
+    (T+1, n, d) transposed view of that buffer, so `omegas[:, i]` is
+    C-contiguous.  Without it, a stage whose kernel splits by row is
+    drawn and stepped through in pieces of `_NOISE_ROWS` rows, so the
+    buffer holds one piece and the final zero row; a d > 1 ball stage
+    keeps one whole-stage draw, and the buffer is sized for it.  A
+    block's iterates go to one reused block buffer, and the result holds
+    only the finals, flags, etas and stage indices, bitwise equal to
+    those of a history run.
     """
     x0s = np.asarray(x0s, dtype=float)
     n, d = x0s.shape
@@ -414,9 +421,23 @@ def lockstep_run(
     etas = np.repeat([s.eta for s in stages], rows)
     stage_idx = np.repeat(np.arange(len(stages)), rows)
 
-    # trial-major noise: trial i's draws for a stage are one contiguous run
+    # pieces (stage, p0, p1, p2): draw rows p0..p1-1, step rows p0..p2-1,
+    # where a stage's last piece also steps the final row
+    pieces = []
+    t0 = 0
+    for stage, t1 in zip(stages, np.cumsum(rows).tolist()):
+        whole = keep_history or not stage.kernel.splits_by_row
+        size = max(1, stage.steps) if whole else _NOISE_ROWS
+        end = t0 + stage.steps
+        for p0 in range(t0, max(t0 + 1, end), size):
+            p1 = min(p0 + size, end)
+            pieces.append((stage, p0, p1, t1 if p1 == end else p1))
+        t0 = t1
+
+    # trial-major noise: trial i's draws for a piece are one contiguous run
     # of rows, written in place by sample_batch; `omegas` views it step-major
-    noise_buf = np.empty((n, total + 1 if keep_history else max(rows), d))
+    width = total + 1 if keep_history else max(p2 - p0 for _, p0, _, p2 in pieces)
+    noise_buf = np.empty((n, width, d))
     omegas = noise_buf.transpose(1, 0, 2)
     if keep_history:
         x_hist = np.empty((total + 1, n, d))
@@ -427,26 +448,27 @@ def lockstep_run(
     active = np.ones(n, dtype=bool)
     grads_at = obj.grads_at
     x = x0s
-    t0 = 0
     # a trial past the cutoff keeps stepping to the end of its block, where
     # its rows are overwritten, so its overflow is not reported
     with np.errstate(over="ignore", invalid="ignore"):
-        for stage, t1 in zip(stages, np.cumsum(rows).tolist()):
-            s0 = t0 if keep_history else 0  # the stage's first row in noise_buf
-            last = t1 > total  # only the last stage holds the final row
+        for stage, p0, p1, p2 in pieces:
+            s0 = p0 if keep_history else 0  # the piece's first row in noise_buf
+            last = p2 > total  # only the last piece holds the final row
             for i, stream in enumerate(streams):
                 gen = stream.generator() if gens[i] is None else gens[i]
-                stage.kernel.sample_batch(stage.steps, gen, out=noise_buf[i, s0 : s0 + stage.steps])
+                stage.kernel.sample_batch(p1 - p0, gen, out=noise_buf[i, s0 : s0 + p1 - p0])
                 gens[i] = None if last else gen
-            noise = omegas[s0 : s0 + t1 - t0]
+            noise = omegas[s0 : s0 + p2 - p0]
             # the step leaving the final point uses a zero noise row and is discarded
-            noise[stage.steps :] = 0.0
-            for b0 in range(t0, t1, _BLOCK):
-                b1 = min(b0 + _BLOCK, t1)
+            noise[p1 - p0 :] = 0.0
+            # pieces start at a stage start or _NOISE_ROWS rows on, so the
+            # blocks still start at each stage start
+            for b0 in range(p0, p2, _BLOCK):
+                b1 = min(b0 + _BLOCK, p2)
                 xb = x_hist[b0:b1] if keep_history else x_block[: b1 - b0]
                 # the same products as eta * omegas[t] row by row, each held in
                 # its x row until the iterate is recorded there
-                kicks = np.multiply(etas[b0:b1, None, None], noise[b0 - t0 : b1 - t0], out=xb)
+                kicks = np.multiply(etas[b0:b1, None, None], noise[b0 - p0 : b1 - p0], out=xb)
                 # frozen trials stay in place; np.where is needed only once one is
                 keep = None if active.all() else active[:, None]
                 for j, (eta, kick) in enumerate(zip(etas[b0:b1].tolist(), kicks)):
@@ -462,7 +484,6 @@ def lockstep_run(
                     xb[k + 1 :, i] = xb[k, i]
                     x[i] = xb[k, i]
                     active[i] = False
-            t0 = t1
 
     return EnsembleResult(
         objective=obj,

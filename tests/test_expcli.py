@@ -52,7 +52,7 @@ from sgdsmooth.expcli import cluster as cluster_module
 from sgdsmooth.expcli import pipeline as pipeline_module
 from sgdsmooth.expcli.cli import main
 from sgdsmooth.expcli.pipeline import draw_inits, persist_ensemble
-from sgdsmooth.optimizer import lockstep_run, write_csv_columns
+from sgdsmooth.optimizer import _NOISE_ROWS, lockstep_run, write_csv_columns
 from sgdsmooth.smoothing import smoothed_value_closed
 
 from conftest import local_minima, read_csv_columns
@@ -623,13 +623,14 @@ class TestEnsemble:
         for i in range(2):
             _assert_rows_hold_record(tab[tab["trial"] == i], result.trajectory(i))
 
-    # each trial has 43 rows: chunks of 1 or 43 rows hold one trial, so a
-    # trial is longer than a chunk or fills it; 100 rows hold two, so the
-    # chunks do not divide the 5 trials and each diverged trial shares one
+    # each trial has 43 rows: chunks of 1 or 16 rows hold part of one
+    # trial, so a trial is longer than a chunk, and 43 rows one whole
+    # trial; 100 rows hold two, so the chunks do not divide the 5 trials
+    # and each diverged trial shares one
     @pytest.mark.parametrize(
         "dimension, table_rows",
-        [(d, rows) for rows in (None, 1, 43, 100) for d in (1, 2, 3)],
-        ids=[f"{d}" if rows is None else f"{d}-rows{rows}" for rows in (None, 1, 43, 100) for d in (1, 2, 3)],
+        [(d, rows) for rows in (None, 1, 16, 43, 100) for d in (1, 2, 3)],
+        ids=[f"{d}" if rows is None else f"{d}-rows{rows}" for rows in (None, 1, 16, 43, 100) for d in (1, 2, 3)],
     )
     def test_table_round_trips_every_trial(self, tmp_path, monkeypatch, dimension, table_rows):
         if table_rows is not None:
@@ -658,6 +659,23 @@ class TestEnsemble:
             assert len(traj) == ends[i]
             _assert_rows_hold_record(tab[tab["trial"] == i], traj)
         assert np.all(np.isnan(tab["dist2"])) == (dimension == 2)
+
+    def test_long_trials_are_written_in_row_chunks(self, tmp_path):
+        # on f = x^2/2, eta = 2 flips the sign of x exactly and eta = 3
+        # doubles |x|: the trial from 1 passes the cutoff at t = 50,020,
+        # inside the row chunk [49,152, 53,248), and the one from 0 stays
+        obj = make_quadratic(1)
+        zero = NoiseKernel("zero", 0.0, 1)
+        sched = StepSchedule((Stage(2.0, 50_000, zero), Stage(3.0, 50_000, zero)))
+        result = run_lockstep_ensemble(obj, sched, np.array([[1.0], [0.0]]), 1)
+        assert [result.record_end(0), result.record_end(1)] == [50_021, 100_001]
+        # one trial's whole record is a 6.5 MB buffer of table rows
+        peak = _traced_peak(lambda: result.write_table(tmp_path / "t.npy"))
+        assert peak < 2**20
+        tab = np.load(tmp_path / "t.npy")
+        assert len(tab) == 150_022
+        for i in range(2):
+            _assert_rows_hold_record(tab[tab["trial"] == i], result.trajectory(i))
 
     def test_diverged_trials_cluster_as_reference(self):
         # on f = x^2/2 with eta = 3, x_t = (-2)**t * x0 stops past the cutoff
@@ -832,8 +850,11 @@ def _traced_peak(fn) -> int:
 
 class TestFinalsOnlyMemory:
     """Three stages of 1,000, 1,500 and 2,000 steps over 200 trials in 1-d:
-    the histories, iterates and noise, are 2 x 4,501 x 200 float64, the
-    longest stage's noise 2,000 x 200."""
+    the histories, iterates and noise, are 2 x 4,501 x 200 float64.  A
+    finals-only run draws its noise in pieces of `_NOISE_ROWS` rows per
+    trial (the run's last piece followed by the final zero row), so it
+    holds 200 x 1,024 of noise, not the longest stage's 2,000 x 200; a
+    d > 1 ball stage, drawn at once, would hold a whole stage."""
 
     TRIALS = 200
 
@@ -843,10 +864,21 @@ class TestFinalsOnlyMemory:
             for eta, steps, r in ((0.2, 1000, 3.1416), (0.1, 1500, 3.1), (0.04, 2000, 2.0))
         ))
 
-    def test_ensemble_without_out_dir_holds_one_stage_of_noise(self):
+    def test_ensemble_without_out_dir_holds_one_piece_of_noise(self):
         cfg = self._config()
+        ensemble(cfg)  # one-time allocations of a first call are not the run's
         peak = _traced_peak(lambda: ensemble(cfg))
-        assert peak < 2000 * self.TRIALS * 8 + 2**20
+        assert peak < self.TRIALS * _NOISE_ROWS * 8 + 2**20
+
+    def test_long_stage_holds_one_piece_of_noise(self):
+        # 50 trials x 40,000 steps: the whole stage's noise is 16 MB; the
+        # run's etas and stage indices are 2 x 40,001 float64 and int64
+        n, rows = 50, 40_001
+        kernel = KernelSpec("uniform-ball", 3.1)
+        cfg = _small_config(n_trials=n, seed=32, stages=(StageSpec(0.1, rows - 1, kernel),))
+        ensemble(replace(cfg, stages=(StageSpec(0.1, 10, kernel),)))  # first-call allocations
+        peak = _traced_peak(lambda: ensemble(cfg))
+        assert peak < n * _NOISE_ROWS * 8 + 2 * rows * 8 + 2**20
 
     def test_history_run_holds_the_histories(self):
         cfg = self._config()
@@ -1107,6 +1139,23 @@ class TestFigure3:
             for y, g_mc, ci in zip(cols["y"], cols["g_mc"], cols["ci_halfwidth"]):
                 closed = smoothed_value_closed(params, r, cfg.stages[0].eta, [y])
                 assert abs(g_mc - closed) <= ci
+
+    def test_row1_only_with_an_output_directory(self, tmp_path, monkeypatch):
+        calls = []
+        curve = pipeline_module.smoothing_curve
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return curve(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "smoothing_curve", counted)
+        bare = figure3(_figure3_config())
+        assert calls == []
+        out = str(tmp_path / "fig")
+        persisted = figure3(_figure3_config(out_dir=out))
+        assert len(calls) == len(persisted.noise_levels)
+        # the report holds no row-1 value, so it is the same either way
+        assert replace(persisted, out_dir=None) == bare
 
     def test_row3_reports_per_stage(self):
         report = figure3(_figure3_config())

@@ -179,6 +179,21 @@ class TestOutBuffer:
                 k.sample_batch(4, RngStream(0).generator(), out=out)
 
 
+class TestSplitsByRow:
+    @pytest.mark.parametrize("r", [0.0, 0.7])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["zero", "uniform-cube", "uniform-ball"])
+    def test_pieces_are_one_draw_exactly_when_it_splits(self, kind, d, r):
+        k = NoiseKernel(kind, r, d)
+        whole = k.sample_batch(1500, RngStream(19, d).generator())
+        gen = RngStream(19, d).generator()
+        pieces = np.concatenate([k.sample_batch(m, gen) for m in (512, 512, 0, 1, 475)])
+        assert (pieces.tobytes() == whole.tobytes()) == k.splits_by_row
+        # the d > 1 ball draws every normal before any radius
+        if kind == "uniform-ball" and d > 1 and r > 0:
+            assert not k.splits_by_row
+
+
 class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from sgdsmooth import (
 import sgdsmooth.optimizer as optimizer_module
 from sgdsmooth.optimizer import (
     _CSV_CHUNK,
+    _NOISE_ROWS,
     _TABLE_ROWS,
     DIVERGENCE_CUTOFF,
     EnsembleResult,
@@ -634,10 +635,36 @@ class _CountedStream:
         return _CountedGenerator(self._stream.generator(), self._live)
 
 
+def _finals_only_draws(monkeypatch, obj, schedule, x0s):
+    """Row counts of the `sample_batch` calls a finals-only run on the
+    streams of `_run_both` makes, in call order."""
+    sizes = []
+    sample_batch = NoiseKernel.sample_batch
+
+    def counted(kernel, steps, gen, **kw):
+        sizes.append(steps)
+        return sample_batch(kernel, steps, gen, **kw)
+
+    monkeypatch.setattr(NoiseKernel, "sample_batch", counted)
+    streams = [RngStream(5, 1000 + i) for i in range(len(x0s))]
+    lockstep_run(obj, schedule, np.asarray(x0s, dtype=float), streams, keep_history=False)
+    monkeypatch.setattr(NoiseKernel, "sample_batch", sample_batch)
+    return sizes
+
+
 class TestFinalsOnly:
     """`keep_history=False` keeps the finals and flags of a history run,
     bit for bit, on stage layouts that move the block edges; `_run_both`
-    checks each case against the per-step reference too."""
+    checks each case against the per-step reference too.  Such a run
+    draws a stage's noise `_NOISE_ROWS` rows at a time where the kernel
+    splits by row and the whole stage at once for the d > 1 ball; the
+    tests with `small_pieces` patch `_NOISE_ROWS` to `ROWS`."""
+
+    ROWS = 128
+
+    @pytest.fixture
+    def small_pieces(self, monkeypatch):
+        monkeypatch.setattr(optimizer_module, "_NOISE_ROWS", self.ROWS)
 
     @pytest.mark.parametrize("n", [1, 40])
     @pytest.mark.parametrize("layout", ["middle", "last", "both"])
@@ -707,6 +734,91 @@ class TestFinalsOnly:
         lockstep_run(make_spiky(SpikyParams()), three, np.zeros((5, 1)), streams, keep_history)
         # the first stage creates them, the last drops each after its draw
         assert seen == [1, 2, 3, 4, 5] + [5] * 5 + [5, 4, 3, 2, 1] and live == []
+        seen.clear()
+        monkeypatch.setattr(optimizer_module, "_NOISE_ROWS", self.ROWS)
+        long = StepSchedule((Stage(0.01, 3 * self.ROWS, kernel),))
+        lockstep_run(make_spiky(SpikyParams()), long, np.zeros((5, 1)), streams, keep_history)
+        # finals-only, its three pieces share one generator per trial
+        assert seen == ([1] * 5 if keep_history else [1, 2, 3, 4, 5] + [5] * 5 + [5, 4, 3, 2, 1])
+        assert live == []
+
+    @pytest.mark.usefixtures("small_pieces")
+    @pytest.mark.parametrize("steps", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
+    @pytest.mark.parametrize("followed", [False, True])
+    def test_stage_lengths_around_a_piece(self, monkeypatch, spiky_default, steps, followed):
+        ball = NoiseKernel("uniform-ball", 2.0, 1)
+        stages = (Stage(0.01, steps, ball),) + ((Stage(0.05, 70, ball),) if followed else ())
+        sched = StepSchedule(stages)
+        x0s = np.linspace(-3.0, 3.0, 6)[:, None]
+        _run_both(spiky_default, sched, x0s, seed=21)
+        pieces = [self.ROWS] * (steps // self.ROWS) + [steps % self.ROWS] * (steps % self.ROWS > 0)
+        if followed:
+            pieces.append(70)
+        assert _finals_only_draws(monkeypatch, spiky_default, sched, x0s) == [
+            m for m in pieces for _ in range(6)
+        ]
+
+    @pytest.mark.usefixtures("small_pieces")
+    @pytest.mark.parametrize("layout", ["middle", "last", "both"])
+    def test_zero_step_stages_in_pieces(self, monkeypatch, spiky_default, layout):
+        ball = NoiseKernel("uniform-ball", 2.0, 1)
+        stages = [Stage(0.01, 300, ball), Stage(0.5, 0, ball), Stage(0.02, 2 * self.ROWS, ball),
+                  Stage(0.03, 0, ball)]
+        if layout == "middle":
+            stages = stages[:3]
+        elif layout == "last":
+            stages = [stages[0], stages[2], stages[3]]
+        sched = StepSchedule(tuple(stages))
+        x0s = np.linspace(-3.0, 3.0, 4)[:, None]
+        result = _run_both(spiky_default, sched, x0s, seed=22)
+        assert result.stage_idx[-1] == len(stages) - 1
+        # a 0-step stage still makes its one 0-row draw
+        draws = _finals_only_draws(monkeypatch, spiky_default, sched, x0s)[::4]
+        pieces = {300: [128, 128, 44], 256: [128, 128], 0: [0]}
+        assert draws == [m for stage in stages for m in pieces[stage.steps]]
+
+    @pytest.mark.usefixtures("small_pieces")
+    def test_divergence_inside_a_later_piece(self):
+        # each step doubles |x|: the trials first pass the cutoff at rows
+        # 127, 128, 129 and 300, in the first, second, second and third
+        # piece of rows 0..316; the last stays far below it
+        obj, sched = _expanding(steps=2 * self.ROWS + 60)
+        x0s = np.array([[_start_beyond_at(k)] for k in (127, 128, 129, 300)] + [[2.0**-400]])
+        result = _run_both(obj, sched, x0s)
+        assert [_first_beyond(result, i) for i in range(5)] == [127, 128, 129, 300, None]
+
+    @pytest.mark.usefixtures("small_pieces")
+    def test_cube_3d_draws_in_pieces(self, monkeypatch):
+        obj = make_spiky(SpikyParams(dimension=3))
+        sched = StepSchedule(tuple(
+            Stage(eta, steps, NoiseKernel("uniform-cube", r, 3))
+            for eta, steps, r in ((0.2, 200, 3.1416), (0.1, 129, 3.1), (0.04, 256, 2.0))
+        ))
+        x0s = np.random.Generator(np.random.Philox(key=[94, 0])).uniform(-3, 3, size=(20, 3))
+        x0s[3] = [0.0, -1.5e6, 0.0]
+        result = _run_both(obj, sched, x0s, seed=23)
+        assert np.flatnonzero(result.diverged).tolist() == [3]
+        draws = _finals_only_draws(monkeypatch, obj, sched, x0s)[::20]
+        assert draws == [128, 72, 128, 1, 128, 128]
+
+    @pytest.mark.usefixtures("small_pieces")
+    def test_ball_2d_draws_whole_stages(self, monkeypatch):
+        obj = make_spiky(SpikyParams(dimension=2))
+        sched = StepSchedule(tuple(
+            Stage(eta, steps, NoiseKernel("uniform-ball", r, 2))
+            for eta, steps, r in ((0.2, 300, 3.1416), (0.04, 129, 2.0))
+        ))
+        x0s = np.random.Generator(np.random.Philox(key=[95, 0])).uniform(-3, 3, size=(20, 2))
+        _run_both(obj, sched, x0s, seed=24)
+        assert _finals_only_draws(monkeypatch, obj, sched, x0s)[::20] == [300, 129]
+
+    def test_unpatched_pieces(self, monkeypatch, spiky_default):
+        ball = NoiseKernel("uniform-ball", 2.0, 1)
+        sched = StepSchedule((Stage(0.02, 2 * _NOISE_ROWS + 1, ball), Stage(0.01, 500, ball)))
+        x0s = np.linspace(-3.0, 3.0, 3)[:, None]
+        _run_both(spiky_default, sched, x0s, seed=25)
+        draws = _finals_only_draws(monkeypatch, spiky_default, sched, x0s)[::3]
+        assert draws == [_NOISE_ROWS, _NOISE_ROWS, 1, 500]
 
 
 class TestScheduleValidation:
