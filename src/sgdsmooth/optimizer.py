@@ -28,11 +28,12 @@ one a per-step freeze gives.  Stepping past the cutoff until the block
 ends may overflow; those rows are overwritten and the overflow is not
 reported.
 
-A run keeps two (T+1, n, d) histories, the iterates and the noise, the
-latter stored trial-major (see `lockstep_run`), or, with
-`keep_history=False`, only the final iterates and the divergence flags,
-bitwise the same, in O(n*d) memory plus `_NOISE_ROWS` rows of noise per
-trial (a whole stage's for the d > 1 ball, see `lockstep_run`).
+A run keeps its schedule, whose `row_stages` gives each row's stage, and
+two (T+1, n, d) histories, the iterates and the noise, the latter stored
+trial-major (see `lockstep_run`), or, with `keep_history=False`, only
+the final iterates and the divergence flags, bitwise the same, in O(n*d)
+memory plus `_NOISE_ROWS` rows of noise per trial (a whole stage's for
+the d > 1 ball, see `lockstep_run`).
 `EnsembleResult.trajectory` is the one place a `Trajectory` record is
 built, as views of one trial's iterates and noise, all a record stores;
 `_record_columns` is the one builder of the derived columns.  A record
@@ -105,6 +106,12 @@ class StepSchedule:
     def dimension(self) -> int:
         return self.stages[0].kernel.dimension
 
+    def row_stages(self, t0: int, t1: int) -> np.ndarray:
+        """Stage index of a run's rows t0..t1-1: a stage owns the rows its
+        steps leave, and the final row T inherits the last stage."""
+        ends = np.cumsum([s.steps for s in self.stages[:-1]])
+        return np.searchsorted(ends, np.arange(t0, t1), side="right")
+
 
 def table_dtype(dimension: int) -> np.dtype:
     """Row type of the trajectory table: the trial index, then the columns
@@ -123,16 +130,14 @@ class Trajectory:
     `y_history` and `columns` derive the shadow points and columns.
 
     Arrays have length T+1 (T = recorded steps); `omegas[t]` is the noise
-    applied when leaving step t, with a zero row at the end.  `etas[t]`
-    and `stage_idx[t]` describe the stage the point belongs to (the final
-    point inherits the last stage).
+    applied when leaving step t, with a zero row at the end, and
+    `schedule.row_stages` gives each row's stage.
     """
 
     objective: Objective
     xs: np.ndarray          # (T+1, d)
     omegas: np.ndarray      # (T+1, d)
-    etas: np.ndarray        # (T+1,)
-    stage_idx: np.ndarray   # (T+1,) int
+    schedule: StepSchedule
     diverged: bool = False
 
     def __len__(self) -> int:
@@ -152,7 +157,7 @@ class Trajectory:
 
     def y_history(self) -> np.ndarray:
         """(T+1, d) shadow points, bit for bit `EnsembleResult.y_history`'s."""
-        return _shadow_history(self.objective, self.etas, self.xs[:, None])[:, 0]
+        return _shadow_history(self.objective, self.schedule, self.xs[:, None])[:, 0]
 
     def write_csv(self, path) -> None:
         """Write the record as CSV, one row per point: the bytes
@@ -164,7 +169,7 @@ class Trajectory:
             for t0, t1 in _chunks(len(self), _CSV_CHUNK):
                 xs = self.xs[t0:t1]
                 yield {
-                    "t": range(t0, t1), "stage": self.stage_idx[t0:t1],
+                    "t": range(t0, t1), "stage": self.schedule.row_stages(t0, t1),
                     **{f"x_{i}": x for i, x in enumerate(xs.T)},
                     **_record_columns(self.objective, xs, self.omegas[t0:t1]),
                 }
@@ -243,33 +248,35 @@ def _chunks(rows: int, size: int, overlap: int = 0):
         yield start, min(start + size, rows)
 
 
-def _shadow(obj: Objective, etas: np.ndarray, xs: np.ndarray, overlap: int = 0):
-    """(t0, ys) per chunk of the (m, k, d) history rows `xs`: ys holds the
-    shadow rows y = x - eta * grad f(x) from row t0 on, the step's bits,
-    about `_TABLE_ROWS` rows per row-wise oracle call, each chunk after
-    the first starting `overlap` rows before the previous one ends."""
+def _shadow(obj: Objective, schedule: StepSchedule, xs: np.ndarray, overlap: int = 0):
+    """(t0, eta, ys) per chunk of the (m, k, d) rows `xs` of a run on
+    `schedule`: each row's eta and shadow row y = x - eta * grad f(x),
+    the step's bits, from row t0 on, about `_TABLE_ROWS` rows per oracle
+    call, each chunk after the first overlapping the last by `overlap`."""
     per = max(overlap + 1, _TABLE_ROWS // max(1, xs.shape[1]))  # steps per call
+    stage_eta = np.array([s.eta for s in schedule.stages])
     for t0, t1 in _chunks(len(xs), per, overlap):
         x = xs[t0:t1]
+        eta = stage_eta[schedule.row_stages(t0, t1)]
         # frozen rows past the cutoff may overflow
         with np.errstate(over="ignore", invalid="ignore"):
             g = obj.grads_at(x.reshape(-1, x.shape[2])).reshape(x.shape)
-            g *= etas[t0:t1, None, None]
+            g *= eta[:, None, None]
             np.subtract(x, g, out=g)
-        yield t0, g
+        yield t0, eta, g
 
 
-def _shadow_history(obj: Objective, etas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _shadow_history(obj: Objective, schedule: StepSchedule, xs: np.ndarray) -> np.ndarray:
     """The whole (m, k, d) shadow history of the rows `xs`, from `_shadow`."""
     ys = np.empty(xs.shape)
-    for t0, y in _shadow(obj, etas, xs):
+    for t0, _, y in _shadow(obj, schedule, xs):
         ys[t0 : t0 + len(y)] = y
     return ys
 
 
 @dataclass
 class EnsembleResult:
-    """A lockstep run: its objective, histories, if kept, finals and flags.
+    """A lockstep run: objective, schedule, histories if kept, finals, flags.
 
     In the histories axis 0 is the step index and axis 1 the trial.
     `omegas[t]` is the noise applied when leaving step t, with a zero row
@@ -286,8 +293,7 @@ class EnsembleResult:
     objective: Objective
     x_hist: Optional[np.ndarray]   # (T+1, n, d)
     omegas: Optional[np.ndarray]   # (T+1, n, d)
-    etas: np.ndarray               # (T+1,)
-    stage_idx: np.ndarray          # (T+1,)
+    schedule: StepSchedule
     diverged: np.ndarray           # (n,) bool
     finals_x: np.ndarray           # (n, d)
 
@@ -305,7 +311,7 @@ class EnsembleResult:
         """(T+1, n, d) shadow points y_t = x_t - eta_t * grad f(x_t), frozen
         rows included, bit for bit the ones the engine stepped through."""
         self._require_history()
-        return _shadow_history(self.objective, self.etas, self.x_hist)
+        return _shadow_history(self.objective, self.schedule, self.x_hist)
 
     def y_dist2_history(self, target) -> np.ndarray:
         """(T+1, n) squared distances of the shadow points to `target`,
@@ -314,7 +320,7 @@ class EnsembleResult:
         self._require_history()
         target = np.asarray(target, dtype=float)
         d2 = np.empty(self.x_hist.shape[:2])
-        for t0, ys in _shadow(self.objective, self.etas, self.x_hist):
+        for t0, _, ys in _shadow(self.objective, self.schedule, self.x_hist):
             ys -= target
             np.einsum("tnd,tnd->tn", ys, ys, out=d2[t0 : t0 + len(ys)])
         return d2
@@ -333,7 +339,7 @@ class EnsembleResult:
         end = self.record_end(i)
         return Trajectory(
             self.objective, self.x_hist[:end, i], self.omegas[:end, i],
-            self.etas[:end], self.stage_idx[:end], bool(self.diverged[i]),
+            self.schedule, bool(self.diverged[i]),
         )
 
     def write_table(self, path) -> None:
@@ -363,7 +369,7 @@ class EnsembleResult:
                 xs = self.x_hist[t0:t1, i0:i1].transpose(1, 0, 2).reshape(-1, d)
                 rows["trial"] = np.repeat(np.arange(i0, i1), m)
                 rows["t"] = np.tile(np.arange(t0, t1), i1 - i0)
-                rows["stage"] = np.tile(self.stage_idx[t0:t1], i1 - i0)
+                rows["stage"] = np.tile(self.schedule.row_stages(t0, t1), i1 - i0)
                 rows["x"] = xs
                 for name, col in _record_columns(self.objective, xs, noise[i0:i1, t0:t1].reshape(-1, d)).items():
                     rows[name] = col
@@ -405,8 +411,8 @@ def lockstep_run(
     buffer holds one piece and the final zero row; a d > 1 ball stage
     keeps one whole-stage draw, and the buffer is sized for it.  A
     block's iterates go to one reused block buffer, and the result holds
-    only the finals, flags, etas and stage indices, bitwise equal to
-    those of a history run.
+    only the schedule, finals and flags, bitwise equal to those of a
+    history run.
     """
     x0s = np.asarray(x0s, dtype=float)
     n, d = x0s.shape
@@ -414,29 +420,22 @@ def lockstep_run(
         raise ValueError("initial points or schedule do not match objective dimension")
     if len(streams) != n:
         raise ValueError(f"need one stream per trial, got {len(streams)} for {n} trials")
-    stages = schedule.stages
     total = schedule.total_steps
-    rows = [s.steps for s in stages]
-    rows[-1] += 1  # the final point inherits the last stage
-    etas = np.repeat([s.eta for s in stages], rows)
-    stage_idx = np.repeat(np.arange(len(stages)), rows)
 
-    # pieces (stage, p0, p1, p2): draw rows p0..p1-1, step rows p0..p2-1,
-    # where a stage's last piece also steps the final row
+    # pieces (stage, p0, p1) draw and step rows p0..p1-1; the run's last
+    # piece also steps the final row
     pieces = []
     t0 = 0
-    for stage, t1 in zip(stages, np.cumsum(rows).tolist()):
+    for stage in schedule.stages:
         whole = keep_history or not stage.kernel.splits_by_row
         size = max(1, stage.steps) if whole else _NOISE_ROWS
         end = t0 + stage.steps
-        for p0 in range(t0, max(t0 + 1, end), size):
-            p1 = min(p0 + size, end)
-            pieces.append((stage, p0, p1, t1 if p1 == end else p1))
-        t0 = t1
+        pieces += [(stage, p0, min(p0 + size, end)) for p0 in range(t0, max(t0 + 1, end), size)]
+        t0 = end
 
     # trial-major noise: trial i's draws for a piece are one contiguous run
     # of rows, written in place by sample_batch; `omegas` views it step-major
-    width = total + 1 if keep_history else max(p2 - p0 for _, p0, _, p2 in pieces)
+    width = total + 1 if keep_history else max(p1 - p0 for _, p0, p1 in pieces) + 1
     noise_buf = np.empty((n, width, d))
     omegas = noise_buf.transpose(1, 0, 2)
     if keep_history:
@@ -451,9 +450,11 @@ def lockstep_run(
     # a trial past the cutoff keeps stepping to the end of its block, where
     # its rows are overwritten, so its overflow is not reported
     with np.errstate(over="ignore", invalid="ignore"):
-        for stage, p0, p1, p2 in pieces:
+        for at, (stage, p0, p1) in enumerate(pieces):
+            eta = stage.eta
             s0 = p0 if keep_history else 0  # the piece's first row in noise_buf
-            last = p2 > total  # only the last piece holds the final row
+            last = at == len(pieces) - 1
+            p2 = p1 + last  # only the last piece holds the final row
             for i, stream in enumerate(streams):
                 gen = stream.generator() if gens[i] is None else gens[i]
                 stage.kernel.sample_batch(p1 - p0, gen, out=noise_buf[i, s0 : s0 + p1 - p0])
@@ -468,10 +469,10 @@ def lockstep_run(
                 xb = x_hist[b0:b1] if keep_history else x_block[: b1 - b0]
                 # the same products as eta * omegas[t] row by row, each held in
                 # its x row until the iterate is recorded there
-                kicks = np.multiply(etas[b0:b1, None, None], noise[b0 - p0 : b1 - p0], out=xb)
+                kicks = np.multiply(eta, noise[b0 - p0 : b1 - p0], out=xb)
                 # frozen trials stay in place; np.where is needed only once one is
                 keep = None if active.all() else active[:, None]
-                for j, (eta, kick) in enumerate(zip(etas[b0:b1].tolist(), kicks)):
+                for j, kick in enumerate(kicks):
                     y = x - eta * grads_at(x)
                     x_next = y - kick if keep is None else np.where(keep, y - kick, x)
                     xb[j] = x
@@ -489,8 +490,7 @@ def lockstep_run(
         objective=obj,
         x_hist=x_hist,
         omegas=omegas if keep_history else None,
-        etas=etas,
-        stage_idx=stage_idx,
+        schedule=schedule,
         diverged=~active,
         # the final point is the last row of the last block
         finals_x=xb[-1].copy(),
@@ -527,11 +527,10 @@ def shadow_check(traj: Trajectory, obj: Objective) -> float:
     is only defined within a stage.  NaN residuals are ignored.
     """
     worst = 0.0
-    for t0, ys in _shadow(traj.objective, traj.etas, traj.xs[:, None], overlap=1):
+    for t0, eta, ys in _shadow(traj.objective, traj.schedule, traj.xs[:, None], overlap=1):
         ys = ys[:, 0]
-        etas = traj.etas[t0 : t0 + len(ys)]
-        t = np.flatnonzero(etas[1:] == etas[:-1])
-        eta = etas[t, None]
+        t = np.flatnonzero(eta[1:] == eta[:-1])
+        eta = eta[t, None]
         inner = ys[t] - eta * traj.omegas[t0 + t]
         predicted = inner - eta * obj.grads_at(inner)
         residuals = np.linalg.norm(ys[t + 1] - predicted, axis=1)

@@ -589,7 +589,8 @@ def _assert_rows_hold_record(rows, traj):
     """One trial's table rows hold the fields of its `trajectory` record,
     bit for bit."""
     assert len(rows) == len(traj)
-    expected = {"t": np.arange(len(traj)), "stage": traj.stage_idx, "x": traj.xs, **traj.columns()}
+    stages = traj.schedule.row_stages(0, len(traj))
+    expected = {"t": np.arange(len(traj)), "stage": stages, "x": traj.xs, **traj.columns()}
     assert set(expected) == set(rows.dtype.names) - {"trial"}
     for name, values in expected.items():
         assert _same_bits(values, rows[name]), name
@@ -871,14 +872,14 @@ class TestFinalsOnlyMemory:
         assert peak < self.TRIALS * _NOISE_ROWS * 8 + 2**20
 
     def test_long_stage_holds_one_piece_of_noise(self):
-        # 50 trials x 40,000 steps: the whole stage's noise is 16 MB; the
-        # run's etas and stage indices are 2 x 40,001 float64 and int64
+        # 50 trials x 40,000 steps: the whole stage's noise is 16 MB, and
+        # nothing else the run keeps grows with the stage's length
         n, rows = 50, 40_001
         kernel = KernelSpec("uniform-ball", 3.1)
         cfg = _small_config(n_trials=n, seed=32, stages=(StageSpec(0.1, rows - 1, kernel),))
         ensemble(replace(cfg, stages=(StageSpec(0.1, 10, kernel),)))  # first-call allocations
         peak = _traced_peak(lambda: ensemble(cfg))
-        assert peak < n * _NOISE_ROWS * 8 + 2 * rows * 8 + 2**20
+        assert peak < n * _NOISE_ROWS * 8 + 2**20
 
     def test_history_run_holds_the_histories(self):
         cfg = self._config()

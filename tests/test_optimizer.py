@@ -45,6 +45,15 @@ def _bounded_reference(xs):
     return np.max(np.abs(xs), axis=-1) <= DIVERGENCE_CUTOFF
 
 
+def _per_step(schedule):
+    """Reference: the (T+1,) eta and stage index of every row, as one
+    `np.repeat` each over the stage lengths; the final row inherits the
+    last stage."""
+    rows = [s.steps for s in schedule.stages]
+    rows[-1] += 1
+    return np.repeat([s.eta for s in schedule.stages], rows), np.repeat(np.arange(len(rows)), rows)
+
+
 def _reference_lockstep(obj, schedule, x0s, streams):
     """Reference: the per-step engine that `lockstep_run` replaced, with
     the divergence predicate applied at every step.  Returns its result
@@ -53,10 +62,7 @@ def _reference_lockstep(obj, schedule, x0s, streams):
     n, d = x0s.shape
     stages = schedule.stages
     total = schedule.total_steps
-    rows = [s.steps for s in stages]
-    rows[-1] += 1  # the final point inherits the last stage
-    etas = np.repeat([s.eta for s in stages], rows)
-    stage_idx = np.repeat(np.arange(len(stages)), rows)
+    etas, _ = _per_step(schedule)
 
     omegas = np.zeros((total + 1, n, d))
     for i, stream in enumerate(streams):
@@ -81,8 +87,7 @@ def _reference_lockstep(obj, schedule, x0s, streams):
         objective=obj,
         x_hist=x_hist,
         omegas=omegas,
-        etas=etas,
-        stage_idx=stage_idx,
+        schedule=schedule,
         diverged=~active,
         finals_x=x_hist[-1].copy(),
     ), y_hist
@@ -95,8 +100,9 @@ def _reference_write_csv(traj, path):
         writer.writerow(["t", "stage", *(f"x_{i}" for i in range(traj.dimension)),
                          "f", "grad_norm", "noise_norm", "dist2", "out_of_box"])
         cols = traj.columns()
+        _, stage_idx = _per_step(traj.schedule)
         for t in range(len(traj)):
-            row = [t, int(traj.stage_idx[t])]
+            row = [t, int(stage_idx[t])]
             row += [repr(float(v)) for v in traj.xs[t]]
             row += [
                 repr(float(cols["f"][t])),
@@ -122,10 +128,11 @@ def _shadow_check_loop(traj, obj):
     runs)."""
     worst = 0.0
     ys = traj.y_history()
+    etas, _ = _per_step(traj.schedule)
     for t in range(len(traj) - 1):
-        if traj.etas[t + 1] != traj.etas[t]:
+        if etas[t + 1] != etas[t]:
             continue
-        eta = traj.etas[t]
+        eta = etas[t]
         inner = ys[t] - eta * traj.omegas[t]
         predicted = inner - eta * obj.grads_at(inner[None, :])[0]
         residual = float(np.linalg.norm(ys[t + 1] - predicted))
@@ -183,7 +190,7 @@ class TestSgd:
         traj = sgd_run(spiky_default, sched, [1.0], RngStream(22, 1000))
         # the boundary index is skipped, the rest must satisfy the identity
         assert shadow_check(traj, spiky_default) <= 1e-10
-        assert traj.etas[199] != traj.etas[200]
+        assert traj.schedule.row_stages(199, 201).tolist() == [0, 1]
 
     def test_zero_kernel_residual_is_zero(self, quadratic_1d):
         traj = gd_run(quadratic_1d, 0.1, 50, [1.0])
@@ -335,14 +342,16 @@ def _whole_record_csv(traj, path):
     """Reference: `write_csv` as one `write_csv_columns` call over the
     whole record's columns."""
     xs = {f"x_{i}": x for i, x in enumerate(traj.xs.T)}
-    write_csv_columns(path, {"t": range(len(traj)), "stage": traj.stage_idx, **xs, **traj.columns()})
+    stage_idx = _per_step(traj.schedule)[1][: len(traj)]
+    write_csv_columns(path, {"t": range(len(traj)), "stage": stage_idx, **xs, **traj.columns()})
 
 
 def _shadow_check_whole(traj, obj):
     """Reference: `shadow_check` over the whole shadow history at once."""
-    t = np.flatnonzero(traj.etas[1:] == traj.etas[:-1])
+    etas = _per_step(traj.schedule)[0][: len(traj)]
+    t = np.flatnonzero(etas[1:] == etas[:-1])
     ys = traj.y_history()
-    eta = traj.etas[t, None]
+    eta = etas[t, None]
     inner = ys[t] - eta * traj.omegas[t]
     predicted = inner - eta * obj.grads_at(inner)
     residuals = np.linalg.norm(ys[t + 1] - predicted, axis=1)
@@ -445,7 +454,7 @@ class TestChunkedPasses:
         rng = np.random.default_rng(14)
         traj = Trajectory(
             spiky_default, rng.uniform(-3.0, 3.0, (rows, 1)), rng.uniform(-2.0, 2.0, (rows, 1)),
-            np.full(rows, 0.01), np.zeros(rows, dtype=np.int64),
+            _zero_schedule(0.01, rows - 1),
         )
         peak = _traced_peak(lambda: traj.write_csv(tmp_path / "long.csv"))
         assert peak < 2**20
@@ -454,8 +463,8 @@ class TestChunkedPasses:
         steps, n, d = 2001, 100, 3
         x_hist = np.random.default_rng(15).uniform(-3.0, 3.0, (steps, n, d))
         result = EnsembleResult(
-            make_spiky(SpikyParams(dimension=d)), x_hist, x_hist, np.full(steps, 0.05),
-            np.zeros(steps, dtype=np.int64), np.zeros(n, dtype=bool), x_hist[-1].copy(),
+            make_spiky(SpikyParams(dimension=d)), x_hist, x_hist, _zero_schedule(0.05, steps - 1, d),
+            np.zeros(n, dtype=bool), x_hist[-1].copy(),
         )
         peak = _traced_peak(lambda: result.y_dist2_history(np.zeros(d)))
         assert peak < steps * n * 8 + 2**20
@@ -465,24 +474,26 @@ def _run_both(obj, schedule, x0s, seed=5):
     """(lockstep_run, reference) on the same streams, checked field by
     field for bitwise equality, NaN equal to NaN, and the derived shadow
     rows against the ones the reference stepped through.  A finals-only
-    run on the same streams must give the same finals, flags, etas and
-    stages."""
+    run on the same streams must give the same finals and flags, and
+    both keep the schedule they ran."""
     x0s = np.asarray(x0s, dtype=float)
     streams = [RngStream(seed, 1000 + i) for i in range(len(x0s))]
     got = lockstep_run(obj, schedule, x0s, streams)
     # the reference's frozen non-finite trials warn at every step
     with np.errstate(all="ignore"):
         ref, ref_y = _reference_lockstep(obj, schedule, x0s, streams)
-    for field in ("x_hist", "omegas", "etas", "stage_idx", "diverged", "finals_x"):
+    for field in ("x_hist", "omegas", "diverged", "finals_x"):
         assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), field
+    assert got.schedule is ref.schedule
     # deriving the shadow rows of frozen non-finite trials must not warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _bits(got.y_history()) == _bits(ref_y)
     finals = lockstep_run(obj, schedule, x0s, streams, keep_history=False)
     assert finals.x_hist is None and finals.omegas is None
-    for field in ("finals_x", "diverged", "etas", "stage_idx"):
+    for field in ("finals_x", "diverged"):
         assert _bits(getattr(finals, field)) == _bits(getattr(got, field)), field
+    assert finals.schedule is got.schedule
     return got
 
 
@@ -679,8 +690,9 @@ class TestFinalsOnly:
         x0s = np.linspace(-3, 3, n)[:, None]
         result = _run_both(spiky_default, StepSchedule(tuple(stages)), x0s, seed=19)
         # the final row belongs to the last stage, even a 0-step one
-        assert result.stage_idx[-1] == len(stages) - 1
-        assert result.etas[-1] == stages[-1].eta
+        total = result.schedule.total_steps
+        (last,) = result.schedule.row_stages(total, total + 1)
+        assert last == len(stages) - 1 and stages[last].eta == stages[-1].eta
         # eta = 2.5 expands the quadratic part: every trial leaves in it
         assert result.diverged.all()
 
@@ -771,7 +783,8 @@ class TestFinalsOnly:
         sched = StepSchedule(tuple(stages))
         x0s = np.linspace(-3.0, 3.0, 4)[:, None]
         result = _run_both(spiky_default, sched, x0s, seed=22)
-        assert result.stage_idx[-1] == len(stages) - 1
+        total = result.schedule.total_steps
+        assert result.schedule.row_stages(total, total + 1).tolist() == [len(stages) - 1]
         # a 0-step stage still makes its one 0-row draw
         draws = _finals_only_draws(monkeypatch, spiky_default, sched, x0s)[::4]
         pieces = {300: [128, 128, 44], 256: [128, 128], 0: [0]}
@@ -812,6 +825,19 @@ class TestFinalsOnly:
         _run_both(obj, sched, x0s, seed=24)
         assert _finals_only_draws(monkeypatch, obj, sched, x0s)[::20] == [300, 129]
 
+    def test_long_run_keeps_nothing_per_step(self):
+        # 2 trials x 200,000 steps in 1-d: the noise buffer is 2 x 1,025
+        # float64, while a per-step eta and stage would be 3.2 MB
+        kernel = NoiseKernel("uniform-ball", 0.5, 1)
+        streams = [RngStream(10, i) for i in range(2)]
+
+        def run(steps):
+            sched = StepSchedule((Stage(0.1, steps, kernel),))
+            return lockstep_run(make_quadratic(1), sched, np.ones((2, 1)), streams, keep_history=False)
+
+        run(10)  # one-time allocations of a first call are not the run's
+        assert _traced_peak(lambda: run(200_000)) < 2**20
+
     def test_unpatched_pieces(self, monkeypatch, spiky_default):
         ball = NoiseKernel("uniform-ball", 2.0, 1)
         sched = StepSchedule((Stage(0.02, 2 * _NOISE_ROWS + 1, ball), Stage(0.01, 500, ball)))
@@ -819,6 +845,77 @@ class TestFinalsOnly:
         _run_both(spiky_default, sched, x0s, seed=25)
         draws = _finals_only_draws(monkeypatch, spiky_default, sched, x0s)[::3]
         assert draws == [_NOISE_ROWS, _NOISE_ROWS, 1, 500]
+
+
+class TestStageMap:
+    """`StepSchedule.row_stages`, the one map from a run's rows to their
+    stages, against one `np.repeat` over the stage lengths (`_per_step`),
+    and the records that read it."""
+
+    @pytest.mark.parametrize("steps", [
+        (5,), (0,), (0, 0), (0, 7), (0, 0, 7), (7, 0, 4), (7, 0, 0, 4), (7, 0), (7, 4, 0), (3, 0, 5, 0),
+    ])
+    def test_is_the_per_step_repeat(self, steps):
+        kernel = NoiseKernel("zero", 0.0, 1)
+        sched = StepSchedule(tuple(Stage(0.1 * (k + 1), m, kernel) for k, m in enumerate(steps)))
+        _, expected = _per_step(sched)
+        rows = len(expected)
+        assert _bits(sched.row_stages(0, rows)) == _bits(expected)
+        for t0 in range(rows + 1):
+            for t1 in range(t0, rows + 1):
+                assert sched.row_stages(t0, t1).tolist() == expected[t0:t1].tolist()
+
+    @staticmethod
+    def _check_records(result, tmp_path):
+        """Every trial's CSV is the reference writer's bytes, and the table's
+        stage column and the shadow rows are those of the per-step stages."""
+        result.write_table(tmp_path / "t.npy")
+        tab = np.load(tmp_path / "t.npy")
+        _, stage_idx = _per_step(result.schedule)
+        ys = result.y_history()
+        for i in range(result.n_trials):
+            traj = result.trajectory(i)
+            traj.write_csv(tmp_path / "new.csv")
+            _reference_write_csv(traj, tmp_path / "ref.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            assert _bits(tab["stage"][tab["trial"] == i]) == _bits(stage_idx[: len(traj)])
+            assert _bits(traj.y_history()) == _bits(ys[: len(traj), i])
+
+    @pytest.mark.parametrize("steps", [(0, 60), (30, 0, 40), (30, 40, 0), (0, 30, 0, 40, 0)])
+    def test_records_of_zero_step_stages(self, tmp_path, spiky_default, steps):
+        ball = NoiseKernel("uniform-ball", 2.0, 1)
+        sched = StepSchedule(tuple(Stage(0.01 * (k + 1), m, ball) for k, m in enumerate(steps)))
+        result = _run_both(spiky_default, sched, np.linspace(-2.0, 2.0, 3)[:, None], seed=26)
+        self._check_records(result, tmp_path)
+
+    def test_records_that_end_mid_stage(self, tmp_path):
+        # on x^2/2, eta = 3 doubles |x| and eta = 2.5 multiplies it by 1.5:
+        # the trial from 1 first passes the cutoff at row 20, inside stage
+        # 0, and the one from 2**-25 at row 56, inside stage 1 (rows 30..70)
+        kernel = NoiseKernel("zero", 0.0, 1)
+        sched = StepSchedule((Stage(3.0, 30, kernel), Stage(2.5, 40, kernel)))
+        result = _run_both(make_quadratic(1), sched, np.array([[1.0], [2.0**-25], [0.0]]))
+        assert [_first_beyond(result, i) for i in range(3)] == [20, 56, None]
+        self._check_records(result, tmp_path)
+
+    def test_adjacent_equal_eta_stages(self, tmp_path, spiky_default):
+        # stages 0 and 2 share eta = 0.01 across the 0-step stage 1, so rows
+        # 0..179 have one eta and the pair (99, 100) that crosses their edge
+        # is checked; the pair (179, 180), where eta changes, is not
+        ball, cube = NoiseKernel("uniform-ball", 2.0, 1), NoiseKernel("uniform-cube", 1.0, 1)
+        sched = StepSchedule((
+            Stage(0.01, 100, ball), Stage(0.5, 0, ball), Stage(0.01, 80, cube), Stage(0.005, 60, ball),
+        ))
+        result = _run_both(spiky_default, sched, np.linspace(-2.0, 2.0, 3)[:, None], seed=27)
+        self._check_records(result, tmp_path)
+        traj = result.trajectory(0)
+        assert shadow_check(traj, spiky_default) == 0.0
+        for t, checked in ((50, True), (99, True), (100, True), (179, False)):
+            kicked = replace(traj, omegas=traj.omegas.copy())
+            kicked.omegas[t] += 1.0
+            residual = shadow_check(kicked, spiky_default)
+            assert residual == _shadow_check_loop(kicked, spiky_default)
+            assert (residual > 0.0) == checked, t
 
 
 class TestScheduleValidation:
@@ -932,4 +1029,5 @@ class TestCsvBytes:
         assert cases["out-of-box"].columns()["out_of_box"].any()
         assert cases["diverged"].diverged
         assert np.signbit(cases["negative-zero"].xs[0, 0])
-        assert set(cases["staged"].stage_idx.tolist()) == {0, 1}
+        staged = cases["staged"]
+        assert set(staged.schedule.row_stages(0, len(staged)).tolist()) == {0, 1}
