@@ -16,7 +16,7 @@ summary value is written as null) and `finals.svg`, the histogram of
 the finals that did not diverge.  Only such an ensemble keeps the
 engine's two (T+1, n, d) histories, iterates and noise; one that
 persists nothing runs finals-only, with the same finals, flags and
-summary, in O(n*d) memory plus 1,024 rows of noise per trial (a
+summary, in O(n*d) memory plus 256 rows of noise per trial (a
 whole stage's for the d > 1 ball).  The summary's median
 is `np.median`'s, bit for bit, taken without the `numpy.ma` import that
 `np.median` makes.

@@ -5,12 +5,15 @@ pinned in pyproject).  The 128-bit Philox key is (seed, stream_id), so
 distinct stream ids give independent streams and identical pairs replay
 the exact same sample sequence on any platform.
 
-`NoiseKernel.sample_batch` draws i.i.d. samples; it drives the SGD engine
-and every kernel in every dimension.  Given a caller's (n, d) buffer
-(`out=`), it draws in place, so the engine stores each trial's noise
-where it reads it (a piece at a time where `splits_by_row` holds).
-Philox is counter-based: a draw depends only on its
-key and stream position, not on where it lands.  In place, the interval
+`NoiseKernel.sample_trials` draws i.i.d. samples for k trials at once,
+each from its own generator, into a caller's trial-major (k, m, d)
+slab.  It drives the SGD engine, which so stores each trial's noise
+where it reads it (a finals-only run 256 rows at a time where
+`splits_by_row` holds).  `NoiseKernel.sample_batch`, its one-trial
+form, draws into a new (n, d) array or a caller's (`out=`).  Every
+kernel draws through them in every dimension.  Philox is
+counter-based: a draw depends only on its key and stream position, not
+on where it lands.  In place, the interval
 and cube kinds compute -h + (h - -h)*u from uniforms u = `gen.random`,
 the same doubles as `gen.uniform(-h, h)` (low + (high - low)*u), with
 its OverflowError for a non-finite width.  `NoiseKernel.sample_stratified`
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -86,7 +89,8 @@ class NoiseKernel:
 
         With `out`, a C-contiguous float64 (n, d) array, the samples are
         written into it and it is returned; without, a new array is
-        allocated.  Both run the same draws and give the same bytes.
+        allocated.  Both run the same draws and give the same bytes: one
+        trial of `sample_trials`.
         """
         d = self.dimension
         if out is None:
@@ -96,27 +100,55 @@ class NoiseKernel:
                 f"out must be a C-contiguous float64 array of shape {(n, d)}, "
                 f"got {out.dtype} {out.shape}"
             )
-        if self.is_zero:
-            out.fill(0.0)
-            return out
-        if self.kind == "uniform-cube" or d == 1:
+        self.sample_trials((gen,), out[None])
+        return out
+
+    def sample_trials(self, gens: Iterable[np.random.Generator], out: np.ndarray) -> np.ndarray:
+        """Fill a trial-major (k, m, d) float64 slab, each row block `out[i]`
+        C-contiguous, and return it: block i gets the bytes
+        `sample_batch(m, gen_i, out=out[i])` gives, gen_i the i-th of the k
+        generators `gens` yields, each taken only when its block is drawn.
+
+        The interval and cube kinds draw one `gen.random` per block, then
+        scale the whole slab once; the zero kernel fills it and draws
+        nothing; the d > 1 ball draws each block whole.
+        """
+        d = self.dimension
+        if out.ndim != 3 or out.shape[2] != d or out.dtype != np.float64 or not (
+            len(out) == 0 or out[0].flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a float64 (k, m, {d}) array of C-contiguous (m, {d}) "
+                f"blocks, got {out.dtype} {out.shape} with strides {out.strides}"
+            )
+        interval = not self.is_zero and (self.kind == "uniform-cube" or d == 1)
+        if interval:
             # the cube's coordinates, or the 1-d ball's interval [-r, r]:
             # one uniform u per coordinate, scaled as gen.uniform(-h, h) does
             half = float(self.radius) / math.sqrt(d)
             width = half - -half
             if not math.isfinite(width):
                 raise OverflowError("Range exceeds valid bounds")
-            gen.random(out=out)
+        drawn = 0
+        for block, gen in zip(out, gens):
+            drawn += 1
+            if interval:
+                gen.random(out=block)
+            elif not self.is_zero:
+                # uniform-ball: isotropic direction, radius ~ r * U^(1/d)
+                gen.standard_normal(out=block)
+                norms = np.linalg.norm(block, axis=1, keepdims=True)
+                norms[norms == 0.0] = 1.0
+                radii = self.radius * gen.uniform(size=(len(block), 1)) ** (1.0 / d)
+                block /= norms
+                block *= radii
+        if drawn != len(out):
+            raise ValueError(f"need {len(out)} generators, got {drawn}")
+        if interval:
             out *= width
             out += -half
-            return out
-        # uniform-ball: isotropic direction, radius ~ r * U^(1/d)
-        gen.standard_normal(out=out)
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        radii = self.radius * gen.uniform(size=(n, 1)) ** (1.0 / d)
-        out /= norms
-        out *= radii
+        elif self.is_zero:
+            out.fill(0.0)
         return out
 
     def sample_stratified(self, n: int, gen: np.random.Generator) -> np.ndarray:

@@ -32,8 +32,8 @@ A run keeps its schedule, whose `row_stages` gives each row's stage, and
 two (T+1, n, d) histories, the iterates and the noise, the latter stored
 trial-major (see `lockstep_run`), or, with `keep_history=False`, only
 the final iterates and the divergence flags, bitwise the same, in O(n*d)
-memory plus `_NOISE_ROWS` rows of noise per trial (a whole stage's for
-the d > 1 ball, see `lockstep_run`).
+memory plus `_NOISE_ROWS` = 256 rows of noise per trial (a whole stage's
+for the d > 1 ball, see `lockstep_run`).
 `EnsembleResult.trajectory` is the one place a `Trajectory` record is
 built, as views of one trial's iterates and noise, all a record stores;
 `_record_columns` is the one builder of the derived columns.  A record
@@ -63,8 +63,8 @@ DIVERGENCE_CUTOFF = 1e6
 
 # rows stepped between two divergence checks in lockstep_run
 _BLOCK = 64
-# noise rows a finals-only lockstep_run draws at a time, 16 blocks
-_NOISE_ROWS = 16 * _BLOCK
+# noise rows a finals-only lockstep_run draws at a time, 4 blocks
+_NOISE_ROWS = 4 * _BLOCK
 # rows formatted at a time by the CSV writers
 _CSV_CHUNK = 1024
 # rows built at a time in EnsembleResult.write_table and _shadow
@@ -387,12 +387,13 @@ def lockstep_run(
 ) -> EnsembleResult:
     """Advance n trials of staged SGD together with batched oracle calls.
 
-    Trial i draws each stage's noise with one `sample_batch` call, or
-    one per piece (below), on its generator from `streams[i]`, created
-    at its first draw and dropped after its last.  Iterates are never
-    projected.  Every recorded iterate, the final one included, goes
-    through the divergence predicate; a trial that fails it freezes in
-    place and is flagged rather than aborting the others.
+    Each stage's noise, or each piece of it (below), is drawn for every
+    trial by one `NoiseKernel.sample_trials` call; trial i draws on its
+    generator from `streams[i]`, created at its first draw and dropped
+    after its last.  Iterates are never projected.  Every recorded
+    iterate, the final one included, goes through the divergence
+    predicate; a trial that fails it freezes in place and is flagged
+    rather than aborting the others.
 
     Steps run in blocks of at most `_BLOCK` rows, which start at each
     stage start, with the predicate applied once per block.  A trial
@@ -401,18 +402,18 @@ def lockstep_run(
     and flags are bitwise those of a per-step freeze.  The steps it took
     past the cutoff raise no overflow or invalid-value warning.
 
-    Trial i's draws land in place, by `sample_batch(..., out=)`, in one
-    contiguous run of rows of its slice of a trial-major (n, rows, d)
-    noise buffer.  With `keep_history` the buffer has T+1 rows and the
-    result holds the (T+1, n, d) iterate history and, as `omegas`, the
-    (T+1, n, d) transposed view of that buffer, so `omegas[:, i]` is
-    C-contiguous.  Without it, a stage whose kernel splits by row is
-    drawn and stepped through in pieces of `_NOISE_ROWS` rows, so the
-    buffer holds one piece and the final zero row; a d > 1 ball stage
-    keeps one whole-stage draw, and the buffer is sized for it.  A
-    block's iterates go to one reused block buffer, and the result holds
-    only the schedule, finals and flags, bitwise equal to those of a
-    history run.
+    Trial i's draws land in place, as block i of the `sample_trials`
+    slab, in one contiguous run of rows of its slice of a trial-major
+    (n, rows, d) noise buffer.  With `keep_history` the buffer has T+1
+    rows and the result holds the (T+1, n, d) iterate history and, as
+    `omegas`, the (T+1, n, d) transposed view of that buffer, so
+    `omegas[:, i]` is C-contiguous.  Without it, a stage whose kernel
+    splits by row is drawn and stepped through in pieces of
+    `_NOISE_ROWS` rows, so the buffer holds one piece and the final zero
+    row; a d > 1 ball stage keeps one whole-stage draw, and the buffer
+    is sized for it.  A block's iterates go to one reused block buffer,
+    and the result holds only the schedule, finals and flags, bitwise
+    equal to those of a history run.
     """
     x0s = np.asarray(x0s, dtype=float)
     n, d = x0s.shape
@@ -434,7 +435,7 @@ def lockstep_run(
         t0 = end
 
     # trial-major noise: trial i's draws for a piece are one contiguous run
-    # of rows, written in place by sample_batch; `omegas` views it step-major
+    # of rows, written in place by sample_trials; `omegas` views it step-major
     width = total + 1 if keep_history else max(p1 - p0 for _, p0, p1 in pieces) + 1
     noise_buf = np.empty((n, width, d))
     omegas = noise_buf.transpose(1, 0, 2)
@@ -455,10 +456,7 @@ def lockstep_run(
             s0 = p0 if keep_history else 0  # the piece's first row in noise_buf
             last = at == len(pieces) - 1
             p2 = p1 + last  # only the last piece holds the final row
-            for i, stream in enumerate(streams):
-                gen = stream.generator() if gens[i] is None else gens[i]
-                stage.kernel.sample_batch(p1 - p0, gen, out=noise_buf[i, s0 : s0 + p1 - p0])
-                gens[i] = None if last else gen
+            stage.kernel.sample_trials(_generators(streams, gens, last), noise_buf[:, s0 : s0 + p1 - p0])
             noise = omegas[s0 : s0 + p2 - p0]
             # the step leaving the final point uses a zero noise row and is discarded
             noise[p1 - p0 :] = 0.0
@@ -495,6 +493,16 @@ def lockstep_run(
         # the final point is the last row of the last block
         finals_x=xb[-1].copy(),
     )
+
+
+def _generators(streams: Sequence[RngStream], gens: list, last: bool):
+    """Each trial's generator for one piece, in trial order: made from its
+    stream at its first draw, kept in `gens` for the next piece, and
+    dropped from it after the run's last piece."""
+    for i, stream in enumerate(streams):
+        gen = stream.generator() if gens[i] is None else gens[i]
+        gens[i] = None if last else gen
+        yield gen
 
 
 def sgd_run(obj: Objective, schedule: StepSchedule, x0, rng: RngStream = RngStream(0)) -> Trajectory:

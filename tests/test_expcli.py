@@ -52,7 +52,7 @@ from sgdsmooth.expcli import cluster as cluster_module
 from sgdsmooth.expcli import pipeline as pipeline_module
 from sgdsmooth.expcli.cli import main
 from sgdsmooth.expcli.pipeline import draw_inits, persist_ensemble
-from sgdsmooth.optimizer import _NOISE_ROWS, lockstep_run, write_csv_columns
+from sgdsmooth.optimizer import _BLOCK, _NOISE_ROWS, lockstep_run, write_csv_columns
 from sgdsmooth.smoothing import smoothed_value_closed
 
 from conftest import local_minima, read_csv_columns
@@ -852,9 +852,10 @@ def _traced_peak(fn) -> int:
 class TestFinalsOnlyMemory:
     """Three stages of 1,000, 1,500 and 2,000 steps over 200 trials in 1-d:
     the histories, iterates and noise, are 2 x 4,501 x 200 float64.  A
-    finals-only run draws its noise in pieces of `_NOISE_ROWS` rows per
-    trial (the run's last piece followed by the final zero row), so it
-    holds 200 x 1,024 of noise, not the longest stage's 2,000 x 200; a
+    finals-only run draws its noise in pieces of `_NOISE_ROWS` = 256 rows
+    per trial, every trial's piece in one `NoiseKernel.sample_trials`
+    call (the run's last piece followed by the final zero row), so it
+    holds 200 x 257 of noise, not the longest stage's 2,000 x 200; a
     d > 1 ball stage, drawn at once, would hold a whole stage."""
 
     TRIALS = 200
@@ -872,14 +873,15 @@ class TestFinalsOnlyMemory:
         assert peak < self.TRIALS * _NOISE_ROWS * 8 + 2**20
 
     def test_long_stage_holds_one_piece_of_noise(self):
-        # 50 trials x 40,000 steps: the whole stage's noise is 16 MB, and
-        # nothing else the run keeps grows with the stage's length
-        n, rows = 50, 40_001
+        # 200 trials x 40,000 steps: the whole stage's noise is 64 MB, and
+        # nothing else the run keeps grows with the stage's length; in
+        # pieces of 1,024 rows the run peaks at about 2.0 MB, above the bound
+        n, rows = 200, 40_001
         kernel = KernelSpec("uniform-ball", 3.1)
         cfg = _small_config(n_trials=n, seed=32, stages=(StageSpec(0.1, rows - 1, kernel),))
         ensemble(replace(cfg, stages=(StageSpec(0.1, 10, kernel),)))  # first-call allocations
         peak = _traced_peak(lambda: ensemble(cfg))
-        assert peak < n * _NOISE_ROWS * 8 + 2**20
+        assert peak < n * _NOISE_ROWS * 8 + 2**19
 
     def test_history_run_holds_the_histories(self):
         cfg = self._config()
@@ -905,6 +907,21 @@ class TestFinalsOnlyMemory:
         run()  # one-time allocations of a first call are not the run's
         peak = _traced_peak(run)
         assert peak < n * (steps + 1) * 8 + 64 * n * 8 + 2**20
+
+    def test_wide_finals_only_run_holds_one_piece_of_noise(self):
+        # 2,000 trials x one 1,100-step stage in 1-d: the noise buffer is
+        # 2,000 x (_NOISE_ROWS + 1) float64, plus one (_BLOCK, n, 1) block
+        # and about 1 KB of generator per trial; in pieces of 1,024 rows
+        # the run peaks at about 19 MB, above the bound
+        n, steps = 2000, 1100
+        obj = make_spiky(SpikyParams())
+        sched = StepSchedule((Stage(0.04, steps, NoiseKernel("uniform-ball", 2.0, 1)),))
+        x0s = np.linspace(-3.0, 3.0, n)[:, None]
+        streams = [RngStream(9, i) for i in range(n)]
+        run = lambda: lockstep_run(obj, sched, x0s, streams, keep_history=False)
+        run()  # one-time allocations of a first call are not the run's
+        peak = _traced_peak(run)
+        assert peak < n * (_NOISE_ROWS + 1) * 8 + n * _BLOCK * 8 + n * 2**10 + 2**20
 
 
 class TestCalibration:

@@ -179,6 +179,59 @@ class TestOutBuffer:
                 k.sample_batch(4, RngStream(0).generator(), out=out)
 
 
+class TestSampleTrials:
+    """`sample_trials` fills a trial-major (k, m, d) slab, block i with the
+    bytes of `sample_batch` and of the allocating formulas on the i-th
+    stream.  The slab is cut from a buffer with a spare final row, as the
+    engine's is, so its blocks are C-contiguous but the slab is not."""
+
+    @pytest.mark.parametrize("m", [1, 255, 256, 257])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("kind, d", [
+        ("zero", 1), ("uniform-cube", 1), ("uniform-cube", 3), ("uniform-ball", 1), ("uniform-ball", 3),
+    ])
+    def test_blocks_are_sample_batch_draws(self, kind, d, k, m):
+        kern = NoiseKernel(kind, 0.0 if kind == "zero" else 2.5, d)
+        streams = [RngStream(40 + m, i) for i in range(k)]
+        buf = np.full((k, m + 1, d), np.nan)
+        slab = buf[:, :m]
+        assert kern.sample_trials((s.generator() for s in streams), slab) is slab
+        for i, stream in enumerate(streams):
+            batch = kern.sample_batch(m, stream.generator())
+            ref = _formula_draw(kern, m, stream.generator())
+            assert buf[i, :m].tobytes() == batch.tobytes() == ref.tobytes()
+        assert np.isnan(buf[:, m]).all()
+
+    @pytest.mark.parametrize("r", [1e308, np.inf])
+    @pytest.mark.parametrize("kind", ["uniform-cube", "uniform-ball"])
+    def test_infinite_width_overflows(self, kind, r):
+        k = NoiseKernel(kind, r, 1)
+        with pytest.raises(OverflowError):
+            k.sample_trials([RngStream(0, i).generator() for i in range(2)], np.empty((2, 4, 1)))
+
+    @pytest.mark.parametrize("kind", ["zero", "uniform-cube", "uniform-ball"])
+    def test_rejects_a_bad_out(self, kind):
+        k = NoiseKernel(kind, 1.0, 2)
+        bad = (
+            np.empty((3, 4, 2), dtype=np.float32),   # wrong dtype
+            np.empty((4, 2)),                        # one trial's shape, not a slab
+            np.empty((3, 4, 3)),                     # wrong dimension
+            np.empty((4, 3, 2)).transpose(1, 0, 2),  # step-major: blocks not C-contiguous
+            np.empty((3, 2, 4)).transpose(0, 2, 1),  # blocks column-major
+            np.empty((3, 4, 4))[:, :, ::2],          # blocks strided
+        )
+        for out in bad:
+            gens = [RngStream(0, i).generator() for i in range(3)]
+            with pytest.raises(ValueError, match="C-contiguous"):
+                k.sample_trials(gens, out)
+
+    @pytest.mark.parametrize("kind", ["zero", "uniform-cube", "uniform-ball"])
+    def test_needs_a_generator_per_block(self, kind):
+        k = NoiseKernel(kind, 1.0, 2)
+        with pytest.raises(ValueError, match="need 3 generators, got 2"):
+            k.sample_trials([RngStream(0, i).generator() for i in range(2)], np.empty((3, 4, 2)))
+
+
 class TestSplitsByRow:
     @pytest.mark.parametrize("r", [0.0, 0.7])
     @pytest.mark.parametrize("d", [1, 2, 3])

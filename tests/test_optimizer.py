@@ -625,13 +625,15 @@ class TestBlockwiseDivergence:
 
 
 class _CountedGenerator:
-    """A generator that counts how many of its kind are alive."""
+    """A generator that counts how many of its kind are alive, and records
+    that count in `seen` at each draw it makes."""
 
-    def __init__(self, gen, live):
-        self._gen, self._live = gen, live
+    def __init__(self, gen, live, seen):
+        self._gen, self._live, self._seen = gen, live, seen
         live.append(None)
 
     def __getattr__(self, name):
+        self._seen.append(len(self._live))
         return getattr(self._gen, name)
 
     def __del__(self):
@@ -639,27 +641,27 @@ class _CountedGenerator:
 
 
 class _CountedStream:
-    def __init__(self, stream, live):
-        self._stream, self._live = stream, live
+    def __init__(self, stream, live, seen):
+        self._stream, self._live, self._seen = stream, live, seen
 
     def generator(self):
-        return _CountedGenerator(self._stream.generator(), self._live)
+        return _CountedGenerator(self._stream.generator(), self._live, self._seen)
 
 
 def _finals_only_draws(monkeypatch, obj, schedule, x0s):
-    """Row counts of the `sample_batch` calls a finals-only run on the
-    streams of `_run_both` makes, in call order."""
+    """Row counts of each trial's draws in the `sample_trials` calls a
+    finals-only run on the streams of `_run_both` makes, in call order."""
     sizes = []
-    sample_batch = NoiseKernel.sample_batch
+    sample_trials = NoiseKernel.sample_trials
 
-    def counted(kernel, steps, gen, **kw):
-        sizes.append(steps)
-        return sample_batch(kernel, steps, gen, **kw)
+    def counted(kernel, gens, out):
+        sizes.extend([out.shape[1]] * out.shape[0])
+        return sample_trials(kernel, gens, out)
 
-    monkeypatch.setattr(NoiseKernel, "sample_batch", counted)
+    monkeypatch.setattr(NoiseKernel, "sample_trials", counted)
     streams = [RngStream(5, 1000 + i) for i in range(len(x0s))]
     lockstep_run(obj, schedule, np.asarray(x0s, dtype=float), streams, keep_history=False)
-    monkeypatch.setattr(NoiseKernel, "sample_batch", sample_batch)
+    monkeypatch.setattr(NoiseKernel, "sample_trials", sample_trials)
     return sizes
 
 
@@ -727,16 +729,11 @@ class TestFinalsOnly:
 
     @pytest.mark.parametrize("keep_history", [True, False])
     def test_one_generator_per_trial_while_its_stages_last(self, monkeypatch, keep_history):
+        # the 1-d ball draws once per trial and piece, and each draw records
+        # how many generators are alive as that trial's is used
         live, seen = [], []
-        sample_batch = NoiseKernel.sample_batch
-
-        def counted(kernel, steps, gen, **kw):
-            seen.append(len(live))
-            return sample_batch(kernel, steps, gen, **kw)
-
-        monkeypatch.setattr(NoiseKernel, "sample_batch", counted)
         kernel = NoiseKernel("uniform-ball", 2.0, 1)
-        streams = [_CountedStream(RngStream(6, i), live) for i in range(5)]
+        streams = [_CountedStream(RngStream(6, i), live, seen) for i in range(5)]
         one = StepSchedule((Stage(0.01, 30, kernel),))
         lockstep_run(make_spiky(SpikyParams()), one, np.zeros((5, 1)), streams, keep_history)
         # a one-stage run holds one generator at each draw
@@ -826,7 +823,7 @@ class TestFinalsOnly:
         assert _finals_only_draws(monkeypatch, obj, sched, x0s)[::20] == [300, 129]
 
     def test_long_run_keeps_nothing_per_step(self):
-        # 2 trials x 200,000 steps in 1-d: the noise buffer is 2 x 1,025
+        # 2 trials x 200,000 steps in 1-d: the noise buffer is 2 x 257
         # float64, while a per-step eta and stage would be 3.2 MB
         kernel = NoiseKernel("uniform-ball", 0.5, 1)
         streams = [RngStream(10, i) for i in range(2)]
@@ -838,13 +835,23 @@ class TestFinalsOnly:
         run(10)  # one-time allocations of a first call are not the run's
         assert _traced_peak(lambda: run(200_000)) < 2**20
 
+    @pytest.mark.parametrize("steps", [_NOISE_ROWS - 1, _NOISE_ROWS, _NOISE_ROWS + 1, 2 * _NOISE_ROWS + 1])
+    def test_unpatched_stage_lengths_around_a_piece(self, monkeypatch, spiky_default, steps):
+        cube = NoiseKernel("uniform-cube", 2.0, 1)
+        sched = StepSchedule((Stage(0.01, steps, cube),))
+        x0s = np.linspace(-3.0, 3.0, 4)[:, None]
+        _run_both(spiky_default, sched, x0s, seed=28)
+        pieces = [_NOISE_ROWS] * (steps // _NOISE_ROWS) + [steps % _NOISE_ROWS] * (steps % _NOISE_ROWS > 0)
+        assert _finals_only_draws(monkeypatch, spiky_default, sched, x0s)[::4] == pieces
+
     def test_unpatched_pieces(self, monkeypatch, spiky_default):
         ball = NoiseKernel("uniform-ball", 2.0, 1)
-        sched = StepSchedule((Stage(0.02, 2 * _NOISE_ROWS + 1, ball), Stage(0.01, 500, ball)))
+        # the second stage is shorter than a piece, so it is drawn whole
+        sched = StepSchedule((Stage(0.02, 2 * _NOISE_ROWS + 1, ball), Stage(0.01, 200, ball)))
         x0s = np.linspace(-3.0, 3.0, 3)[:, None]
         _run_both(spiky_default, sched, x0s, seed=25)
         draws = _finals_only_draws(monkeypatch, spiky_default, sched, x0s)[::3]
-        assert draws == [_NOISE_ROWS, _NOISE_ROWS, 1, 500]
+        assert draws == [_NOISE_ROWS, _NOISE_ROWS, 1, 200]
 
 
 class TestStageMap:
