@@ -16,6 +16,7 @@ from .smoothing import (
     SmoothedEstimate,
     hoeffding_halfwidth,
     hoeffding_tail,
+    interval_grad,
     smoothed_grad_closed,
     smoothed_grad_mc,
     smoothed_value_closed,

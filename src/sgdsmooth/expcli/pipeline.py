@@ -260,6 +260,7 @@ def calibrate_noise(
     Each of the m candidates' scans runs at 1 - (1 - confidence)/m
     (Bonferroni over the radii that may be tried), so the returned c
     holds at the family-wise `confidence` whichever radius is picked.
+    In 1-d the scans are exact (`region_scan`) and `n` draws nothing.
     """
     if obj.target is None:
         raise ValueError("calibration needs an objective with a target")

@@ -423,27 +423,18 @@ def lockstep_run(
         raise ValueError(f"need one stream per trial, got {len(streams)} for {n} trials")
     total = schedule.total_steps
 
-    # pieces (stage, p0, p1) draw and step rows p0..p1-1; the run's last
-    # piece also steps the final row
-    pieces = []
-    t0 = 0
-    for stage in schedule.stages:
-        whole = keep_history or not stage.kernel.splits_by_row
-        size = max(1, stage.steps) if whole else _NOISE_ROWS
-        end = t0 + stage.steps
-        pieces += [(stage, p0, min(p0 + size, end)) for p0 in range(t0, max(t0 + 1, end), size)]
-        t0 = end
-
-    # trial-major noise: trial i's draws for a piece are one contiguous run
-    # of rows, written in place by sample_trials; `omegas` views it step-major
-    width = total + 1 if keep_history else max(p1 - p0 for _, p0, p1 in pieces) + 1
-    noise_buf = np.empty((n, width, d))
-    omegas = noise_buf.transpose(1, 0, 2)
     if keep_history:
+        width = total + 1
         x_hist = np.empty((total + 1, n, d))
     else:
+        # the largest piece and the final row
+        width = max(min(s.steps, _piece_rows(s, False)) for s in schedule.stages) + 1
         x_hist = None
         x_block = np.empty((_BLOCK, n, d))
+    # trial-major noise: trial i's draws for a piece are one contiguous run
+    # of rows, written in place by sample_trials; `omegas` views it step-major
+    noise_buf = np.empty((n, width, d))
+    omegas = noise_buf.transpose(1, 0, 2)
     gens = [None] * n
     active = np.ones(n, dtype=bool)
     grads_at = obj.grads_at
@@ -451,10 +442,9 @@ def lockstep_run(
     # a trial past the cutoff keeps stepping to the end of its block, where
     # its rows are overwritten, so its overflow is not reported
     with np.errstate(over="ignore", invalid="ignore"):
-        for at, (stage, p0, p1) in enumerate(pieces):
+        for stage, p0, p1, last in _pieces(schedule, keep_history):
             eta = stage.eta
             s0 = p0 if keep_history else 0  # the piece's first row in noise_buf
-            last = at == len(pieces) - 1
             p2 = p1 + last  # only the last piece holds the final row
             stage.kernel.sample_trials(_generators(streams, gens, last), noise_buf[:, s0 : s0 + p1 - p0])
             noise = omegas[s0 : s0 + p2 - p0]
@@ -493,6 +483,28 @@ def lockstep_run(
         # the final point is the last row of the last block
         finals_x=xb[-1].copy(),
     )
+
+
+def _piece_rows(stage: Stage, keep_history: bool) -> int:
+    """Rows of `stage` drawn at a time: the whole stage with history or
+    where its kernel does not split by row, else `_NOISE_ROWS`."""
+    if keep_history or not stage.kernel.splits_by_row:
+        return max(1, stage.steps)
+    return _NOISE_ROWS
+
+
+def _pieces(schedule: StepSchedule, keep_history: bool):
+    """Yield `lockstep_run`'s pieces (stage, p0, p1, last) stage by stage:
+    each draws and steps rows p0..p1-1, a 0-step stage gives one empty
+    piece, and the run's last piece (`last`) also steps the final row."""
+    t0 = 0
+    for k, stage in enumerate(schedule.stages):
+        size = _piece_rows(stage, keep_history)
+        end = t0 + stage.steps
+        for p0 in range(t0, max(t0 + 1, end), size):
+            p1 = min(p0 + size, end)
+            yield stage, p0, p1, k == len(schedule.stages) - 1 and p1 == end
+        t0 = end
 
 
 def _generators(streams: Sequence[RngStream], gens: list, last: bool):

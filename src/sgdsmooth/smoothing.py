@@ -21,9 +21,16 @@ like n^-1.5 at the same stated confidence.  The per-stratum ranges:
 The total-spread check keeps the i.i.d. range, and adjacent strata must
 lie within twice the per-stratum range of each other, so an understated
 L raises instead of yielding a halfwidth that does not hold.  For d > 1
-the draws stay i.i.d.  For the 1-d spiky landscape under interval noise
-the convolution has a closed form (sinc attenuation of the spike term)
-used as an exact cross-oracle.
+the draws stay i.i.d.
+
+In 1-d the smoothed gradient needs no samples: both uniform kernels are
+the interval [-r, r], and `interval_grad` returns
+g'(y) = (f(y + h) - f(y - h)) / (2h), h = eta*r, from one batched value
+call, with a modelled rounding bound; the certifier uses it, and the
+Monte Carlo gradient stays for d > 1 and as its 1-d cross-check.  For
+the 1-d spiky landscape under interval noise the convolution also has a
+closed form (sinc attenuation of the spike term) used as an exact
+cross-oracle.
 """
 from __future__ import annotations
 
@@ -42,6 +49,7 @@ __all__ = [
     "bounded_mean",
     "smoothed_value_mc",
     "smoothed_grad_mc",
+    "interval_grad",
     "smoothed_value_closed",
     "smoothed_grad_closed",
     "hoeffding_tail",
@@ -51,6 +59,7 @@ __all__ = [
 DEFAULT_CONFIDENCE = 0.99
 DEFAULT_SAMPLES = 10_000
 RANGE_RTOL = 1e-9
+_ORACLE_ULPS = 8    # `interval_grad`'s model of one oracle value's rounding, in units u
 
 
 def hoeffding_tail(n: int, value_range: float, t: float) -> float:
@@ -198,6 +207,54 @@ def smoothed_grad_mc(
     rb = 2.0 * obj.smoothness * eta * kernel.radius
     stratum = None if width is None else obj.smoothness * width
     return bounded_mean(obj.grads_at(points), rb, confidence, stratum)
+
+
+def interval_grad(obj: Objective, h: float, ys) -> tuple[np.ndarray, np.ndarray]:
+    """The exact smoothed gradient of a 1-d objective from two value calls.
+
+    In d = 1 both uniform kernels are the interval [-r, r], so with
+    h = eta*r the smoothed slope is g'(y) = E f'(y - eta*w) =
+    (f(y + h) - f(y - h)) / (2h) for every f.  For an (m, 1) batch `ys`
+    this makes one `values_at` call on the 2m points ys + h, ys - h and
+    returns g' as an (m, 1) array with an (m,) bound on its rounding
+    error; each row's bits are those of a one-row call.  h = 0 (the zero
+    kernel, or r = 0) returns `grads_at(ys)` with bound 0.
+
+    The bound is a rounding model, first order in u = 2**-53, with h and
+    y exact, f's gradient L-Lipschitz, and the computed g' in place of
+    the true one in the terms below:
+      - y +- h rounds by at most u(|y| + h), over which f moves by at most
+        its slope there, within L*h of g'(y): u(|y| + h)(|g'| + L*h) per end;
+      - each oracle value is taken to be f exact at a point within
+        K = `_ORACLE_ULPS` = 8 units u (relative) of its argument, then
+        rounded to within Ku of itself: K times the first term again, plus
+        Ku|f| per end;
+      - the subtraction rounds by u|f(y+h) - f(y-h)|, before the division
+        by 2h, and the division by u|g'|.
+    A non-finite value or bound raises ValueError, as a non-finite Monte
+    Carlo sample does."""
+    if obj.dimension != 1:
+        raise ValueError(f"interval_grad is 1-d only, got dimension {obj.dimension}")
+    if not (h >= 0 and math.isfinite(h)):
+        raise ValueError(f"h must be finite and >= 0, got {h}")
+    if h == 0.0:
+        g = obj.grads_at(ys)
+        bound = np.zeros(len(g))
+    else:
+        ys = np.asarray(ys, dtype=float)
+        f = obj.values_at(np.concatenate([ys + h, ys - h]))
+        fa, fb = f[: len(ys)], f[len(ys) :]
+        u, k = 2.0**-53, _ORACLE_ULPS
+        # a non-finite value raises below, without a warning on the way
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff = fa - fb
+            g = (diff / (2.0 * h))[:, None]
+            slope = np.abs(g[:, 0]) + obj.smoothness * h
+            ends = 2.0 * (1.0 + k) * (np.abs(ys[:, 0]) + h) * slope + k * (np.abs(fa) + np.abs(fb))
+            bound = u * ((ends + np.abs(diff)) / (2.0 * h) + np.abs(g[:, 0]))
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(bound))):
+        raise ValueError("non-finite smoothed gradient or rounding bound")
+    return g, bound
 
 
 def _sinc(u: float) -> float:

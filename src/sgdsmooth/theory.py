@@ -63,9 +63,11 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
     T1_min clamps to 0 when the starting shadow point already lies within
     the b/lambda floor (log argument <= 1); the degenerate noiseless case
     b = 0 clamps the same way.  A square beyond the double range is inf.
-    Where float arithmetic meets inf - inf, inf / inf, an infinite
-    T1_min quotient or an overflowing 2*eta*c, `_exact_derived` computes
-    them instead: no NaN, and radii that do not depend on y0_dist2.
+    Where float arithmetic meets inf - inf, inf / inf or an overflowing
+    2*eta*c, `_exact_derived` computes them instead: no NaN, and radii
+    that do not depend on y0_dist2.  A T1_min quotient beyond the double
+    range sends T1_min alone to `_exact_derived`; the radii, which do not
+    depend on y0_dist2, keep their float bits.
     """
     for name, value in (("c", c), ("eta", eta)):
         if not (value > 0 and math.isfinite(value)):  # NaN fails too
@@ -88,22 +90,22 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
         b = s * s
     zeta = 9.0 * T2 / 4.0
     mu = max(8.0, 42.0 * math.sqrt(math.log(zeta))) if zeta > 1.0 else 8.0
-    try:
-        ratio = lam * y0_dist2 / b if b > 0 else 0.0
-        if lam > 0 and ratio > 1.0:
-            # a ratio that overflows still has a finite log
-            log_ratio = math.log(ratio) if ratio < math.inf else math.log(lam) + math.log(y0_dist2) - math.log(b)
-            t1 = math.ceil(log_ratio / lam)
-        else:
-            t1 = 0
-        stay_radius2 = 20.0 * b / lam if lam > 0 else math.inf
-        delta2 = mu**2 * b / lam if lam > 0 else math.inf
-    except (ValueError, OverflowError):  # math.ceil of a NaN or inf quotient
-        stay_radius2 = delta2 = math.nan
+    stay_radius2 = 20.0 * b / lam if lam > 0 else math.inf
+    delta2 = mu**2 * b / lam if lam > 0 else math.inf
     # lam = inf from finite inputs is an overflow of 2*eta*c, over which
     # the float radii would round to 0
     if lam == math.inf or any(map(math.isnan, (lam, b, stay_radius2, delta2))):
         lam, b, t1, stay_radius2, delta2 = _exact_derived(c, eta, L, r, y0_dist2, mu)
+    else:
+        ratio = lam * y0_dist2 / b if b > 0 else 0.0
+        t1 = 0
+        if lam > 0 and ratio > 1.0:
+            # a ratio that overflows still has a finite log
+            log_ratio = math.log(ratio) if ratio < math.inf else math.log(lam) + math.log(y0_dist2) - math.log(b)
+            try:
+                t1 = math.ceil(log_ratio / lam)
+            except OverflowError:  # a quotient beyond the double range: T1_min alone goes exact
+                t1 = _exact_derived(c, eta, L, r, y0_dist2, mu)[2]
     limits = [1.0 / (2.0 * c)]
     if L > 0:
         limits += [1.0 / (2.0 * L), c / L2 if L2 > 0 else math.inf]  # L2 may underflow

@@ -79,6 +79,8 @@ def test_2_calibrated_ensemble_hits_and_stays(capsys):
         n=4_000_000, seed=SEED, confidence=0.99,
     )
     assert cal.certified_c >= c_min
+    # in 1-d every certificate is exact: no sample is drawn
+    assert all(cert.n == 0 for rep in cal.reports for cert in rep.certificates)
     cons = constants(cal.certified_c, eta, obj.smoothness, cal.radius, 9.0, T2)
     # eta < c/L^2 needs a certified c above 0.51: the theorem's step-size
     # condition must hold, not only the empirical hit-and-stay fraction

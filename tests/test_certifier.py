@@ -12,6 +12,7 @@ from sgdsmooth import (
     assumption1_estimate,
     make_quadratic,
     make_spiky,
+    interval_grad,
     region_scan,
     smoothed_grad_closed,
 )
@@ -133,7 +134,8 @@ class TestRegionScan:
 
     @pytest.mark.parametrize("stop_on_fail", [False, True])
     def test_confidence_is_family_wise(self, spiky_default, stop_on_fail):
-        # each of the 10 points holds at 1 - 0.01/10, so all hold jointly at 0.99
+        # each of the 10 points holds at 1 - 0.01/10, so all hold jointly at
+        # 0.99; in 1-d they are exact, and the d = 2 twin below samples
         k = NoiseKernel("uniform-ball", 2.0, 1)
         grid = [np.array([g]) for g in np.linspace(-3, 3, 10)]
         report = region_scan(
@@ -149,6 +151,29 @@ class TestRegionScan:
             assert cert.ci_halfwidth == alone.ci_halfwidth
             assert cert.inner == alone.inner
 
+    @pytest.mark.parametrize("stop_on_fail", [False, True])
+    def test_monte_carlo_confidence_is_family_wise(self, stop_on_fail):
+        # the d = 2 scan stays on Monte Carlo: each of the 10 points holds at
+        # 1 - 0.01/10 on its own stream and draws n samples
+        obj = make_spiky(SpikyParams(dimension=2))
+        k = NoiseKernel("uniform-ball", 2.0, 2)
+        grid = [np.array([g, -0.5 * g]) for g in np.linspace(-3, 3, 10)]
+        report = region_scan(
+            obj, k, 0.05, [0.0, 0.0], grid, c_min=0.0, n=500,
+            rng=RngStream(55, 3), confidence=0.99, stop_on_fail=stop_on_fail,
+        )
+        assert report.confidence == 0.99
+        if stop_on_fail:
+            assert len(report.certificates) < len(grid)
+        for i, cert in enumerate(report.certificates):
+            alone = assumption1_estimate(
+                obj, k, 0.05, grid[i], [0.0, 0.0], n=500,
+                rng=RngStream(55, 3 + i), confidence=1 - 0.01 / 10,
+            )
+            assert cert.n == 500
+            assert cert.ci_halfwidth == alone.ci_halfwidth > 0
+            assert cert.inner == alone.inner
+
     @pytest.mark.parametrize("confidence", [0.0, 1.0])
     def test_confidence_checked_before_the_split(self, quadratic_1d, confidence):
         k = NoiseKernel("uniform-ball", 1.0, 1)
@@ -157,8 +182,10 @@ class TestRegionScan:
             region_scan(quadratic_1d, k, 0.1, [0.0], grid, c_min=0.0, n=10, confidence=confidence)
 
     def test_certificate_soundness_against_closed_form(self, spiky_default):
-        # randomized certificates vs the exact smoothed gradient: the CI
-        # should cover the closed-form c in (essentially) every case
+        # certificates vs the exact smoothed gradient: the CI should cover
+        # the closed-form c in (essentially) every case.  In 1-d they are
+        # exact up to rounding; test_smoothing's coverage audit against
+        # `interval_grad` keeps the Monte Carlo interval honest
         params = SpikyParams()
         eta, r = 0.05, 2.0
         k = NoiseKernel("uniform-ball", r, 1)
@@ -175,3 +202,56 @@ class TestRegionScan:
             covered += abs(cert.c_hat - c_closed) <= cert.ci_halfwidth / cert.dist2
         assert covered >= 990
 
+
+
+class TestExactOneD:
+    """In 1-d a certificate comes from `interval_grad`: no samples, and a
+    halfwidth of |x* - y| times the rounding bound."""
+
+    def test_certificate_is_the_interval_slope(self, spiky_default):
+        eta, r, x = 0.05, 2.0, 1.3
+        k = NoiseKernel("uniform-ball", r, 1)
+        cert = assumption1_estimate(spiky_default, k, eta, [x], [0.0], n=500, rng=RngStream(60))
+        y = x - eta * float(spiky_default.grad_at([x])[0])
+        g, bound = interval_grad(spiky_default, eta * r, np.array([[y]]))
+        assert cert.n == 0 and float(cert.y[0]) == y
+        assert cert.inner == float(g[0, 0]) * y
+        assert cert.ci_halfwidth == abs(y) * float(bound[0])
+
+    def test_scan_ignores_the_sample_budget_and_stream(self, spiky_default):
+        k = NoiseKernel("uniform-cube", 2.0, 1)
+        grid = [np.array([g]) for g in np.linspace(-3, 3, 25)]
+        a = region_scan(spiky_default, k, 0.05, [0.0], grid, c_min=0.0, n=2, rng=RngStream(1))
+        b = region_scan(spiky_default, k, 0.05, [0.0], grid, c_min=0.0, n=10**6, rng=RngStream(9, 9))
+        assert [(c.inner, c.ci_halfwidth, c.n) for c in a.certificates] == [
+            (c.inner, c.ci_halfwidth, 0) for c in b.certificates
+        ]
+
+    def test_stop_on_fail_ends_at_the_first_failure(self, spiky_default):
+        k = NoiseKernel("uniform-ball", 1.0, 1)
+        grid = [np.array([g]) for g in np.linspace(-3, 3, 40)]
+        full = region_scan(spiky_default, k, 0.05, [0.0], grid, c_min=0.5, n=2)
+        cut = region_scan(spiky_default, k, 0.05, [0.0], grid, c_min=0.5, n=2, stop_on_fail=True)
+        first = next(i for i, c in enumerate(full.certificates) if not c.degenerate and not c.passed)
+        assert cut.certificates == full.certificates[: first + 1]
+
+    @pytest.mark.parametrize("kind", ["zero", "uniform-ball"])
+    def test_zero_width_certifies_the_raw_gradient(self, spiky_default, kind):
+        k = NoiseKernel(kind, 0.0, 1)
+        cert = assumption1_estimate(spiky_default, k, 0.01, [0.2], [0.0], n=2)
+        y = cert.y
+        assert cert.inner == float(-spiky_default.grad_at(y) @ (0.0 - y))
+        assert cert.ci_halfwidth == 0.0
+
+    def test_kernel_dimension_must_match(self, spiky_default):
+        k = NoiseKernel("uniform-ball", 1.0, 2)
+        with pytest.raises(ValueError, match="kernel dimension"):
+            assumption1_estimate(spiky_default, k, 0.05, [1.0], [0.0], n=10)
+        with pytest.raises(ValueError, match="kernel dimension"):
+            region_scan(spiky_default, k, 0.05, [0.0], [np.array([1.0])], c_min=0.0, n=10)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    def test_point_confidence_is_still_validated(self, quadratic_1d, confidence):
+        k = NoiseKernel("uniform-ball", 1.0, 1)
+        with pytest.raises(ValueError, match="confidence"):
+            assumption1_estimate(quadratic_1d, k, 0.1, [1.0], [0.0], n=10, confidence=confidence)

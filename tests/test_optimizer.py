@@ -648,6 +648,20 @@ class _CountedStream:
         return _CountedGenerator(self._stream.generator(), self._live, self._seen)
 
 
+def _listed_pieces(schedule, keep_history):
+    """The pieces (stage, p0, p1) of a run, as `lockstep_run` once listed
+    them whole before stepping: the reference for `_pieces`."""
+    pieces = []
+    t0 = 0
+    for stage in schedule.stages:
+        whole = keep_history or not stage.kernel.splits_by_row
+        size = max(1, stage.steps) if whole else _NOISE_ROWS
+        end = t0 + stage.steps
+        pieces += [(stage, p0, min(p0 + size, end)) for p0 in range(t0, max(t0 + 1, end), size)]
+        t0 = end
+    return pieces
+
+
 def _finals_only_draws(monkeypatch, obj, schedule, x0s):
     """Row counts of each trial's draws in the `sample_trials` calls a
     finals-only run on the streams of `_run_both` makes, in call order."""
@@ -824,7 +838,8 @@ class TestFinalsOnly:
 
     def test_long_run_keeps_nothing_per_step(self):
         # 2 trials x 200,000 steps in 1-d: the noise buffer is 2 x 257
-        # float64, while a per-step eta and stage would be 3.2 MB
+        # float64 and the run peaks at about 13 KB, while a per-step eta and
+        # stage would be 3.2 MB and a list of its 782 pieces about 118 KB
         kernel = NoiseKernel("uniform-ball", 0.5, 1)
         streams = [RngStream(10, i) for i in range(2)]
 
@@ -833,7 +848,25 @@ class TestFinalsOnly:
             return lockstep_run(make_quadratic(1), sched, np.ones((2, 1)), streams, keep_history=False)
 
         run(10)  # one-time allocations of a first call are not the run's
-        assert _traced_peak(lambda: run(200_000)) < 2**20
+        assert _traced_peak(lambda: run(200_000)) < 2**16
+
+    @pytest.mark.parametrize("keep_history", [False, True])
+    @pytest.mark.parametrize("steps", [
+        (5,), (0,), (0, 0), (0, 7), (7, 0), (0, 300, 0), (300, 0, 256), (256, 513), (1, 0, 0, 1),
+    ])
+    @pytest.mark.parametrize("kind, d", [("uniform-ball", 1), ("uniform-cube", 3), ("uniform-ball", 2)])
+    def test_pieces_are_the_listed_ones(self, kind, d, steps, keep_history):
+        # the pieces are yielded stage by stage; they must be the list the
+        # run used to build whole before stepping, and the noise buffer as wide
+        sched = StepSchedule(tuple(Stage(0.01, m, NoiseKernel(kind, 1.0, d)) for m in steps))
+        listed = _listed_pieces(sched, keep_history)
+        last = [False] * (len(listed) - 1) + [True]
+        assert list(optimizer_module._pieces(sched, keep_history)) == [
+            (*piece, at_end) for piece, at_end in zip(listed, last)
+        ]
+        if not keep_history:
+            width = max(min(s.steps, optimizer_module._piece_rows(s, False)) for s in sched.stages)
+            assert width == max(p1 - p0 for _, p0, p1 in listed)
 
     @pytest.mark.parametrize("steps", [_NOISE_ROWS - 1, _NOISE_ROWS, _NOISE_ROWS + 1, 2 * _NOISE_ROWS + 1])
     def test_unpatched_stage_lengths_around_a_piece(self, monkeypatch, spiky_default, steps):

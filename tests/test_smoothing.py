@@ -12,6 +12,7 @@ from sgdsmooth import (
     SpikyParams,
     hoeffding_halfwidth,
     hoeffding_tail,
+    interval_grad,
     make_quadratic,
     make_spiky,
     smoothed_grad_closed,
@@ -126,6 +127,65 @@ class TestGradMc:
         )
 
 
+def _acceptance2_shadow_points():
+    """Acceptance 2's 40 grid points moved to their shadow points at its eta."""
+    xs = np.linspace(-3.0, 3.0, 40)[:, None]
+    return xs - 5e-5 * make_spiky(SpikyParams()).grads_at(xs)
+
+
+class TestIntervalGrad:
+    """The exact 1-d smoothed gradient (f(y+h) - f(y-h)) / (2h) and its
+    rounding bound, against the spiky closed form and the quadratic."""
+
+    @pytest.mark.parametrize("eta, radii, ys", [
+        # acceptance 2: its ladder of five radii over its grid's shadow points
+        (5e-5, [k * math.pi / 10 / (4 * 5e-5) for k in (1, 2, 3, 4, 5)], _acceptance2_shadow_points()),
+        # acceptance 5: one radius over 100 points
+        (0.01, [31.4159], np.linspace(-3.0, 3.0, 100)[:, None]),
+    ], ids=["acceptance2", "acceptance5"])
+    def test_closed_form_within_a_tenth_of_the_bound(self, spiky_default, eta, radii, ys):
+        for r in radii:
+            g, bound = interval_grad(spiky_default, eta * r, ys)
+            closed = np.array([smoothed_grad_closed(SpikyParams(), r, eta, y) for y in ys])
+            assert g.shape == ys.shape and bound.shape == (len(ys),)
+            assert np.all(np.abs(g[:, 0] - closed) <= bound / 10)
+
+    @pytest.mark.parametrize("h", [1e-6, 0.3, 5.0])
+    def test_quadratic_slope_is_y(self, h):
+        ys = np.linspace(-40.0, 40.0, 81)[:, None]
+        g, bound = interval_grad(make_quadratic(1), h, ys)
+        assert np.all(np.abs(g - ys)[:, 0] <= bound)
+        assert np.all(bound > 0)
+
+    def test_zero_width_is_the_gradient(self, spiky_default):
+        ys = np.linspace(-3.0, 3.0, 7)[:, None]
+        g, bound = interval_grad(spiky_default, 0.0, ys)
+        assert g.tobytes() == spiky_default.grads_at(ys).tobytes()
+        assert np.all(bound == 0.0)
+
+    @pytest.mark.parametrize("h", [0.0, 0.157, 2.0])
+    def test_batch_rows_are_one_point_calls(self, spiky_default, h):
+        ys = np.linspace(-3.0, 3.0, 33)[:, None]
+        g, bound = interval_grad(spiky_default, h, ys)
+        ones = [interval_grad(spiky_default, h, y[None, :]) for y in ys]
+        assert g.tobytes() == np.concatenate([g1 for g1, _ in ones]).tobytes()
+        assert bound.tobytes() == np.concatenate([b1 for _, b1 in ones]).tobytes()
+
+    @pytest.mark.parametrize("h", [-0.1, math.nan, math.inf])
+    def test_bad_width_rejected(self, spiky_default, h):
+        with pytest.raises(ValueError, match="h must be"):
+            interval_grad(spiky_default, h, np.zeros((1, 1)))
+
+    def test_one_dimensional_only(self):
+        with pytest.raises(ValueError, match="1-d only"):
+            interval_grad(make_quadratic(2), 0.1, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("h", [0.0, 0.1])
+    def test_non_finite_value_raises(self, h):
+        with pytest.raises(ValueError, match="non-finite"):
+            interval_grad(make_quadratic(1), h, np.array([[0.0], [math.inf]]))
+
+
 class TestBoundedMean:
     def test_understated_smoothness_raises(self, spiky_default):
         # L = 1 declares a range of 0.2; the spiky gradients spread over ~13
@@ -223,6 +283,26 @@ class TestStratified:
                             confidence=conf)
             err = abs(float(np.ravel(est.mean)[0]) - closed(params, r, eta, [y]))
             inside += err <= float(np.ravel(est.confidence_halfwidth)[0]) / shrink
+        assert (inside / seeds >= conf) is covered
+
+    @pytest.mark.parametrize("shrink, covered", [(1.0, True), (10.0, False)])
+    @pytest.mark.parametrize("obj", [
+        make_spiky(SpikyParams()), make_spiky(SpikyParams(amp=0.2)), make_quadratic(1),
+    ], ids=["spiky", "spiky-A0.2", "quadratic"])
+    def test_grad_coverage_against_the_exact_slope(self, obj, shrink, covered):
+        # in 1-d `interval_grad` is an exact oracle for every f: the Monte
+        # Carlo interval holds it at >= the stated confidence over 500 seeds,
+        # and a tenth of the halfwidth does not
+        eta, r, conf, seeds = 0.5, 2.0, 0.99, 500
+        k = NoiseKernel("uniform-ball", r, 1)
+        ys = np.linspace(-3.0, 3.0, seeds)[:, None]
+        exact, bound = interval_grad(obj, eta * r, ys)
+        inside = 0
+        for i, y in enumerate(ys):
+            est = smoothed_grad_mc(obj, k, eta, y, n=1000, rng=RngStream(25, i), confidence=conf)
+            hw = float(est.confidence_halfwidth[0])
+            assert bound[i] < hw / 1000
+            inside += abs(float(est.mean[0]) - float(exact[i, 0])) <= hw / shrink
         assert (inside / seeds >= conf) is covered
 
     @pytest.mark.parametrize("kernel_dim, obj_dim", [(1, 2), (2, 1)])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgdsmooth import (
@@ -222,6 +222,8 @@ class TestConstants:
         st.floats(-170, 170), st.floats(-170, 170), st.floats(-170, 170), st.floats(-170, 170),
         st.booleans(), st.booleans(), st.floats(-300, 300),
     )
+    # b = 1e-322 is subnormal, and only T1_min's ceiling overflows
+    @example(-147.0, -161.0, 0.0, 0.0, False, False, 0.0)
     def test_finite_float_radii_keep_their_bits(self, lc, le, lL, lr, L_zero, r_zero, ly):
         c, eta = 10.0**lc, 10.0**le
         L = 0.0 if L_zero else 10.0**lL
@@ -236,6 +238,17 @@ class TestConstants:
         radii = (20.0 * b / lam, cons.mu**2 * b / lam)
         if all(map(math.isfinite, radii)):
             assert _same_bits(cons.stay_radius2, radii[0]) and _same_bits(cons.delta2, radii[1])
+
+    def test_radii_do_not_depend_on_y0_when_t1_min_overflows(self):
+        # at y0_dist2 = 1 and 1e300 only T1_min's math.ceil overflows; the
+        # radii keep the float formula's 9.88131291682498e-14 there as at
+        # 1e-300, not the exact 1.0000000000000051e-13 of subnormal b
+        runs = [constants(1e-147, 1e-161, 1.0, 1.0, y0, 10) for y0 in (1e-300, 1.0, 1e300)]
+        assert [cons.T1_min > 0 for cons in runs] == [False, True, True]
+        lam, b, _ = _power_form(1e-147, 1e-161, 1.0, 1.0)
+        for cons in runs:
+            assert _same_bits(cons.stay_radius2, 20.0 * b / lam)
+            assert _same_bits(cons.delta2, cons.mu**2 * b / lam)
 
     def test_t1_min_beyond_the_double_range_is_an_exact_int(self):
         # log(ratio) / lambda overflowed to inf, and math.ceil raised
