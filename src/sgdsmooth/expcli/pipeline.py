@@ -8,18 +8,17 @@ divergence flag included.
 
 Every ensemble, `figure3`'s row-2 and row-3 panels included, runs
 through `ensemble()`, the one place that decides whether the engine
-keeps its histories and whether the ensemble is persisted.  An
+keeps its history and whether the ensemble is persisted.  An
 ensemble with an output directory persists three artifacts there:
 `trajectories.npy`, every trial's record as one streamed table (see
 `optimizer.table_dtype`), `summary.json` (strict JSON: a non-finite
 summary value is written as null) and `finals.svg`, the histogram of
 the finals that did not diverge.  Only such an ensemble keeps the
-engine's two (T+1, n, d) histories, iterates and noise; one that
-persists nothing runs finals-only, with the same finals, flags and
-summary, in O(n*d) memory plus 256 rows of noise per trial (a
-whole stage's for the d > 1 ball).  The summary's median
-is `np.median`'s, bit for bit, taken without the `numpy.ma` import that
-`np.median` makes.
+engine's (T+1, n, d) iterates; one that persists nothing runs
+finals-only, with the same finals, flags and summary, in O(n*d) memory.
+Either holds 256 rows of noise per trial (a whole stage's for the d > 1
+ball).  The summary's median is `np.median`'s, bit for bit, taken without the
+`numpy.ma` import that `np.median` makes.
 `figure3` writes one ensemble directory per row-2 and row-3 panel, next
 to its row-1 curve CSVs.  A row-2 panel whose stage spec equals row
 3's first stage is that stage's ensemble, so row 3 reuses its report
@@ -161,8 +160,8 @@ def ensemble(
     summary and finals histogram when the config names an output
     directory.
 
-    The engine keeps its histories only for that table: without an
-    output directory the result is finals-only (`x_hist` and `omegas`
+    The engine keeps its history only for that table: without an
+    output directory the result is finals-only (`x_hist` and `streams`
     are None), and the report is the same.
     """
     obj = config.build_objective()
@@ -180,7 +179,7 @@ def ensemble(
 def _report_and_finals(
     config: ExperimentConfig, x0s: Optional[np.ndarray] = None
 ) -> tuple[EnsembleReport, np.ndarray]:
-    """`ensemble`'s report and finals; its histories are freed on return."""
+    """`ensemble`'s report and finals; its history is freed on return."""
     result, report = ensemble(config, x0s)
     return report, result.finals_x
 

@@ -8,10 +8,10 @@ the exact same sample sequence on any platform.
 `NoiseKernel.sample_trials` draws i.i.d. samples for k trials at once,
 each from its own generator, into a caller's trial-major (k, m, d)
 slab.  It drives the SGD engine, which so stores each trial's noise
-where it reads it (a finals-only run 256 rows at a time where
-`splits_by_row` holds).  `NoiseKernel.sample_batch`, its one-trial
-form, draws into a new (n, d) array or a caller's (`out=`).  Every
-kernel draws through them in every dimension.  Philox is
+where it reads it, 256 rows at a time where `splits_by_row` holds.
+`NoiseKernel.sample_batch`, its one-trial form, draws into a new (n, d)
+array or a caller's (`out=`).  Every kernel draws through them in every
+dimension.  Philox is
 counter-based: a draw depends only on its key and stream position, not
 on where it lands.  In place, the interval
 and cube kinds compute -h + (h - -h)*u from uniforms u = `gen.random`,

@@ -16,31 +16,29 @@ and `shadow_check`, record columns `_CSV_CHUNK` at a time for
 since every oracle is row-wise it gives the bits of a whole-array pass.
 
 `lockstep_run` is the only stepping loop.  It advances n trials together
-with batched oracle calls.  When a stage starts, each trial draws that
-stage's noise from its own stream, so `sgd_run` is a one-trial run of
-the same loop and a lockstep trial replays `sgd_run` for the same stream
-by construction.  One predicate flags divergence at every recorded
-iterate, the final one included.  The loop applies it once per block of
-`_BLOCK` rows rather than once per step; blocks start at each stage
-start.  A trial first beyond the cutoff at row k has its rows after k in
-that block rewritten to the frozen x_k, so every history is bitwise the
-one a per-step freeze gives.  Stepping past the cutoff until the block
-ends may overflow; those rows are overwritten and the overflow is not
-reported.
+with batched oracle calls.  Each trial draws its noise from its own
+stream, so `sgd_run` is a one-trial run of the same loop and a lockstep
+trial replays `sgd_run` for the same stream by construction.  One
+predicate flags divergence at every recorded iterate, the final one
+included.  The loop applies it once per block of `_BLOCK` rows rather
+than once per step; blocks start at each stage start.  A trial first
+beyond the cutoff at row k has its rows after k in that block rewritten
+to the frozen x_k, so every history is bitwise the one a per-step freeze
+gives.  Stepping past the cutoff until the block ends may overflow;
+those rows are overwritten and the overflow is not reported.
 
-A run keeps its schedule, whose `row_stages` gives each row's stage, and
-two (T+1, n, d) histories, the iterates and the noise, the latter stored
-trial-major (see `lockstep_run`), or, with `keep_history=False`, only
-the final iterates and the divergence flags, bitwise the same, in O(n*d)
-memory plus `_NOISE_ROWS` = 256 rows of noise per trial (a whole stage's
-for the d > 1 ball, see `lockstep_run`).
-`EnsembleResult.trajectory` is the one place a `Trajectory` record is
-built, as views of one trial's iterates and noise, all a record stores;
-`_record_columns` is the one builder of the derived columns.  A record
-is persisted either alone, as a CSV (`Trajectory.write_csv`, through
-`_write_csv`, the formatter of the package's one CSV writer,
-`write_csv_columns`), or with every trial of an ensemble, as one `.npy`
-trajectory table (`EnsembleResult.write_table`), built in row chunks.
+A run keeps its schedule, whose `row_stages` gives each row's stage,
+and its (T+1, n, d) iterates with the trials' streams, from which the
+noise is replayed, or, with `keep_history=False`, only the final
+iterates and the flags, bitwise the same.  Either holds one piece of
+noise (`_noise`), `_NOISE_ROWS` = 256 rows per trial, a whole stage for
+the d > 1 ball.  `EnsembleResult.trajectory` is the one place a
+`Trajectory` record is built; `_record_columns` is the one builder of
+the derived columns.  A record is persisted either alone, as a CSV
+(`Trajectory.write_csv`, through `_write_csv`, the formatter of the
+package's one CSV writer, `write_csv_columns`), or with every trial of
+an ensemble, as one `.npy` trajectory table
+(`EnsembleResult.write_table`), built in row chunks.
 """
 from __future__ import annotations
 
@@ -63,11 +61,12 @@ DIVERGENCE_CUTOFF = 1e6
 
 # rows stepped between two divergence checks in lockstep_run
 _BLOCK = 64
-# noise rows a finals-only lockstep_run draws at a time, 4 blocks
+# noise rows lockstep_run draws at a time, 4 blocks
 _NOISE_ROWS = 4 * _BLOCK
 # rows formatted at a time by the CSV writers
 _CSV_CHUNK = 1024
-# rows built at a time in EnsembleResult.write_table and _shadow
+# rows built at a time in EnsembleResult.write_table and _shadow, and
+# drawn at a time by a replay
 _TABLE_ROWS = 4096
 
 
@@ -276,26 +275,23 @@ def _shadow_history(obj: Objective, schedule: StepSchedule, xs: np.ndarray) -> n
 
 @dataclass
 class EnsembleResult:
-    """A lockstep run: objective, schedule, histories if kept, finals, flags.
+    """A lockstep run: objective, schedule, history if kept, finals, flags.
 
-    In the histories axis 0 is the step index and axis 1 the trial.
-    `omegas[t]` is the noise applied when leaving step t, with a zero row
-    at the end, so the two histories share one (T+1, n, d) shape;
-    `omegas` is a view of a trial-major buffer, each `omegas[:, i]`
-    C-contiguous; `y_history` derives the shadow rows from `x_hist`.  A
-    diverged trial stays frozen at its first iterate beyond the cutoff.
-    A run without history (`lockstep_run(..., keep_history=False)`) has
-    `x_hist` and `omegas` None, and the methods that read them raise
-    ValueError.  `finals_x` holds the final iterates, a copy even with a
-    history, so a report that keeps them does not pin the histories.
+    In `x_hist` axis 0 is the step index and axis 1 the trial.  No noise
+    is stored: `trajectory` and `write_table` replay it from `streams`, as
+    `y_history` derives the shadow rows from `x_hist`.  A diverged trial
+    stays frozen at its first iterate beyond the cutoff.  A finals-only
+    run has `x_hist` and `streams` None, and the methods that read them
+    raise ValueError.  `finals_x` is a copy, so a report that keeps it
+    does not pin the history.
     """
 
     objective: Objective
-    x_hist: Optional[np.ndarray]   # (T+1, n, d)
-    omegas: Optional[np.ndarray]   # (T+1, n, d)
+    x_hist: Optional[np.ndarray]             # (T+1, n, d)
+    streams: Optional[tuple]                 # (n,) RngStream
     schedule: StepSchedule
-    diverged: np.ndarray           # (n,) bool
-    finals_x: np.ndarray           # (n, d)
+    diverged: np.ndarray                     # (n,) bool
+    finals_x: np.ndarray                     # (n, d)
 
     @property
     def n_trials(self) -> int:
@@ -334,13 +330,11 @@ class EnsembleResult:
         return int(np.argmin(_bounded(self.x_hist[:, i]))) + 1
 
     def trajectory(self, i: int) -> Trajectory:
-        """Trial i as a Trajectory record of `record_end(i)` rows, each of
-        its arrays a view of the history; no oracle is called."""
+        """Trial i as a Trajectory record of `record_end(i)` rows, a view of
+        its iterates and its replayed noise; no oracle is called."""
         end = self.record_end(i)
-        return Trajectory(
-            self.objective, self.x_hist[:end, i], self.omegas[:end, i],
-            self.schedule, bool(self.diverged[i]),
-        )
+        (omegas,) = next(_replayed(self.schedule, (self.streams[i],), end))
+        return Trajectory(self.objective, self.x_hist[:end, i], omegas, self.schedule, bool(self.diverged[i]))
 
     def write_table(self, path) -> None:
         """Write every trial's record, the rows of `trajectory`, to `path`
@@ -348,34 +342,35 @@ class EnsembleResult:
 
         The rows are built in chunks of at most `_TABLE_ROWS` rows, whole
         trials or `_chunks` of one record, with one call of each oracle
-        per chunk, in one reused buffer.
+        per chunk, in one reused buffer; each chunk's noise is replayed.
         """
         self._require_history()
         fmt = np.lib.format
         steps, n, d = self.x_hist.shape
         ends = np.array([self.record_end(i) for i in range(n)])
         per = max(1, _TABLE_ROWS // steps)  # trials per chunk
-        # a one-trial chunk covers only its record's rows, in row chunks
-        chunks = [(i0, min(i0 + per, n), t0, t1) for i0 in range(0, n, per)
-                  for t0, t1 in _chunks(steps if per > 1 else ends[i0], _TABLE_ROWS)]
         buf = np.empty(per * min(steps, _TABLE_ROWS), table_dtype(d))
-        noise = self.omegas.transpose(1, 0, 2)  # the trial-major (n, T+1, d) buffer
         header = {"descr": fmt.dtype_to_descr(buf.dtype), "fortran_order": False, "shape": (int(ends.sum()),)}
         with open(path, "wb") as fh:
             fmt.write_array_header_1_0(fh, header)
-            for i0, i1, t0, t1 in chunks:
-                m = t1 - t0
-                rows = buf[: (i1 - i0) * m]
-                xs = self.x_hist[t0:t1, i0:i1].transpose(1, 0, 2).reshape(-1, d)
-                rows["trial"] = np.repeat(np.arange(i0, i1), m)
-                rows["t"] = np.tile(np.arange(t0, t1), i1 - i0)
-                rows["stage"] = np.tile(self.schedule.row_stages(t0, t1), i1 - i0)
-                rows["x"] = xs
-                for name, col in _record_columns(self.objective, xs, noise[i0:i1, t0:t1].reshape(-1, d)).items():
-                    rows[name] = col
-                if self.diverged[i0:i1].any():
-                    rows = rows[rows["t"] < np.repeat(ends[i0:i1], m)]
-                rows.tofile(fh)
+            for i0 in range(0, n, per):
+                i1 = min(i0 + per, n)
+                # a one-trial chunk covers only its record's rows, in row chunks
+                bounds = _chunks(steps if per > 1 else ends[i0], _TABLE_ROWS)
+                replay = _replayed(self.schedule, self.streams[i0:i1], min(steps, _TABLE_ROWS))
+                for (t0, t1), omegas in zip(bounds, replay):
+                    m = t1 - t0
+                    rows = buf[: (i1 - i0) * m]
+                    xs = self.x_hist[t0:t1, i0:i1].transpose(1, 0, 2).reshape(-1, d)
+                    rows["trial"] = np.repeat(np.arange(i0, i1), m)
+                    rows["t"] = np.tile(np.arange(t0, t1), i1 - i0)
+                    rows["stage"] = np.tile(self.schedule.row_stages(t0, t1), i1 - i0)
+                    rows["x"] = xs
+                    for name, col in _record_columns(self.objective, xs, omegas[:, :m].reshape(-1, d)).items():
+                        rows[name] = col
+                    if self.diverged[i0:i1].any():
+                        rows = rows[rows["t"] < np.repeat(ends[i0:i1], m)]
+                    rows.tofile(fh)
 
 
 def lockstep_run(
@@ -387,33 +382,23 @@ def lockstep_run(
 ) -> EnsembleResult:
     """Advance n trials of staged SGD together with batched oracle calls.
 
-    Each stage's noise, or each piece of it (below), is drawn for every
-    trial by one `NoiseKernel.sample_trials` call; trial i draws on its
-    generator from `streams[i]`, created at its first draw and dropped
-    after its last.  Iterates are never projected.  Every recorded
-    iterate, the final one included, goes through the divergence
-    predicate; a trial that fails it freezes in place and is flagged
-    rather than aborting the others.
+    The noise comes from `_noise` a piece at a time, trial i's from
+    `streams[i]`, each piece scaled by its eta once, in place.  Iterates
+    are never projected.  Every recorded iterate, the final one included,
+    goes through the divergence predicate; a trial that fails it freezes
+    in place and is flagged rather than aborting the others.
 
     Steps run in blocks of at most `_BLOCK` rows, which start at each
     stage start, with the predicate applied once per block.  A trial
     that first fails it at row k of a block has the rest of that block
-    rewritten to the frozen x_k and continues from x_k, so the histories
+    rewritten to the frozen x_k and continues from x_k, so the history
     and flags are bitwise those of a per-step freeze.  The steps it took
     past the cutoff raise no overflow or invalid-value warning.
 
-    Trial i's draws land in place, as block i of the `sample_trials`
-    slab, in one contiguous run of rows of its slice of a trial-major
-    (n, rows, d) noise buffer.  With `keep_history` the buffer has T+1
-    rows and the result holds the (T+1, n, d) iterate history and, as
-    `omegas`, the (T+1, n, d) transposed view of that buffer, so
-    `omegas[:, i]` is C-contiguous.  Without it, a stage whose kernel
-    splits by row is drawn and stepped through in pieces of
-    `_NOISE_ROWS` rows, so the buffer holds one piece and the final zero
-    row; a d > 1 ball stage keeps one whole-stage draw, and the buffer
-    is sized for it.  A block's iterates go to one reused block buffer,
-    and the result holds only the schedule, finals and flags, bitwise
-    equal to those of a history run.
+    With `keep_history` the result holds the (T+1, n, d) iterates and
+    the streams; without it, a block's iterates go to one reused buffer
+    and the result holds only the schedule, finals and flags, bitwise the
+    same.
     """
     x0s = np.asarray(x0s, dtype=float)
     n, d = x0s.shape
@@ -421,46 +406,31 @@ def lockstep_run(
         raise ValueError("initial points or schedule do not match objective dimension")
     if len(streams) != n:
         raise ValueError(f"need one stream per trial, got {len(streams)} for {n} trials")
-    total = schedule.total_steps
 
-    if keep_history:
-        width = total + 1
-        x_hist = np.empty((total + 1, n, d))
-    else:
-        # the largest piece and the final row
-        width = max(min(s.steps, _piece_rows(s, False)) for s in schedule.stages) + 1
-        x_hist = None
-        x_block = np.empty((_BLOCK, n, d))
-    # trial-major noise: trial i's draws for a piece are one contiguous run
-    # of rows, written in place by sample_trials; `omegas` views it step-major
-    noise_buf = np.empty((n, width, d))
-    omegas = noise_buf.transpose(1, 0, 2)
-    gens = [None] * n
+    x_hist = np.empty((schedule.total_steps + 1, n, d)) if keep_history else None
+    x_block = None if keep_history else np.empty((_BLOCK, n, d))
     active = np.ones(n, dtype=bool)
     grads_at = obj.grads_at
     x = x0s
     # a trial past the cutoff keeps stepping to the end of its block, where
     # its rows are overwritten, so its overflow is not reported
     with np.errstate(over="ignore", invalid="ignore"):
-        for stage, p0, p1, last in _pieces(schedule, keep_history):
+        for stage, p0, noise in _noise(schedule, streams, _NOISE_ROWS):
             eta = stage.eta
-            s0 = p0 if keep_history else 0  # the piece's first row in noise_buf
-            p2 = p1 + last  # only the last piece holds the final row
-            stage.kernel.sample_trials(_generators(streams, gens, last), noise_buf[:, s0 : s0 + p1 - p0])
-            noise = omegas[s0 : s0 + p2 - p0]
-            # the step leaving the final point uses a zero noise row and is discarded
-            noise[p1 - p0 :] = 0.0
+            noise *= eta
+            kicks = noise.transpose(1, 0, 2)
+            p2 = p0 + len(kicks)
             # pieces start at a stage start or _NOISE_ROWS rows on, so the
             # blocks still start at each stage start
             for b0 in range(p0, p2, _BLOCK):
                 b1 = min(b0 + _BLOCK, p2)
-                xb = x_hist[b0:b1] if keep_history else x_block[: b1 - b0]
-                # the same products as eta * omegas[t] row by row, each held in
-                # its x row until the iterate is recorded there
-                kicks = np.multiply(eta, noise[b0 - p0 : b1 - p0], out=xb)
+                xb = x_block[: b1 - b0] if x_hist is None else x_hist[b0:b1]
+                # the block's kicks, step-major, each held in its x row until
+                # the iterate is recorded there
+                xb[...] = kicks[b0 - p0 : b1 - p0]
                 # frozen trials stay in place; np.where is needed only once one is
                 keep = None if active.all() else active[:, None]
-                for j, kick in enumerate(kicks):
+                for j, kick in enumerate(xb):
                     y = x - eta * grads_at(x)
                     x_next = y - kick if keep is None else np.where(keep, y - kick, x)
                     xb[j] = x
@@ -477,7 +447,7 @@ def lockstep_run(
     return EnsembleResult(
         objective=obj,
         x_hist=x_hist,
-        omegas=omegas if keep_history else None,
+        streams=tuple(streams) if keep_history else None,
         schedule=schedule,
         diverged=~active,
         # the final point is the last row of the last block
@@ -485,26 +455,62 @@ def lockstep_run(
     )
 
 
-def _piece_rows(stage: Stage, keep_history: bool) -> int:
-    """Rows of `stage` drawn at a time: the whole stage with history or
-    where its kernel does not split by row, else `_NOISE_ROWS`."""
-    if keep_history or not stage.kernel.splits_by_row:
-        return max(1, stage.steps)
-    return _NOISE_ROWS
-
-
-def _pieces(schedule: StepSchedule, keep_history: bool):
-    """Yield `lockstep_run`'s pieces (stage, p0, p1, last) stage by stage:
-    each draws and steps rows p0..p1-1, a 0-step stage gives one empty
-    piece, and the run's last piece (`last`) also steps the final row."""
+def _pieces(schedule: StepSchedule, rows: int):
+    """Yield a run's pieces (stage, p0, p1, last) stage by stage: each
+    draws and steps rows p0..p1-1, `rows` of them or the whole stage
+    where its kernel does not split by row, a 0-step stage gives one
+    empty piece, and the run's last piece (`last`) also steps the final
+    row."""
     t0 = 0
     for k, stage in enumerate(schedule.stages):
-        size = _piece_rows(stage, keep_history)
+        size = rows if stage.kernel.splits_by_row else max(1, stage.steps)
         end = t0 + stage.steps
         for p0 in range(t0, max(t0 + 1, end), size):
             p1 = min(p0 + size, end)
             yield stage, p0, p1, k == len(schedule.stages) - 1 and p1 == end
         t0 = end
+
+
+def _noise(schedule: StepSchedule, streams: Sequence[RngStream], rows: int):
+    """Yield (stage, p0, noise) per piece of `_pieces(schedule, rows)`:
+    the trial-major (k, m, d) noise of the piece's m rows from p0 on, of
+    the trials on `streams`, the last piece followed by the zero final
+    row, a C-contiguous view of one buffer (an in-place product over it
+    is unbuffered).  A zero stage makes no generator, so a later one's
+    starts at the same position."""
+    k, d = len(streams), schedule.dimension
+    buf = np.empty(k * d * (max(p1 - p0 for _, p0, p1, _ in _pieces(schedule, rows)) + 1))
+    gens = [None] * k
+    for stage, p0, p1, last in _pieces(schedule, rows):
+        m = p1 - p0
+        noise = buf[: k * (m + last) * d].reshape(k, m + last, d)
+        if stage.kernel.is_zero:
+            noise[:, :m] = 0.0
+        else:
+            stage.kernel.sample_trials(_generators(streams, gens, last), noise[:, :m])
+        # the step leaving the final point uses a zero noise row and is discarded
+        noise[:, m:] = 0.0
+        yield stage, p0, noise
+
+
+def _replayed(schedule: StepSchedule, streams: Sequence[RngStream], size: int):
+    """Yield `_noise`'s rows 0..T in consecutive trial-major (k, size, d)
+    chunks, the last maybe shorter, in one reused buffer.  It draws in
+    pieces of `_TABLE_ROWS` rows, bitwise the engine's smaller ones where
+    a kernel splits by row, and whole stages where it does not."""
+    out = np.empty((len(streams), size, schedule.dimension))
+    filled = 0
+    for _, _, piece in _noise(schedule, streams, _TABLE_ROWS):
+        while piece.shape[1]:
+            take = min(size - filled, piece.shape[1])
+            out[:, filled : filled + take] = piece[:, :take]
+            piece = piece[:, take:]
+            filled += take
+            if filled == size:
+                yield out
+                filled = 0
+    if filled:
+        yield out[:, :filled]
 
 
 def _generators(streams: Sequence[RngStream], gens: list, last: bool):

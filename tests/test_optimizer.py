@@ -54,23 +54,34 @@ def _per_step(schedule):
     return np.repeat([s.eta for s in schedule.stages], rows), np.repeat(np.arange(len(rows)), rows)
 
 
-def _reference_lockstep(obj, schedule, x0s, streams):
-    """Reference: the per-step engine that `lockstep_run` replaced, with
-    the divergence predicate applied at every step.  Returns its result
-    and the (T+1, n, d) shadow rows it stepped through."""
-    x0s = np.asarray(x0s, dtype=float)
-    n, d = x0s.shape
-    stages = schedule.stages
-    total = schedule.total_steps
-    etas, _ = _per_step(schedule)
-
-    omegas = np.zeros((total + 1, n, d))
+def _reference_noise(schedule, streams):
+    """Reference: each trial's noise as one `sample_batch` per stage on a
+    generator of its own, then the zero final row, as (T+1, n, d)."""
+    omegas = np.zeros((schedule.total_steps + 1, len(streams), schedule.dimension))
     for i, stream in enumerate(streams):
         gen = stream.generator()
         t0 = 0
-        for stage in stages:
+        for stage in schedule.stages:
             omegas[t0 : t0 + stage.steps, i] = stage.kernel.sample_batch(stage.steps, gen)
             t0 += stage.steps
+    return omegas
+
+
+def _noise_history(result):
+    """The (T+1, n, d) noise of a history run, replayed from its streams."""
+    rows = len(result.x_hist)
+    return next(optimizer_module._replayed(result.schedule, result.streams, rows)).transpose(1, 0, 2)
+
+
+def _reference_lockstep(obj, schedule, x0s, streams):
+    """Reference: the per-step engine that `lockstep_run` replaced, with
+    the divergence predicate applied at every step.  Returns its result,
+    the (T+1, n, d) shadow rows it stepped through and its noise."""
+    x0s = np.asarray(x0s, dtype=float)
+    n, d = x0s.shape
+    total = schedule.total_steps
+    etas, _ = _per_step(schedule)
+    omegas = _reference_noise(schedule, streams)
 
     x_hist = np.empty((total + 1, n, d))
     y_hist = np.empty((total + 1, n, d))
@@ -86,11 +97,11 @@ def _reference_lockstep(obj, schedule, x0s, streams):
     return EnsembleResult(
         objective=obj,
         x_hist=x_hist,
-        omegas=omegas,
+        streams=tuple(streams),
         schedule=schedule,
         diverged=~active,
         finals_x=x_hist[-1].copy(),
-    ), y_hist
+    ), y_hist, omegas
 
 
 def _reference_write_csv(traj, path):
@@ -222,19 +233,37 @@ class TestSgd:
         assert out_of_box.any()
         assert not out_of_box[0]
 
-    def test_noise_is_stored_trial_major(self):
-        obj = make_spiky(SpikyParams(dimension=2))
-        kernel = NoiseKernel("uniform-ball", 2.0, 2)
-        sched = StepSchedule((Stage(0.1, 40, kernel), Stage(0.05, 30, kernel)))
-        streams = [RngStream(2, i) for i in range(3)]
-        result = lockstep_run(obj, sched, np.zeros((3, 2)), streams)
-        assert result.omegas.shape == (71, 3, 2)
-        for i, stream in enumerate(streams):
-            assert result.omegas[:, i].flags.c_contiguous
-            gen = stream.generator()
-            draws = [kernel.sample_batch(s.steps, gen) for s in sched.stages]
-            assert result.omegas[:-1, i].tobytes() == np.concatenate(draws).tobytes()
-            assert np.all(result.omegas[-1, i] == 0.0)
+    @pytest.mark.parametrize("kind, d", [
+        ("zero", 1), ("uniform-cube", 1), ("uniform-cube", 3), ("uniform-ball", 1), ("uniform-ball", 2),
+    ])
+    def test_replayed_noise_is_the_per_trial_draws(self, tmp_path, kind, d):
+        # stages around a piece, with a cube stage between, so a zero kind
+        # makes its generator late; a d > 1 ball stage is drawn whole.  At
+        # eta = 3 each step doubles |x| on x^2/2 and the noise is far too
+        # small to matter, so trial 1 first passes the cutoff at row 900,
+        # in the last stage, and its record ends there
+        kernel, cube = NoiseKernel(kind, 2.0**-1000, d), NoiseKernel("uniform-cube", 2.0**-1000, d)
+        sched = StepSchedule(tuple(Stage(3.0, steps, k) for steps, k in (
+            (255, kernel), (0, kernel), (256, cube), (257, kernel), (0, cube), (513, kernel),
+        )))
+        x0s = np.zeros((3, d))
+        x0s[1, 0] = 1.5e6 * 2.0**-900
+        streams = [RngStream(12, i) for i in range(3)]
+        result = lockstep_run(make_quadratic(d), sched, x0s, streams)
+        expected = _reference_noise(sched, streams)
+        assert _bits(_noise_history(result)) == _bits(expected)
+        assert result.record_end(1) == 901
+        result.write_table(tmp_path / "t.npy")
+        tab = np.load(tmp_path / "t.npy")
+        for i in range(3):
+            end = result.record_end(i)
+            assert _bits(result.trajectory(i).omegas) == _bits(expected[:end, i])
+            norms = np.linalg.norm(expected[:end, i], axis=1)
+            assert _bits(tab["noise_norm"][tab["trial"] == i]) == _bits(norms)
+        # one stage of each length, run and replayed
+        for steps in (0, 255, 256, 257, 513):
+            _run_both(make_quadratic(d), StepSchedule((Stage(0.01, steps, NoiseKernel(kind, 2.0, d)),)),
+                      np.ones((3, d)), seed=12)
 
     def test_dimension_mismatch(self, spiky_default):
         sched = _zero_schedule(0.1, 10, d=2)
@@ -299,8 +328,9 @@ def _counting(obj):
 
 
 class TestRecord:
-    """A `Trajectory` is one trial's slice of the engine's iterate and noise
-    rows; its shadow rows and columns are derived where they are read."""
+    """A `Trajectory` is one trial's slice of the engine's iterates with its
+    replayed noise; its shadow rows and columns are derived where they
+    are read."""
 
     def _result(self):
         # |x_t| = 2**t |x_0|: trial 0 passes the cutoff at row 20 and trial
@@ -314,10 +344,13 @@ class TestRecord:
         assert calls["grad"] > 0
         assert [result.record_end(i) for i in range(3)] == [21, 41, 31]
         calls.update(value=0, grad=0)
+        noise = _noise_history(result)
         for i in range(result.n_trials):
             traj = result.trajectory(i)
             assert np.shares_memory(traj.xs, result.x_hist)
-            assert np.shares_memory(traj.omegas, result.omegas)
+            assert _bits(traj.omegas) == _bits(noise[: len(traj), i])
+        # a negative index is the trial it counts back to, noise included
+        assert _bits(result.trajectory(-1).omegas) == _bits(result.trajectory(2).omegas)
         assert calls == {"value": 0, "grad": 0}
 
     def test_y_history_is_the_ensemble_rows_bitwise(self):
@@ -463,7 +496,7 @@ class TestChunkedPasses:
         steps, n, d = 2001, 100, 3
         x_hist = np.random.default_rng(15).uniform(-3.0, 3.0, (steps, n, d))
         result = EnsembleResult(
-            make_spiky(SpikyParams(dimension=d)), x_hist, x_hist, _zero_schedule(0.05, steps - 1, d),
+            make_spiky(SpikyParams(dimension=d)), x_hist, None, _zero_schedule(0.05, steps - 1, d),
             np.zeros(n, dtype=bool), x_hist[-1].copy(),
         )
         peak = _traced_peak(lambda: result.y_dist2_history(np.zeros(d)))
@@ -481,16 +514,17 @@ def _run_both(obj, schedule, x0s, seed=5):
     got = lockstep_run(obj, schedule, x0s, streams)
     # the reference's frozen non-finite trials warn at every step
     with np.errstate(all="ignore"):
-        ref, ref_y = _reference_lockstep(obj, schedule, x0s, streams)
-    for field in ("x_hist", "omegas", "diverged", "finals_x"):
+        ref, ref_y, ref_noise = _reference_lockstep(obj, schedule, x0s, streams)
+    for field in ("x_hist", "diverged", "finals_x"):
         assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), field
-    assert got.schedule is ref.schedule
+    assert _bits(_noise_history(got)) == _bits(ref_noise)
+    assert got.schedule is ref.schedule and got.streams == ref.streams
     # deriving the shadow rows of frozen non-finite trials must not warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _bits(got.y_history()) == _bits(ref_y)
     finals = lockstep_run(obj, schedule, x0s, streams, keep_history=False)
-    assert finals.x_hist is None and finals.omegas is None
+    assert finals.x_hist is None and finals.streams is None
     for field in ("finals_x", "diverged"):
         assert _bits(getattr(finals, field)) == _bits(getattr(got, field)), field
     assert finals.schedule is got.schedule
@@ -648,41 +682,45 @@ class _CountedStream:
         return _CountedGenerator(self._stream.generator(), self._live, self._seen)
 
 
-def _listed_pieces(schedule, keep_history):
+def _listed_pieces(schedule):
     """The pieces (stage, p0, p1) of a run, as `lockstep_run` once listed
     them whole before stepping: the reference for `_pieces`."""
     pieces = []
     t0 = 0
     for stage in schedule.stages:
-        whole = keep_history or not stage.kernel.splits_by_row
-        size = max(1, stage.steps) if whole else _NOISE_ROWS
+        size = _NOISE_ROWS if stage.kernel.splits_by_row else max(1, stage.steps)
         end = t0 + stage.steps
         pieces += [(stage, p0, min(p0 + size, end)) for p0 in range(t0, max(t0 + 1, end), size)]
         t0 = end
     return pieces
 
 
-def _finals_only_draws(monkeypatch, obj, schedule, x0s):
-    """Row counts of each trial's draws in the `sample_trials` calls a
-    finals-only run on the streams of `_run_both` makes, in call order."""
-    sizes = []
+def _draws(monkeypatch, obj, schedule, x0s):
+    """Row counts of each trial's draws in the `sample_trials` calls a run
+    on the streams of `_run_both` makes, in call order, the same with and
+    without history."""
     sample_trials = NoiseKernel.sample_trials
-
-    def counted(kernel, gens, out):
-        sizes.extend([out.shape[1]] * out.shape[0])
-        return sample_trials(kernel, gens, out)
-
-    monkeypatch.setattr(NoiseKernel, "sample_trials", counted)
     streams = [RngStream(5, 1000 + i) for i in range(len(x0s))]
-    lockstep_run(obj, schedule, np.asarray(x0s, dtype=float), streams, keep_history=False)
-    monkeypatch.setattr(NoiseKernel, "sample_trials", sample_trials)
-    return sizes
+    runs = []
+    for keep_history in (False, True):
+        sizes = []
+
+        def counted(kernel, gens, out):
+            sizes.extend([out.shape[1]] * out.shape[0])
+            return sample_trials(kernel, gens, out)
+
+        monkeypatch.setattr(NoiseKernel, "sample_trials", counted)
+        lockstep_run(obj, schedule, np.asarray(x0s, dtype=float), streams, keep_history)
+        monkeypatch.setattr(NoiseKernel, "sample_trials", sample_trials)
+        runs.append(sizes)
+    assert runs[0] == runs[1]
+    return runs[0]
 
 
 class TestFinalsOnly:
     """`keep_history=False` keeps the finals and flags of a history run,
     bit for bit, on stage layouts that move the block edges; `_run_both`
-    checks each case against the per-step reference too.  Such a run
+    checks each case against the per-step reference too.  Either run
     draws a stage's noise `_NOISE_ROWS` rows at a time where the kernel
     splits by row and the whole stage at once for the d > 1 ball; the
     tests with `small_pieces` patch `_NOISE_ROWS` to `ROWS`."""
@@ -761,9 +799,35 @@ class TestFinalsOnly:
         monkeypatch.setattr(optimizer_module, "_NOISE_ROWS", self.ROWS)
         long = StepSchedule((Stage(0.01, 3 * self.ROWS, kernel),))
         lockstep_run(make_spiky(SpikyParams()), long, np.zeros((5, 1)), streams, keep_history)
-        # finals-only, its three pieces share one generator per trial
-        assert seen == ([1] * 5 if keep_history else [1, 2, 3, 4, 5] + [5] * 5 + [5, 4, 3, 2, 1])
+        # its three pieces share one generator per trial
+        assert seen == [1, 2, 3, 4, 5] + [5] * 5 + [5, 4, 3, 2, 1]
         assert live == []
+
+    @pytest.mark.parametrize("keep_history", [True, False])
+    def test_zero_stages_make_no_generator(self, monkeypatch, tmp_path, keep_history):
+        made = []
+        generator = RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda stream: made.append(stream) or generator(stream))
+        zero, cube = NoiseKernel("zero", 0.0, 1), NoiseKernel("uniform-cube", 1.0, 1)
+        streams = [RngStream(7, i) for i in range(5)]
+        x0s = np.zeros((5, 1))
+        zeros = StepSchedule((Stage(0.1, 300, zero), Stage(0.05, 20, zero)))
+        result = lockstep_run(make_quadratic(1), zeros, x0s, streams, keep_history)
+        if keep_history:
+            result.trajectory(0)
+            result.write_table(tmp_path / "t.npy")
+        assert made == []
+        # a generator made at the cube stage's first draw starts where one
+        # made before the zero stage would be: the stream's first draw
+        mixed = StepSchedule((Stage(0.1, 300, zero), Stage(0.05, 20, cube)))
+        result = _run_both(make_quadratic(1), mixed, x0s, seed=7)
+        made.clear()
+        lockstep_run(make_quadratic(1), mixed, x0s, streams, keep_history)
+        assert made == streams
+        if keep_history:
+            made.clear()
+            result.trajectory(3)
+            assert made == [RngStream(7, 1003)]
 
     @pytest.mark.usefixtures("small_pieces")
     @pytest.mark.parametrize("steps", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
@@ -777,7 +841,7 @@ class TestFinalsOnly:
         pieces = [self.ROWS] * (steps // self.ROWS) + [steps % self.ROWS] * (steps % self.ROWS > 0)
         if followed:
             pieces.append(70)
-        assert _finals_only_draws(monkeypatch, spiky_default, sched, x0s) == [
+        assert _draws(monkeypatch, spiky_default, sched, x0s) == [
             m for m in pieces for _ in range(6)
         ]
 
@@ -797,7 +861,7 @@ class TestFinalsOnly:
         total = result.schedule.total_steps
         assert result.schedule.row_stages(total, total + 1).tolist() == [len(stages) - 1]
         # a 0-step stage still makes its one 0-row draw
-        draws = _finals_only_draws(monkeypatch, spiky_default, sched, x0s)[::4]
+        draws = _draws(monkeypatch, spiky_default, sched, x0s)[::4]
         pieces = {300: [128, 128, 44], 256: [128, 128], 0: [0]}
         assert draws == [m for stage in stages for m in pieces[stage.steps]]
 
@@ -822,7 +886,7 @@ class TestFinalsOnly:
         x0s[3] = [0.0, -1.5e6, 0.0]
         result = _run_both(obj, sched, x0s, seed=23)
         assert np.flatnonzero(result.diverged).tolist() == [3]
-        draws = _finals_only_draws(monkeypatch, obj, sched, x0s)[::20]
+        draws = _draws(monkeypatch, obj, sched, x0s)[::20]
         assert draws == [128, 72, 128, 1, 128, 128]
 
     @pytest.mark.usefixtures("small_pieces")
@@ -834,7 +898,7 @@ class TestFinalsOnly:
         ))
         x0s = np.random.Generator(np.random.Philox(key=[95, 0])).uniform(-3, 3, size=(20, 2))
         _run_both(obj, sched, x0s, seed=24)
-        assert _finals_only_draws(monkeypatch, obj, sched, x0s)[::20] == [300, 129]
+        assert _draws(monkeypatch, obj, sched, x0s)[::20] == [300, 129]
 
     def test_long_run_keeps_nothing_per_step(self):
         # 2 trials x 200,000 steps in 1-d: the noise buffer is 2 x 257
@@ -855,18 +919,26 @@ class TestFinalsOnly:
         (5,), (0,), (0, 0), (0, 7), (7, 0), (0, 300, 0), (300, 0, 256), (256, 513), (1, 0, 0, 1),
     ])
     @pytest.mark.parametrize("kind, d", [("uniform-ball", 1), ("uniform-cube", 3), ("uniform-ball", 2)])
-    def test_pieces_are_the_listed_ones(self, kind, d, steps, keep_history):
+    def test_pieces_are_the_listed_ones(self, monkeypatch, kind, d, steps, keep_history):
         # the pieces are yielded stage by stage; they must be the list the
-        # run used to build whole before stepping, and the noise buffer as wide
+        # run used to build whole before stepping, and a run with or
+        # without history must draw them, the final row drawn by none
         sched = StepSchedule(tuple(Stage(0.01, m, NoiseKernel(kind, 1.0, d)) for m in steps))
-        listed = _listed_pieces(sched, keep_history)
+        listed = _listed_pieces(sched)
         last = [False] * (len(listed) - 1) + [True]
-        assert list(optimizer_module._pieces(sched, keep_history)) == [
+        assert list(optimizer_module._pieces(sched, _NOISE_ROWS)) == [
             (*piece, at_end) for piece, at_end in zip(listed, last)
         ]
-        if not keep_history:
-            width = max(min(s.steps, optimizer_module._piece_rows(s, False)) for s in sched.stages)
-            assert width == max(p1 - p0 for _, p0, p1 in listed)
+        drawn = []
+        sample_trials = NoiseKernel.sample_trials
+
+        def counted(kernel, gens, out):
+            drawn.append(out.shape)
+            return sample_trials(kernel, gens, out)
+
+        monkeypatch.setattr(NoiseKernel, "sample_trials", counted)
+        lockstep_run(make_quadratic(d), sched, np.ones((2, d)), [RngStream(3, i) for i in range(2)], keep_history)
+        assert drawn == [(2, p1 - p0, d) for _, p0, p1 in listed]
 
     @pytest.mark.parametrize("steps", [_NOISE_ROWS - 1, _NOISE_ROWS, _NOISE_ROWS + 1, 2 * _NOISE_ROWS + 1])
     def test_unpatched_stage_lengths_around_a_piece(self, monkeypatch, spiky_default, steps):
@@ -875,7 +947,7 @@ class TestFinalsOnly:
         x0s = np.linspace(-3.0, 3.0, 4)[:, None]
         _run_both(spiky_default, sched, x0s, seed=28)
         pieces = [_NOISE_ROWS] * (steps // _NOISE_ROWS) + [steps % _NOISE_ROWS] * (steps % _NOISE_ROWS > 0)
-        assert _finals_only_draws(monkeypatch, spiky_default, sched, x0s)[::4] == pieces
+        assert _draws(monkeypatch, spiky_default, sched, x0s)[::4] == pieces
 
     def test_unpatched_pieces(self, monkeypatch, spiky_default):
         ball = NoiseKernel("uniform-ball", 2.0, 1)
@@ -883,7 +955,7 @@ class TestFinalsOnly:
         sched = StepSchedule((Stage(0.02, 2 * _NOISE_ROWS + 1, ball), Stage(0.01, 200, ball)))
         x0s = np.linspace(-3.0, 3.0, 3)[:, None]
         _run_both(spiky_default, sched, x0s, seed=25)
-        draws = _finals_only_draws(monkeypatch, spiky_default, sched, x0s)[::3]
+        draws = _draws(monkeypatch, spiky_default, sched, x0s)[::3]
         assert draws == [_NOISE_ROWS, _NOISE_ROWS, 1, 200]
 
 
