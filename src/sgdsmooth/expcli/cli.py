@@ -22,6 +22,7 @@ from ..optimizer import _record_columns, sgd_run, write_csv_columns
 from ..theory import constants
 from .config import ConfigError, ExperimentConfig
 from .pipeline import (
+    CERT_STREAM,
     TRIAL_STREAM_BASE,
     draw_inits,
     ensemble,
@@ -109,7 +110,7 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
     report = region_scan(
         obj, kernel, stage.eta, obj.target, grid,
         c_min=0.0, n=cfg.cert_samples,
-        rng=RngStream(cfg.seed, 500_000), confidence=cfg.confidence,
+        rng=RngStream(cfg.seed, CERT_STREAM), confidence=cfg.confidence,
     )
     out = _require_out(cfg)
     path = os.path.join(out, "certify.csv")

@@ -89,7 +89,7 @@ def _as_points(points) -> np.ndarray:
 
 
 def cluster_labels(points, tol: float) -> np.ndarray:
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
     arr = _as_points(points)
     if arr.shape[0] == 0:

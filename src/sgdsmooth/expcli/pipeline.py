@@ -1,10 +1,11 @@
 """Ensemble experiments, noise calibration and the smoothing-demo pipeline.
 
+Philox stream ids under the seed: INIT_STREAM for the initial points,
+TRIAL_STREAM_BASE + i for trial i, CERT_STREAM + 1000*j for calibration
+radius j (`certify` is j = 0), CURVE_STREAM + i for curve point i.
 Ensembles run on the library's one SGD engine, `optimizer.lockstep_run`,
-with trial i on its own Philox stream (key = (seed, TRIAL_STREAM_BASE +
-index)).  `optimizer.sgd_run` is a one-trial run of the same engine, so
-a lockstep trial replays `sgd_run` for the same stream by construction,
-divergence flag included.
+of which `optimizer.sgd_run` is a one-trial run, so a lockstep trial
+replays `sgd_run` for the same stream, divergence flag included.
 
 Every ensemble, `figure3`'s row-2 and row-3 panels included, runs
 through `ensemble()`, the one place that decides whether the engine
@@ -58,8 +59,10 @@ __all__ = [
     "smoothing_curve",
 ]
 
-TRIAL_STREAM_BASE = 1000
 INIT_STREAM = 0
+TRIAL_STREAM_BASE = 1000
+CERT_STREAM = 500_000
+CURVE_STREAM = 900_000
 _ENSEMBLE_FILES = ("trajectories.npy", "summary.json", "finals.svg")
 
 
@@ -276,7 +279,7 @@ def calibrate_noise(
         report = region_scan(
             obj, kernel, eta, obj.target, [np.atleast_1d(g) for g in np.atleast_1d(grid)],
             c_min=c_min, n=n,
-            rng=RngStream(seed, 500_000 + 1000 * j),
+            rng=RngStream(seed, CERT_STREAM + 1000 * j),
             confidence=scan_confidence, stop_on_fail=True,
         )
         tried.append(r)
@@ -315,7 +318,7 @@ def smoothing_curve(
     for i, y in enumerate(ys):
         est = smoothed_value_mc(
             obj, kernel, eta, [y], n=n,
-            rng=RngStream(seed, 900_000 + i), confidence=confidence,
+            rng=RngStream(seed, CURVE_STREAM + i), confidence=confidence,
         )
         g_mc[i] = est.mean
         g_closed[i] = smoothed_value_closed(params, r, eta, [y])

@@ -10,8 +10,7 @@ each from its own generator, into a caller's trial-major (k, m, d)
 slab.  It drives the SGD engine, which so stores each trial's noise
 where it reads it, 256 rows at a time where `splits_by_row` holds.
 `NoiseKernel.sample_batch`, its one-trial form, draws into a new (n, d)
-array or a caller's (`out=`).  Every kernel draws through them in every
-dimension.  Philox is
+array.  Every kernel draws through them in every dimension.  Philox is
 counter-based: a draw depends only on its key and stream position, not
 on where it lands.  In place, the interval
 and cube kinds compute -h + (h - -h)*u from uniforms u = `gen.random`,
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -82,31 +81,15 @@ class NoiseKernel:
         false for the d > 1 ball, which draws every normal first."""
         return self.is_zero or self.kind == "uniform-cube" or self.dimension == 1
 
-    def sample_batch(
-        self, n: int, gen: np.random.Generator, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Draw n samples at once, shape (n, d).  Row order is the stream order.
-
-        With `out`, a C-contiguous float64 (n, d) array, the samples are
-        written into it and it is returned; without, a new array is
-        allocated.  Both run the same draws and give the same bytes: one
-        trial of `sample_trials`.
-        """
-        d = self.dimension
-        if out is None:
-            out = np.empty((n, d))
-        elif out.shape != (n, d) or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError(
-                f"out must be a C-contiguous float64 array of shape {(n, d)}, "
-                f"got {out.dtype} {out.shape}"
-            )
-        self.sample_trials((gen,), out[None])
-        return out
+    def sample_batch(self, n: int, gen: np.random.Generator) -> np.ndarray:
+        """Draw n samples at once into a new (n, d) array, row order the
+        stream order: one trial of `sample_trials`."""
+        return self.sample_trials((gen,), np.empty((1, n, self.dimension)))[0]
 
     def sample_trials(self, gens: Iterable[np.random.Generator], out: np.ndarray) -> np.ndarray:
         """Fill a trial-major (k, m, d) float64 slab, each row block `out[i]`
         C-contiguous, and return it: block i gets the bytes
-        `sample_batch(m, gen_i, out=out[i])` gives, gen_i the i-th of the k
+        `sample_batch(m, gen_i)` gives, gen_i the i-th of the k
         generators `gens` yields, each taken only when its block is drawn.
 
         The interval and cube kinds draw one `gen.random` per block, then

@@ -27,22 +27,23 @@ to the frozen x_k, so every history is bitwise the one a per-step freeze
 gives.  Stepping past the cutoff until the block ends may overflow;
 those rows are overwritten and the overflow is not reported.
 
-A run keeps its schedule, whose `row_stages` gives each row's stage,
-and its (T+1, n, d) iterates with the trials' streams, from which the
-noise is replayed, or, with `keep_history=False`, only the final
-iterates and the flags, bitwise the same.  Either holds one piece of
-noise (`_noise`), `_NOISE_ROWS` = 256 rows per trial, a whole stage for
-the d > 1 ball.  `EnsembleResult.trajectory` is the one place a
-`Trajectory` record is built; `_record_columns` is the one builder of
-the derived columns.  A record is persisted either alone, as a CSV
-(`Trajectory.write_csv`, through `_write_csv`, the formatter of the
-package's one CSV writer, `write_csv_columns`), or with every trial of
-an ensemble, as one `.npy` trajectory table
-(`EnsembleResult.write_table`), built in row chunks.
+A run of T steps keeps its schedule, whose `row_stages` gives each
+row's stage, and its (T+1, n, d) iterates with the trials' streams,
+from which `_replayed` replays the noise and adds the zero final row,
+or, with `keep_history=False`, only the final iterates and the flags,
+bitwise the same.  Either holds one piece of noise (`_noise`),
+`_NOISE_ROWS` = 256 rows per trial, a whole stage for the d > 1 ball.
+`EnsembleResult.trajectory` is the one place a `Trajectory` record is
+built; `_record_columns` is the one builder of the derived columns.  A
+record is persisted either alone, as a CSV (`Trajectory.write_csv`,
+through `_write_csv`, the formatter of the package's one CSV writer,
+`write_csv_columns`), or with every trial of an ensemble, as one `.npy`
+trajectory table (`EnsembleResult.write_table`), built in row chunks.
 """
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -79,6 +80,9 @@ class Stage:
     def __post_init__(self):
         if not self.eta > 0:  # NaN fails too
             raise ValueError(f"eta must be positive, got {self.eta}")
+        # a bool is an Integral, but no step count
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
 
@@ -382,18 +386,21 @@ def lockstep_run(
 ) -> EnsembleResult:
     """Advance n trials of staged SGD together with batched oracle calls.
 
-    The noise comes from `_noise` a piece at a time, trial i's from
-    `streams[i]`, each piece scaled by its eta once, in place.  Iterates
-    are never projected.  Every recorded iterate, the final one included,
-    goes through the divergence predicate; a trial that fails it freezes
-    in place and is flagged rather than aborting the others.
+    It takes exactly the T steps that leave rows 0..T-1, then records
+    the final iterate, row T.  The noise comes from `_noise` a piece at a
+    time, trial i's from `streams[i]`, each piece scaled by its eta once,
+    in place.  Iterates are never projected.  Every recorded iterate, the
+    final one included, goes through the divergence predicate; a trial
+    that fails it freezes in place and is flagged rather than aborting
+    the others.
 
     Steps run in blocks of at most `_BLOCK` rows, which start at each
-    stage start, with the predicate applied once per block.  A trial
-    that first fails it at row k of a block has the rest of that block
-    rewritten to the frozen x_k and continues from x_k, so the history
-    and flags are bitwise those of a per-step freeze.  The steps it took
-    past the cutoff raise no overflow or invalid-value warning.
+    stage start, with the predicate applied once per block and once to
+    the final iterate.  A trial that first fails it at row k of a block
+    has the rest of that block rewritten to the frozen x_k and continues
+    from x_k, so the history and flags are bitwise those of a per-step
+    freeze.  The steps it took past the cutoff raise no overflow or
+    invalid-value warning.
 
     With `keep_history` the result holds the (T+1, n, d) iterates and
     the streams; without it, a block's iterates go to one reused buffer
@@ -443,6 +450,10 @@ def lockstep_run(
                     xb[k + 1 :, i] = xb[k, i]
                     x[i] = xb[k, i]
                     active[i] = False
+        # the final iterate, which no step leaves
+        if x_hist is not None:
+            x_hist[-1] = x
+        active &= _bounded(x)
 
     return EnsembleResult(
         objective=obj,
@@ -450,51 +461,44 @@ def lockstep_run(
         streams=tuple(streams) if keep_history else None,
         schedule=schedule,
         diverged=~active,
-        # the final point is the last row of the last block
-        finals_x=xb[-1].copy(),
+        finals_x=x.copy(),
     )
 
 
 def _pieces(schedule: StepSchedule, rows: int):
-    """Yield a run's pieces (stage, p0, p1, last) stage by stage: each
-    draws and steps rows p0..p1-1, `rows` of them or the whole stage
-    where its kernel does not split by row, a 0-step stage gives one
-    empty piece, and the run's last piece (`last`) also steps the final
-    row."""
+    """Yield a run's pieces (stage, p0, p1) stage by stage: each draws and
+    steps rows p0..p1-1, `rows` of them or the whole stage where its
+    kernel does not split by row; a 0-step stage gives none."""
     t0 = 0
-    for k, stage in enumerate(schedule.stages):
+    for stage in schedule.stages:
         size = rows if stage.kernel.splits_by_row else max(1, stage.steps)
         end = t0 + stage.steps
-        for p0 in range(t0, max(t0 + 1, end), size):
-            p1 = min(p0 + size, end)
-            yield stage, p0, p1, k == len(schedule.stages) - 1 and p1 == end
+        for p0 in range(t0, end, size):
+            yield stage, p0, min(p0 + size, end)
         t0 = end
 
 
 def _noise(schedule: StepSchedule, streams: Sequence[RngStream], rows: int):
     """Yield (stage, p0, noise) per piece of `_pieces(schedule, rows)`:
     the trial-major (k, m, d) noise of the piece's m rows from p0 on, of
-    the trials on `streams`, the last piece followed by the zero final
-    row, a C-contiguous view of one buffer (an in-place product over it
-    is unbuffered).  A zero stage makes no generator, so a later one's
-    starts at the same position."""
+    the trials on `streams`, a C-contiguous view of one buffer (an
+    in-place product over it is unbuffered).  A zero stage makes no
+    generator, so a later one's starts at the same position."""
     k, d = len(streams), schedule.dimension
-    buf = np.empty(k * d * (max(p1 - p0 for _, p0, p1, _ in _pieces(schedule, rows)) + 1))
+    buf = np.empty(k * d * max((p1 - p0 for _, p0, p1 in _pieces(schedule, rows)), default=0))
     gens = [None] * k
-    for stage, p0, p1, last in _pieces(schedule, rows):
-        m = p1 - p0
-        noise = buf[: k * (m + last) * d].reshape(k, m + last, d)
+    for stage, p0, p1 in _pieces(schedule, rows):
+        noise = buf[: k * (p1 - p0) * d].reshape(k, p1 - p0, d)
         if stage.kernel.is_zero:
-            noise[:, :m] = 0.0
+            noise.fill(0.0)
         else:
-            stage.kernel.sample_trials(_generators(streams, gens, last), noise[:, :m])
-        # the step leaving the final point uses a zero noise row and is discarded
-        noise[:, m:] = 0.0
+            stage.kernel.sample_trials(_generators(streams, gens, p1 == schedule.total_steps), noise)
         yield stage, p0, noise
 
 
 def _replayed(schedule: StepSchedule, streams: Sequence[RngStream], size: int):
-    """Yield `_noise`'s rows 0..T in consecutive trial-major (k, size, d)
+    """Yield a record's noise rows 0..T, `_noise`'s rows then the zero
+    final row, which no step uses, in consecutive trial-major (k, size, d)
     chunks, the last maybe shorter, in one reused buffer.  It draws in
     pieces of `_TABLE_ROWS` rows, bitwise the engine's smaller ones where
     a kernel splits by row, and whole stages where it does not."""
@@ -509,14 +513,14 @@ def _replayed(schedule: StepSchedule, streams: Sequence[RngStream], size: int):
             if filled == size:
                 yield out
                 filled = 0
-    if filled:
-        yield out[:, :filled]
+    out[:, filled] = 0.0
+    yield out[:, : filled + 1]
 
 
 def _generators(streams: Sequence[RngStream], gens: list, last: bool):
     """Each trial's generator for one piece, in trial order: made from its
     stream at its first draw, kept in `gens` for the next piece, and
-    dropped from it after the run's last piece."""
+    dropped from it after the `last` piece, the one that ends the run."""
     for i, stream in enumerate(streams):
         gen = stream.generator() if gens[i] is None else gens[i]
         gens[i] = None if last else gen

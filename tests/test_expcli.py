@@ -213,6 +213,11 @@ class TestCluster:
         with pytest.raises(ValueError):
             cluster_count([1.0], 0.0)
 
+    def test_nan_tolerance(self):
+        # NaN is not <= 0 either, and every point would be its own cluster
+        with pytest.raises(ValueError, match="tol must be positive"):
+            cluster_count(np.array([0.0, 0.01, 0.02]), math.nan)
+
     def test_gd_finals_match_basin_oracle(self, spiky_default):
         cfg = _small_config(
             stages=(StageSpec(0.005, 20_000, KernelSpec("zero", 0.0)),),
@@ -853,10 +858,9 @@ class TestFinalsOnlyMemory:
     """Three stages of 1,000, 1,500 and 2,000 steps over 200 trials in 1-d:
     the iterate history is 4,501 x 200 float64.  A run, with history or
     without, draws its noise in pieces of `_NOISE_ROWS` = 256 rows per
-    trial, every trial's piece in one `NoiseKernel.sample_trials` call
-    (the run's last piece followed by the final zero row), so it holds
-    200 x 257 of noise, not the longest stage's 2,000 x 200; a d > 1
-    ball stage, drawn at once, would hold a whole stage."""
+    trial, every trial's piece in one `NoiseKernel.sample_trials` call,
+    so it holds 200 x 256 of noise, not the longest stage's 2,000 x 200;
+    a d > 1 ball stage, drawn at once, would hold a whole stage."""
 
     TRIALS = 200
 
@@ -894,10 +898,10 @@ class TestFinalsOnlyMemory:
         # generator per trial; a stored noise history or a shadow history
         # would add a second 7.2 MB
         history = 4501 * self.TRIALS * 8
-        assert history <= peak < history + self.TRIALS * ((_NOISE_ROWS + 1) * 8 + 2**10) + 2**18
+        assert history <= peak < history + self.TRIALS * (_NOISE_ROWS * 8 + 2**10) + 2**18
 
     def test_finals_only_run_stores_no_shadow_block(self):
-        # 2,000 trials x 200 steps in 1-d: the noise buffer is 2,000 x 201
+        # 2,000 trials x 200 steps in 1-d: the noise buffer is 2,000 x 200
         # float64 and one (64, n, 1) block 1 MB, so a second, shadow block
         # breaks the bound
         n, steps = 2000, 200
@@ -908,11 +912,11 @@ class TestFinalsOnlyMemory:
         run = lambda: lockstep_run(obj, sched, x0s, streams, keep_history=False)
         run()  # one-time allocations of a first call are not the run's
         peak = _traced_peak(run)
-        assert peak < n * (steps + 1) * 8 + 64 * n * 8 + 2**20
+        assert peak < n * steps * 8 + 64 * n * 8 + 2**20
 
     def test_wide_finals_only_run_holds_one_piece_of_noise(self):
         # 2,000 trials x one 1,100-step stage in 1-d: the noise buffer is
-        # 2,000 x (_NOISE_ROWS + 1) float64, plus one (_BLOCK, n, 1) block
+        # 2,000 x _NOISE_ROWS float64, plus one (_BLOCK, n, 1) block
         # and about 1 KB of generator per trial; in pieces of 1,024 rows
         # the run peaks at about 19 MB, above the bound
         n, steps = 2000, 1100
@@ -923,7 +927,7 @@ class TestFinalsOnlyMemory:
         run = lambda: lockstep_run(obj, sched, x0s, streams, keep_history=False)
         run()  # one-time allocations of a first call are not the run's
         peak = _traced_peak(run)
-        assert peak < n * (_NOISE_ROWS + 1) * 8 + n * _BLOCK * 8 + n * 2**10 + 2**20
+        assert peak < n * _NOISE_ROWS * 8 + n * _BLOCK * 8 + n * 2**10 + 2**20
 
 
 class TestCalibration:

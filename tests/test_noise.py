@@ -143,15 +143,19 @@ def _formula_draw(kernel, n, gen):
 
 
 class TestOutBuffer:
+    """The one `out` left is `sample_trials`'s slab: one trial drawn into
+    it has the bytes of `sample_batch`'s new array and of the formulas."""
+
     @pytest.mark.parametrize("r", [0.0, 0.7, 8.9e307])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["zero", "uniform-cube", "uniform-ball"])
     def test_fills_and_returns_out(self, kind, d, r):
         k = NoiseKernel(kind, r, d)
-        buf = np.full((50, d), np.nan)
-        assert k.sample_batch(50, RngStream(3, d).generator(), out=buf) is buf
+        buf = np.full((1, 50, d), np.nan)
+        assert k.sample_trials([RngStream(3, d).generator()], buf) is buf
         fresh = k.sample_batch(50, RngStream(3, d).generator())
         ref = _formula_draw(k, 50, RngStream(3, d).generator())
+        assert fresh.shape == (50, d) and fresh.flags.c_contiguous
         assert buf.tobytes() == fresh.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("r", [1e308, np.inf])
@@ -160,30 +164,17 @@ class TestOutBuffer:
         k = NoiseKernel(kind, r, 1)
         with pytest.raises(OverflowError):
             _formula_draw(k, 4, RngStream(0).generator())
-        for out in (None, np.empty((4, 1))):
-            with pytest.raises(OverflowError):
-                k.sample_batch(4, RngStream(0).generator(), out=out)
-
-    @pytest.mark.parametrize("kind", ["zero", "uniform-cube", "uniform-ball"])
-    def test_rejects_a_bad_out(self, kind):
-        k = NoiseKernel(kind, 1.0, 2)
-        bad = (
-            np.empty((5, 2)),                     # wrong row count
-            np.empty((4, 3)),                     # wrong dimension
-            np.empty((4, 2), dtype=np.float32),   # wrong dtype
-            np.empty((2, 4)).T,                   # right shape, not C-contiguous
-            np.empty((4, 4))[:, ::2],             # right shape, strided
-        )
-        for out in bad:
-            with pytest.raises(ValueError, match="C-contiguous float64"):
-                k.sample_batch(4, RngStream(0).generator(), out=out)
+        with pytest.raises(OverflowError):
+            k.sample_batch(4, RngStream(0).generator())
+        with pytest.raises(OverflowError):
+            k.sample_trials([RngStream(0).generator()], np.empty((1, 4, 1)))
 
 
 class TestSampleTrials:
     """`sample_trials` fills a trial-major (k, m, d) slab, block i with the
     bytes of `sample_batch` and of the allocating formulas on the i-th
-    stream.  The slab is cut from a buffer with a spare final row, as the
-    engine's is, so its blocks are C-contiguous but the slab is not."""
+    stream.  The slab is cut from a buffer with a spare final row, so its
+    blocks are C-contiguous but the slab is not."""
 
     @pytest.mark.parametrize("m", [1, 255, 256, 257])
     @pytest.mark.parametrize("k", [1, 3])

@@ -22,6 +22,7 @@ from sgdsmooth import (
 )
 import sgdsmooth.optimizer as optimizer_module
 from sgdsmooth.optimizer import (
+    _BLOCK,
     _CSV_CHUNK,
     _NOISE_ROWS,
     _TABLE_ROWS,
@@ -684,13 +685,14 @@ class _CountedStream:
 
 def _listed_pieces(schedule):
     """The pieces (stage, p0, p1) of a run, as `lockstep_run` once listed
-    them whole before stepping: the reference for `_pieces`."""
+    them whole before stepping, none for a 0-step stage: the reference
+    for `_pieces`."""
     pieces = []
     t0 = 0
     for stage in schedule.stages:
         size = _NOISE_ROWS if stage.kernel.splits_by_row else max(1, stage.steps)
         end = t0 + stage.steps
-        pieces += [(stage, p0, min(p0 + size, end)) for p0 in range(t0, max(t0 + 1, end), size)]
+        pieces += [(stage, p0, min(p0 + size, end)) for p0 in range(t0, end, size)]
         t0 = end
     return pieces
 
@@ -788,7 +790,12 @@ class TestFinalsOnly:
         streams = [_CountedStream(RngStream(6, i), live, seen) for i in range(5)]
         one = StepSchedule((Stage(0.01, 30, kernel),))
         lockstep_run(make_spiky(SpikyParams()), one, np.zeros((5, 1)), streams, keep_history)
-        # a one-stage run holds one generator at each draw
+        # a one-stage run holds one generator at each draw, and so does one
+        # whose last stage takes no step
+        assert seen == [1] * 5 and live == []
+        seen.clear()
+        then_none = StepSchedule((Stage(0.01, 30, kernel), Stage(0.02, 0, kernel)))
+        lockstep_run(make_spiky(SpikyParams()), then_none, np.zeros((5, 1)), streams, keep_history)
         assert seen == [1] * 5 and live == []
         seen.clear()
         three = StepSchedule((Stage(0.01, 30, kernel),) * 3)
@@ -829,6 +836,65 @@ class TestFinalsOnly:
             result.trajectory(3)
             assert made == [RngStream(7, 1003)]
 
+    @pytest.mark.parametrize("keep_history", [True, False])
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_zero_step_stage_draws_nothing(self, monkeypatch, tmp_path, at, keep_history):
+        # a 0-step cube stage among zero stages: no generator and no
+        # `sample_trials` call, in the run or in the replay
+        made, drawn = [], []
+        generator, sample_trials = RngStream.generator, NoiseKernel.sample_trials
+        monkeypatch.setattr(RngStream, "generator", lambda stream: made.append(stream) or generator(stream))
+        monkeypatch.setattr(NoiseKernel, "sample_trials",
+                            lambda kernel, gens, out: drawn.append(out.shape) or sample_trials(kernel, gens, out))
+        zero = NoiseKernel("zero", 0.0, 1)
+        stages = [Stage(0.1, 40, zero), Stage(0.05, 30, zero)]
+        stages.insert(["first", "middle", "last"].index(at), Stage(0.2, 0, NoiseKernel("uniform-cube", 1.0, 1)))
+        streams = [RngStream(5, i) for i in range(4)]
+        result = lockstep_run(make_quadratic(1), StepSchedule(tuple(stages)), np.ones((4, 1)), streams, keep_history)
+        if keep_history:
+            result.trajectory(0)
+            result.write_table(tmp_path / "t.npy")
+        assert made == [] and drawn == []
+
+    @pytest.mark.parametrize("keep_history", [True, False])
+    @pytest.mark.parametrize("steps", [(0,), (1,), (_BLOCK,), (130, 0, 300), (0, 2 * _NOISE_ROWS)])
+    def test_takes_exactly_T_steps(self, keep_history, steps):
+        # n gradient rows per step, none for a step that would leave the
+        # final iterate
+        rows = []
+        obj = make_spiky(SpikyParams(dimension=2))
+        obj = replace(obj, grad=lambda xs, grad=obj.grad: rows.append(len(xs)) or grad(xs))
+        sched = StepSchedule(tuple(Stage(0.01, m, NoiseKernel("uniform-ball", 0.5, 2)) for m in steps))
+        lockstep_run(obj, sched, np.ones((3, 2)), [RngStream(2, i) for i in range(3)], keep_history)
+        assert sum(rows) == 3 * sched.total_steps and set(rows) <= {3}
+
+    @pytest.mark.parametrize("flat, steps", [
+        (0, 0), (0, 1), (0, _BLOCK), (0, 2 * _BLOCK), (0, LAST_ROW),
+        (_TABLE_ROWS - 1 - LAST_ROW, LAST_ROW), (_TABLE_ROWS - LAST_ROW, LAST_ROW),
+    ])
+    def test_final_noise_row_is_zero(self, tmp_path, flat, steps):
+        # on x^2/2, eta = 2 keeps |x| and eta = 3 doubles it (the noise is
+        # far too small to matter), so trial 0 first passes the cutoff at
+        # the final row T = flat + steps, and only there
+        kernel = NoiseKernel("uniform-ball", 2.0**-300, 1)
+        sched = StepSchedule((Stage(2.0, flat, kernel), Stage(3.0, steps, kernel)))
+        total = flat + steps
+        x0s = np.array([[_start_beyond_at(steps)], [2.0**-400], [0.0]])
+        streams = [RngStream(29, i) for i in range(3)]
+        result = lockstep_run(make_quadratic(1), sched, x0s, streams)
+        finals = lockstep_run(make_quadratic(1), sched, x0s, streams, keep_history=False)
+        assert result.diverged.tolist() == finals.diverged.tolist() == [True, False, False]
+        assert _bits(result.finals_x) == _bits(finals.finals_x) == _bits(result.x_hist[-1])
+        assert abs(result.x_hist[-1, 0, 0]) == 1.5e6 and result.record_end(0) == total + 1
+        result.write_table(tmp_path / "t.npy")
+        tab = np.load(tmp_path / "t.npy")
+        for i in range(3):
+            omegas = result.trajectory(i).omegas
+            norms = tab["noise_norm"][tab["trial"] == i]
+            assert len(omegas) == len(norms) == total + 1
+            assert omegas[-1].tolist() == [0.0] and norms[-1] == 0.0
+            assert (norms[:-1] > 0.0).all()
+
     @pytest.mark.usefixtures("small_pieces")
     @pytest.mark.parametrize("steps", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
     @pytest.mark.parametrize("followed", [False, True])
@@ -860,9 +926,9 @@ class TestFinalsOnly:
         result = _run_both(spiky_default, sched, x0s, seed=22)
         total = result.schedule.total_steps
         assert result.schedule.row_stages(total, total + 1).tolist() == [len(stages) - 1]
-        # a 0-step stage still makes its one 0-row draw
+        # a 0-step stage makes no draw
         draws = _draws(monkeypatch, spiky_default, sched, x0s)[::4]
-        pieces = {300: [128, 128, 44], 256: [128, 128], 0: [0]}
+        pieces = {300: [128, 128, 44], 256: [128, 128], 0: []}
         assert draws == [m for stage in stages for m in pieces[stage.steps]]
 
     @pytest.mark.usefixtures("small_pieces")
@@ -901,7 +967,7 @@ class TestFinalsOnly:
         assert _draws(monkeypatch, obj, sched, x0s)[::20] == [300, 129]
 
     def test_long_run_keeps_nothing_per_step(self):
-        # 2 trials x 200,000 steps in 1-d: the noise buffer is 2 x 257
+        # 2 trials x 200,000 steps in 1-d: the noise buffer is 2 x 256
         # float64 and the run peaks at about 13 KB, while a per-step eta and
         # stage would be 3.2 MB and a list of its 782 pieces about 118 KB
         kernel = NoiseKernel("uniform-ball", 0.5, 1)
@@ -925,10 +991,7 @@ class TestFinalsOnly:
         # without history must draw them, the final row drawn by none
         sched = StepSchedule(tuple(Stage(0.01, m, NoiseKernel(kind, 1.0, d)) for m in steps))
         listed = _listed_pieces(sched)
-        last = [False] * (len(listed) - 1) + [True]
-        assert list(optimizer_module._pieces(sched, _NOISE_ROWS)) == [
-            (*piece, at_end) for piece, at_end in zip(listed, last)
-        ]
+        assert list(optimizer_module._pieces(sched, _NOISE_ROWS)) == listed
         drawn = []
         sample_trials = NoiseKernel.sample_trials
 
@@ -1043,6 +1106,14 @@ class TestScheduleValidation:
     def test_negative_steps(self):
         with pytest.raises(ValueError):
             Stage(0.1, -1, NoiseKernel("zero", 0.0, 1))
+
+    def test_steps_must_be_an_integer(self):
+        kernel = NoiseKernel("zero", 0.0, 1)
+        # 2.5 would fail inside the engine; a bool is no step count
+        for steps in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                Stage(0.1, steps, kernel)
+        assert Stage(0.1, np.int64(4), kernel).steps == 4
 
     def test_dimension_disagreement(self):
         with pytest.raises(ValueError):
