@@ -69,7 +69,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         traj.write_csv(os.path.join(cfg.out_dir, "trial_0.csv"))
     print(f"steps recorded: {len(traj) - 1}")
     print(f"final x: {traj.final_x}")
-    last = _record_columns(traj.objective, traj.xs[-1:], traj.omegas[-1:])
+    last = _record_columns(traj.objective, traj.xs[-1:], np.linalg.norm(traj.omegas[-1:], axis=1))
     print(f"final f: {last['f'][0]:.6g}  grad norm: {last['grad_norm'][0]:.6g}")
     if traj.diverged:
         print("trajectory diverged", file=sys.stderr)

@@ -8,18 +8,14 @@ of which `optimizer.sgd_run` is a one-trial run, so a lockstep trial
 replays `sgd_run` for the same stream, divergence flag included.
 
 Every ensemble, `figure3`'s row-2 and row-3 panels included, runs
-through `ensemble()`, the one place that decides whether the engine
-keeps its history and whether the ensemble is persisted.  An
-ensemble with an output directory persists three artifacts there:
-`trajectories.npy`, every trial's record as one streamed table (see
-`optimizer.table_dtype`), `summary.json` (strict JSON: a non-finite
-summary value is written as null) and `finals.svg`, the histogram of
-the finals that did not diverge.  Only such an ensemble keeps the
-engine's (T+1, n, d) iterates; one that persists nothing runs
-finals-only, with the same finals, flags and summary, in O(n*d) memory.
-Either holds 256 rows of noise per trial (a whole stage's for the d > 1
-ball).  The summary's median is `np.median`'s, bit for bit, taken without the
-`numpy.ma` import that `np.median` makes.
+finals-only through `ensemble()`, with the same finals, flags and
+summary whether or not it is persisted.  An ensemble with an output
+directory persists three artifacts there: `trajectories.npy`, every
+trial's record as one table streamed from the run (see
+`table.table_writer`), `summary.json` (strict JSON: a non-finite
+value is written as null) and `finals.svg`, the histogram of the finals
+that did not diverge.  The summary's median is `np.median`'s, bit for
+bit, taken without the `numpy.ma` import that `np.median` makes.
 `figure3` writes one ensemble directory per row-2 and row-3 panel, next
 to its row-1 curve CSVs.  A row-2 panel whose stage spec equals row
 3's first stage is that stage's ensemble, so row 3 reuses its report
@@ -28,6 +24,7 @@ numpy's, bit for bit, again without importing `numpy.ma`.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -42,6 +39,7 @@ from ..noise import NoiseKernel, RngStream
 from ..objectives import Objective, SpikyParams, make_spiky
 from ..optimizer import EnsembleResult, StepSchedule, lockstep_run, write_csv_columns
 from ..smoothing import smoothed_value_closed, smoothed_value_mc
+from ..table import table_writer
 from .cluster import cluster_count
 from .config import ExperimentConfig, KernelSpec, StageSpec
 from .svg import emit_svg_histogram
@@ -68,13 +66,15 @@ _ENSEMBLE_FILES = ("trajectories.npy", "summary.json", "finals.svg")
 
 def run_lockstep_ensemble(
     obj: Objective, schedule: StepSchedule, x0s: np.ndarray, seed: int,
-    keep_history: bool = True,
+    keep_history: bool = True, table=None,
 ) -> EnsembleResult:
     """Advance n trials together with `optimizer.lockstep_run`; trial i
     draws noise from stream (seed, TRIAL_STREAM_BASE + i).  Without
-    `keep_history` the result holds only the finals and flags."""
+    `keep_history` the result holds only the finals and flags.  A `table`
+    path gets every trial's record (`table.table_writer`)."""
     streams = [RngStream(seed, TRIAL_STREAM_BASE + i) for i in range(len(x0s))]
-    return lockstep_run(obj, schedule, x0s, streams, keep_history)
+    with contextlib.nullcontext() if table is None else table_writer(table, obj, schedule, len(x0s)) as observe:
+        return lockstep_run(obj, schedule, x0s, streams, keep_history, observe)
 
 
 @dataclass(frozen=True)
@@ -158,33 +158,24 @@ def ensemble(
     config: ExperimentConfig,
     x0s: Optional[np.ndarray] = None,
 ) -> tuple[EnsembleResult, EnsembleReport]:
-    """Run the configured ensemble from `x0s`, or without them from
-    `draw_inits` at the config's seed; persist its trajectory table,
-    summary and finals histogram when the config names an output
-    directory.
-
-    The engine keeps its history only for that table: without an
-    output directory the result is finals-only (`x_hist` and `streams`
-    are None), and the report is the same.
+    """Run the configured ensemble finals-only from `x0s`, or from
+    `draw_inits` at the config's seed.  With an output directory the run
+    streams its trajectory table there, then the summary and finals
+    histogram are written; the result and report are the same either way.
     """
     obj = config.build_objective()
     schedule = config.build_schedule()
     if x0s is None:
         x0s = draw_inits(config.n_trials, obj.dimension, config.init_box, config.seed)
-    persist = config.out_dir is not None
-    result = run_lockstep_ensemble(obj, schedule, x0s, config.seed, keep_history=persist)
+    table = None
+    if config.out_dir is not None:
+        os.makedirs(config.out_dir, exist_ok=True)
+        table = os.path.join(config.out_dir, _ENSEMBLE_FILES[0])
+    result = run_lockstep_ensemble(obj, schedule, x0s, config.seed, keep_history=False, table=table)
     report = summarize_ensemble(result, config.cluster_tol)
-    if persist:
+    if table is not None:
         persist_ensemble(config.out_dir, result, report, config.histogram_bins)
     return result, report
-
-
-def _report_and_finals(
-    config: ExperimentConfig, x0s: Optional[np.ndarray] = None
-) -> tuple[EnsembleReport, np.ndarray]:
-    """`ensemble`'s report and finals; its history is freed on return."""
-    result, report = ensemble(config, x0s)
-    return report, result.finals_x
 
 
 def _shrink_inits(finals_x: np.ndarray, seed: int) -> np.ndarray:
@@ -208,15 +199,13 @@ def strict_json(data: dict) -> str:
 
 
 def persist_ensemble(out_dir, result: EnsembleResult, report: EnsembleReport, bins: int) -> None:
-    """Write `trajectories.npy`, `summary.json` and `finals.svg` (`bins`
-    bars) to out_dir.
+    """Write `summary.json` and `finals.svg` (`bins` bars) to out_dir,
+    next to the table the run streamed.
 
     `summary.json` is strict JSON: a non-finite value, such as the
     always-nan `success_fraction`, is written as null.
     """
-    table, summary, histogram = (os.path.join(out_dir, name) for name in _ENSEMBLE_FILES)
-    os.makedirs(out_dir, exist_ok=True)
-    result.write_table(table)
+    _, summary, histogram = (os.path.join(out_dir, name) for name in _ENSEMBLE_FILES)
     with open(summary, "w") as fh:
         fh.write(strict_json(report.summary_dict()) + "\n")
     emit_svg_histogram(_histogram_scalars(result), bins, histogram, title="final iterates")
@@ -377,10 +366,10 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
     for j, r in enumerate((0.0, *config.noise_levels)):
         stage = StageSpec(base.eta, base.steps, KernelSpec(base.kernel.kind, r))
         panel_dir = None if out is None else os.path.join(out, f"row2_level{j}")
-        report, finals_x = _report_and_finals(replace(config, stages=(stage,), out_dir=panel_dir))
+        result, report = ensemble(replace(config, stages=(stage,), out_dir=panel_dir))
         row2.append(report)
         if shared is None and stage == base:
-            shared = (report, finals_x, panel_dir)
+            shared = (result, report, panel_dir)
     # Row 3: staged shrink; stage k runs at seed + k
     row3: list[EnsembleReport] = []
     medians: list[float] = []
@@ -389,18 +378,18 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
     for k, stage in enumerate(config.stages):
         stage_dir = None if out is None else os.path.join(out, f"row3_stage{k}")
         if k == 0 and shared is not None:
-            report, finals_x, panel_dir = shared
+            result, report, panel_dir = shared
             if stage_dir is not None:
                 os.makedirs(stage_dir, exist_ok=True)
                 for name in _ENSEMBLE_FILES:
                     shutil.copyfile(os.path.join(panel_dir, name), os.path.join(stage_dir, name))
         else:
-            report, finals_x = _report_and_finals(
+            result, report = ensemble(
                 replace(config, stages=(stage,), seed=config.seed + k, out_dir=stage_dir), x0s
             )
         row3.append(report)
-        medians.append(_median(np.linalg.norm(finals_x - center, axis=1)))
-        x0s = _shrink_inits(finals_x, config.seed + k + 1)
+        medians.append(_median(np.linalg.norm(result.finals_x - center, axis=1)))
+        x0s = _shrink_inits(result.finals_x, config.seed + k + 1)
 
     return Figure3Report(
         noise_levels=tuple(config.noise_levels),

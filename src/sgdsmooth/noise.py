@@ -25,6 +25,7 @@ Hoeffding halfwidth shrink like n^-1.5 instead of n^-1/2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -35,12 +36,22 @@ __all__ = ["NoiseKernel", "RngStream", "second_moment"]
 KERNEL_KINDS = ("zero", "uniform-cube", "uniform-ball")
 
 
+def _require_integer(name: str, value) -> None:
+    # a bool is an Integral, but no count or key
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A named, replayable random stream (Philox key = (seed, stream_id))."""
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        _require_integer("seed", self.seed)
+        _require_integer("stream_id", self.stream_id)
 
     def generator(self) -> np.random.Generator:
         # a uint64 array: numpy casts a list entry >= 2**63 through float64
@@ -68,6 +79,7 @@ class NoiseKernel:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if not self.radius >= 0:  # NaN fails too
             raise ValueError(f"radius must be >= 0, got {self.radius}")
+        _require_integer("dimension", self.dimension)
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 

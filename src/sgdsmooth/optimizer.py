@@ -9,48 +9,29 @@ one-step identity
 bitwise within any constant-eta stage.  No shadow row is stored: the
 `y_history` methods derive them from the iterates.
 
-Every pass that derives rows from a history reads it in row chunks
-(`_chunks`): shadow rows `_TABLE_ROWS` at a time for `y_dist2_history`
-and `shadow_check`, record columns `_CSV_CHUNK` at a time for
-`write_csv`.  It holds one chunk, never a whole-history temporary, and
-since every oracle is row-wise it gives the bits of a whole-array pass.
+Passes that derive rows from a history read it in row chunks
+(`_chunks`), with the bits of a whole-array pass, as every oracle is
+row-wise.
 
-`lockstep_run` is the only stepping loop.  It advances n trials together
-with batched oracle calls.  Each trial draws its noise from its own
-stream, so `sgd_run` is a one-trial run of the same loop and a lockstep
-trial replays `sgd_run` for the same stream by construction.  One
-predicate flags divergence at every recorded iterate, the final one
-included.  The loop applies it once per block of `_BLOCK` rows rather
-than once per step; blocks start at each stage start.  A trial first
-beyond the cutoff at row k has its rows after k in that block rewritten
-to the frozen x_k, so every history is bitwise the one a per-step freeze
-gives.  Stepping past the cutoff until the block ends may overflow;
-those rows are overwritten and the overflow is not reported.
-
-A run of T steps keeps its schedule, whose `row_stages` gives each
-row's stage, and its (T+1, n, d) iterates with the trials' streams,
-from which `_replayed` replays the noise and adds the zero final row,
-or, with `keep_history=False`, only the final iterates and the flags,
-bitwise the same.  Either holds one piece of noise (`_noise`),
-`_NOISE_ROWS` = 256 rows per trial, a whole stage for the d > 1 ball.
-`EnsembleResult.trajectory` is the one place a `Trajectory` record is
-built; `_record_columns` is the one builder of the derived columns.  A
-record is persisted either alone, as a CSV (`Trajectory.write_csv`,
-through `_write_csv`, the formatter of the package's one CSV writer,
-`write_csv_columns`), or with every trial of an ensemble, as one `.npy`
-trajectory table (`EnsembleResult.write_table`), built in row chunks.
+`lockstep_run` is the only stepping loop; `sgd_run` is a one-trial run
+of it.  A run keeps its schedule and either its (T+1, n, d) iterates
+with the trials' streams, from which `_replayed` replays the noise, or
+only the finals and flags, bitwise the same, with one piece of noise
+(`_noise`) at a time.  `_record_columns` is the one builder of the
+derived columns.  A record is persisted alone as a CSV
+(`Trajectory.write_csv`), or with every trial of an ensemble as one
+`.npy` table that `table.table_writer` streams from the run's blocks.
 """
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .noise import NoiseKernel, RngStream
+from .noise import NoiseKernel, RngStream, _require_integer
 from .objectives import Objective, as_point
 
 __all__ = [
@@ -66,8 +47,8 @@ _BLOCK = 64
 _NOISE_ROWS = 4 * _BLOCK
 # rows formatted at a time by the CSV writers
 _CSV_CHUNK = 1024
-# rows built at a time in EnsembleResult.write_table and _shadow, and
-# drawn at a time by a replay
+# rows built at a time by table.table_writer and _shadow, and drawn at a
+# time by a replay
 _TABLE_ROWS = 4096
 
 
@@ -80,9 +61,7 @@ class Stage:
     def __post_init__(self):
         if not self.eta > 0:  # NaN fails too
             raise ValueError(f"eta must be positive, got {self.eta}")
-        # a bool is an Integral, but no step count
-        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
+        _require_integer("steps", self.steps)
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
 
@@ -156,7 +135,7 @@ class Trajectory:
 
     def columns(self) -> dict:
         """The derived columns of every row, by `table_dtype` field name."""
-        return _record_columns(self.objective, self.xs, self.omegas)
+        return _record_columns(self.objective, self.xs, np.linalg.norm(self.omegas, axis=1))
 
     def y_history(self) -> np.ndarray:
         """(T+1, d) shadow points, bit for bit `EnsembleResult.y_history`'s."""
@@ -174,7 +153,7 @@ class Trajectory:
                 yield {
                     "t": range(t0, t1), "stage": self.schedule.row_stages(t0, t1),
                     **{f"x_{i}": x for i, x in enumerate(xs.T)},
-                    **_record_columns(self.objective, xs, self.omegas[t0:t1]),
+                    **_record_columns(self.objective, xs, np.linalg.norm(self.omegas[t0:t1], axis=1)),
                 }
 
         _write_csv(path, chunks())
@@ -214,9 +193,10 @@ def _csv_cells(col: np.ndarray):
     return map(str, col.astype(int).tolist())
 
 
-def _record_columns(obj: Objective, xs: np.ndarray, omegas: np.ndarray) -> dict:
-    """The derived columns of the (m, d) record rows `xs` with noise
-    `omegas`, by `table_dtype` field name; a row's values depend on it alone."""
+def _record_columns(obj: Objective, xs: np.ndarray, noise_norms: np.ndarray, grads=None) -> dict:
+    """The derived columns of the (m, d) record rows `xs`, whose noise has
+    the norms `noise_norms` and, if given, gradients `grads`, by
+    `table_dtype` field name; a row's values depend on it alone."""
     lo, hi = obj.domain_box
     # an unknown target is NaN, so the distance comes out NaN
     target = np.full(obj.dimension, np.nan) if obj.target is None else obj.target
@@ -225,11 +205,11 @@ def _record_columns(obj: Objective, xs: np.ndarray, omegas: np.ndarray) -> dict:
     # gradient norm may overflow to inf
     with np.errstate(over="ignore", invalid="ignore"):
         fs = obj.values_at(xs)
-        grad_norms = np.linalg.norm(obj.grads_at(xs), axis=1)
+        grad_norms = np.linalg.norm(obj.grads_at(xs) if grads is None else grads, axis=1)
     return {
         "f": fs,
         "grad_norm": grad_norms,
-        "noise_norm": np.linalg.norm(omegas, axis=1),
+        "noise_norm": noise_norms,
         "dist2": np.einsum("ij,ij->i", dx, dx),
         "out_of_box": np.any((xs < lo) | (xs > hi), axis=1),
     }
@@ -282,10 +262,10 @@ class EnsembleResult:
     """A lockstep run: objective, schedule, history if kept, finals, flags.
 
     In `x_hist` axis 0 is the step index and axis 1 the trial.  No noise
-    is stored: `trajectory` and `write_table` replay it from `streams`, as
-    `y_history` derives the shadow rows from `x_hist`.  A diverged trial
-    stays frozen at its first iterate beyond the cutoff.  A finals-only
-    run has `x_hist` and `streams` None, and the methods that read them
+    is stored: `trajectory` replays it from `streams`, as `y_history`
+    derives the shadow rows from `x_hist`.  A diverged trial stays
+    frozen at its first iterate beyond the cutoff.  A finals-only run
+    has `x_hist` and `streams` None, and the methods that read them
     raise ValueError.  `finals_x` is a copy, so a report that keeps it
     does not pin the history.
     """
@@ -337,44 +317,8 @@ class EnsembleResult:
         """Trial i as a Trajectory record of `record_end(i)` rows, a view of
         its iterates and its replayed noise; no oracle is called."""
         end = self.record_end(i)
-        (omegas,) = next(_replayed(self.schedule, (self.streams[i],), end))
+        (omegas,) = _replayed(self.schedule, (self.streams[i],), end)
         return Trajectory(self.objective, self.x_hist[:end, i], omegas, self.schedule, bool(self.diverged[i]))
-
-    def write_table(self, path) -> None:
-        """Write every trial's record, the rows of `trajectory`, to `path`
-        as one `.npy` table of `table_dtype` rows, trials in order.
-
-        The rows are built in chunks of at most `_TABLE_ROWS` rows, whole
-        trials or `_chunks` of one record, with one call of each oracle
-        per chunk, in one reused buffer; each chunk's noise is replayed.
-        """
-        self._require_history()
-        fmt = np.lib.format
-        steps, n, d = self.x_hist.shape
-        ends = np.array([self.record_end(i) for i in range(n)])
-        per = max(1, _TABLE_ROWS // steps)  # trials per chunk
-        buf = np.empty(per * min(steps, _TABLE_ROWS), table_dtype(d))
-        header = {"descr": fmt.dtype_to_descr(buf.dtype), "fortran_order": False, "shape": (int(ends.sum()),)}
-        with open(path, "wb") as fh:
-            fmt.write_array_header_1_0(fh, header)
-            for i0 in range(0, n, per):
-                i1 = min(i0 + per, n)
-                # a one-trial chunk covers only its record's rows, in row chunks
-                bounds = _chunks(steps if per > 1 else ends[i0], _TABLE_ROWS)
-                replay = _replayed(self.schedule, self.streams[i0:i1], min(steps, _TABLE_ROWS))
-                for (t0, t1), omegas in zip(bounds, replay):
-                    m = t1 - t0
-                    rows = buf[: (i1 - i0) * m]
-                    xs = self.x_hist[t0:t1, i0:i1].transpose(1, 0, 2).reshape(-1, d)
-                    rows["trial"] = np.repeat(np.arange(i0, i1), m)
-                    rows["t"] = np.tile(np.arange(t0, t1), i1 - i0)
-                    rows["stage"] = np.tile(self.schedule.row_stages(t0, t1), i1 - i0)
-                    rows["x"] = xs
-                    for name, col in _record_columns(self.objective, xs, omegas[:, :m].reshape(-1, d)).items():
-                        rows[name] = col
-                    if self.diverged[i0:i1].any():
-                        rows = rows[rows["t"] < np.repeat(ends[i0:i1], m)]
-                    rows.tofile(fh)
 
 
 def lockstep_run(
@@ -383,29 +327,28 @@ def lockstep_run(
     x0s: np.ndarray,
     streams: Sequence[RngStream],
     keep_history: bool = True,
+    observe=None,
 ) -> EnsembleResult:
     """Advance n trials of staged SGD together with batched oracle calls.
 
     It takes exactly the T steps that leave rows 0..T-1, then records
-    the final iterate, row T.  The noise comes from `_noise` a piece at a
-    time, trial i's from `streams[i]`, each piece scaled by its eta once,
-    in place.  Iterates are never projected.  Every recorded iterate, the
-    final one included, goes through the divergence predicate; a trial
-    that fails it freezes in place and is flagged rather than aborting
-    the others.
+    the final iterate, row T.  Trial i's noise comes from `streams[i]`,
+    a piece at a time (`_noise`), each piece scaled by its eta once, in
+    place.  A trial whose recorded iterate, the final one included,
+    fails the divergence predicate freezes there and is flagged.
 
     Steps run in blocks of at most `_BLOCK` rows, which start at each
-    stage start, with the predicate applied once per block and once to
-    the final iterate.  A trial that first fails it at row k of a block
-    has the rest of that block rewritten to the frozen x_k and continues
-    from x_k, so the history and flags are bitwise those of a per-step
-    freeze.  The steps it took past the cutoff raise no overflow or
-    invalid-value warning.
+    stage start, with the predicate applied once per block.  A trial
+    that first fails it at row k of a block has the rest of that block
+    rewritten to x_k and continues from x_k, bitwise a per-step freeze;
+    its steps past the cutoff raise no overflow warning.
 
     With `keep_history` the result holds the (T+1, n, d) iterates and
-    the streams; without it, a block's iterates go to one reused buffer
-    and the result holds only the schedule, finals and flags, bitwise the
-    same.
+    the streams; without it, only the finals and flags, bitwise the
+    same.  `observe(t0, xs, grads, noise_norms, ends)`, if given, gets
+    each block's (m, n, d) iterates from row t0 after its check, their
+    gradients, the (m, n) norms of their noise before the eta scaling
+    and each trial's record end, then row T.
     """
     x0s = np.asarray(x0s, dtype=float)
     n, d = x0s.shape
@@ -414,16 +357,18 @@ def lockstep_run(
     if len(streams) != n:
         raise ValueError(f"need one stream per trial, got {len(streams)} for {n} trials")
 
-    x_hist = np.empty((schedule.total_steps + 1, n, d)) if keep_history else None
+    T = schedule.total_steps
+    x_hist = np.empty((T + 1, n, d)) if keep_history else None
     x_block = None if keep_history else np.empty((_BLOCK, n, d))
+    g_block = None if observe is None else np.empty((_BLOCK, n, d))
+    ends = np.full(n, T + 1)
     active = np.ones(n, dtype=bool)
     grads_at = obj.grads_at
     x = x0s
-    # a trial past the cutoff keeps stepping to the end of its block, where
-    # its rows are overwritten, so its overflow is not reported
     with np.errstate(over="ignore", invalid="ignore"):
         for stage, p0, noise in _noise(schedule, streams, _NOISE_ROWS):
             eta = stage.eta
+            norms = None if observe is None else np.linalg.norm(noise, axis=2).T
             noise *= eta
             kicks = noise.transpose(1, 0, 2)
             p2 = p0 + len(kicks)
@@ -438,7 +383,11 @@ def lockstep_run(
                 # frozen trials stay in place; np.where is needed only once one is
                 keep = None if active.all() else active[:, None]
                 for j, kick in enumerate(xb):
-                    y = x - eta * grads_at(x)
+                    if g_block is None:
+                        y = x - eta * grads_at(x)
+                    else:
+                        g_block[j] = g = grads_at(x)
+                        y = x - eta * g
                     x_next = y - kick if keep is None else np.where(keep, y - kick, x)
                     xb[j] = x
                     x = x_next
@@ -450,10 +399,15 @@ def lockstep_run(
                     xb[k + 1 :, i] = xb[k, i]
                     x[i] = xb[k, i]
                     active[i] = False
+                    ends[i] = b0 + k + 1
+                if observe is not None:
+                    observe(b0, xb, g_block[: b1 - b0], norms[b0 - p0 : b1 - p0], ends)
         # the final iterate, which no step leaves
         if x_hist is not None:
             x_hist[-1] = x
         active &= _bounded(x)
+        if observe is not None:
+            observe(T, x[None], grads_at(x)[None], np.zeros((1, n)), ends)
 
     return EnsembleResult(
         objective=obj,
@@ -496,25 +450,17 @@ def _noise(schedule: StepSchedule, streams: Sequence[RngStream], rows: int):
         yield stage, p0, noise
 
 
-def _replayed(schedule: StepSchedule, streams: Sequence[RngStream], size: int):
-    """Yield a record's noise rows 0..T, `_noise`'s rows then the zero
-    final row, which no step uses, in consecutive trial-major (k, size, d)
-    chunks, the last maybe shorter, in one reused buffer.  It draws in
-    pieces of `_TABLE_ROWS` rows, bitwise the engine's smaller ones where
-    a kernel splits by row, and whole stages where it does not."""
-    out = np.empty((len(streams), size, schedule.dimension))
-    filled = 0
-    for _, _, piece in _noise(schedule, streams, _TABLE_ROWS):
-        while piece.shape[1]:
-            take = min(size - filled, piece.shape[1])
-            out[:, filled : filled + take] = piece[:, :take]
-            piece = piece[:, take:]
-            filled += take
-            if filled == size:
-                yield out
-                filled = 0
-    out[:, filled] = 0.0
-    yield out[:, : filled + 1]
+def _replayed(schedule: StepSchedule, streams: Sequence[RngStream], end: int) -> np.ndarray:
+    """The trial-major (k, end, d) noise rows 0..end-1 of the records on
+    `streams`, row T, which no step uses, zero, drawn in pieces of
+    `_TABLE_ROWS` rows: bitwise the engine's where a kernel splits by
+    row, and whole stages where it does not."""
+    out = np.zeros((len(streams), end, schedule.dimension))
+    for _, p0, piece in _noise(schedule, streams, _TABLE_ROWS):
+        if p0 >= end:
+            break
+        out[:, p0 : p0 + piece.shape[1]] = piece[:, : end - p0]
+    return out
 
 
 def _generators(streams: Sequence[RngStream], gens: list, last: bool):

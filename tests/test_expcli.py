@@ -51,7 +51,7 @@ from sgdsmooth.expcli import cli as cli_module
 from sgdsmooth.expcli import cluster as cluster_module
 from sgdsmooth.expcli import pipeline as pipeline_module
 from sgdsmooth.expcli.cli import main
-from sgdsmooth.expcli.pipeline import draw_inits, persist_ensemble
+from sgdsmooth.expcli.pipeline import draw_inits
 from sgdsmooth.optimizer import _BLOCK, _NOISE_ROWS, lockstep_run, write_csv_columns
 from sgdsmooth.smoothing import smoothed_value_closed
 
@@ -608,9 +608,9 @@ class TestEnsemble:
         out = tmp_path / "run"
         assert sorted(p.name for p in out.iterdir()) == ["finals.svg", "summary.json", "trajectories.npy"]
         tab = np.load(out / "trajectories.npy")
-        assert np.array_equal(np.unique(tab["trial"]), np.arange(cfg.n_trials))
-        assert np.all(np.diff(tab["trial"]) >= 0)
-        assert np.count_nonzero(tab["trial"] == 0) == 41
+        # steps in order, and trials in order within a step
+        assert tab["trial"].tolist() == list(range(cfg.n_trials)) * 41
+        assert tab["t"].tolist() == np.repeat(np.arange(41), cfg.n_trials).tolist()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_trials"] == cfg.n_trials
 
@@ -619,20 +619,19 @@ class TestEnsemble:
         # t = 20, so trial 0 keeps 21 rows; trial 1 sits at the minimum
         obj = make_quadratic(1)
         sched = StepSchedule((Stage(3.0, 100, NoiseKernel("zero", 0.0, 1)),))
-        result = run_lockstep_ensemble(obj, sched, np.array([[1.0], [0.0]]), 1)
+        result = run_lockstep_ensemble(obj, sched, np.array([[1.0], [0.0]]), 1, table=tmp_path / "t.npy")
         assert [result.record_end(0), result.record_end(1)] == [21, 101]
-        result.write_table(tmp_path / "t.npy")
         tab = np.load(tmp_path / "t.npy")
+        # both trials' rows 0..20, then trial 1's alone
+        assert tab["trial"].tolist() == [0, 1] * 21 + [1] * 80
         assert np.count_nonzero(tab["trial"] == 0) == 21
         assert np.count_nonzero(tab["trial"] == 1) == 101
         assert len(tab) == 122
         for i in range(2):
             _assert_rows_hold_record(tab[tab["trial"] == i], result.trajectory(i))
 
-    # each trial has 43 rows: chunks of 1 or 16 rows hold part of one
-    # trial, so a trial is longer than a chunk, and 43 rows one whole
-    # trial; 100 rows hold two, so the chunks do not divide the 5 trials
-    # and each diverged trial shares one
+    # staged chunks of 1 or 16 rows hold part of one step's six trials,
+    # and chunks of 43 or 100 rows several steps, ending mid-step
     @pytest.mark.parametrize(
         "dimension, table_rows",
         [(d, rows) for rows in (None, 1, 16, 43, 100) for d in (1, 2, 3)],
@@ -644,42 +643,62 @@ class TestEnsemble:
         obj = make_spiky(SpikyParams(dimension=dimension))
         if dimension == 2:
             obj = replace(obj, target=None)  # the distance column is then all NaN
-        # a short eta = 2.5 stage amplifies |x| by about 1.5 per step: the
-        # trial from 1e5 diverges mid-run and the one from 2e6 at t = 0
-        sched = StepSchedule((
-            Stage(0.05, 30, NoiseKernel("uniform-ball", 1.0, dimension)),
-            Stage(2.5, 12, NoiseKernel("uniform-ball", 1.0, dimension)),
-        ))
-        x0s = np.vstack([draw_inits(3, dimension, (-3.0, 3.0), 5), np.full((2, dimension), 1e5)])
-        x0s[4, 0] = 2e6
-        result = run_lockstep_ensemble(obj, sched, x0s, 5)
-        ends = [result.record_end(i) for i in range(5)]
-        assert list(result.diverged) == [False, False, False, True, True]
-        assert 1 < ends[3] < 43 and ends[4] == 1
-        report = summarize_ensemble(result, 0.05)
-        persist_ensemble(tmp_path, result, report, 8)
-        tab = np.load(tmp_path / "trajectories.npy")
+
+        def schedule(last):
+            # a ball stage (drawn whole for d > 1), a 0-step cube stage, a
+            # zero stage, then an eta = 2.5 cube stage, which amplifies |x|
+            # by about 1.5 per step and draws the same rows whatever its
+            # length
+            return StepSchedule((
+                Stage(0.05, 30, NoiseKernel("uniform-ball", 1.0, dimension)),
+                Stage(0.3, 0, NoiseKernel("uniform-cube", 1.0, dimension)),
+                Stage(0.1, 7, NoiseKernel("zero", 0.0, dimension)),
+                Stage(2.5, last, NoiseKernel("uniform-cube", 1.0, dimension)),
+            ))
+
+        # the trial from 1e5 diverges mid-run, the one from 2e6 at t = 0,
+        # and the one from 3e4 first at row T, which the probe finds
+        x0s = np.vstack([draw_inits(3, dimension, (-3.0, 3.0), 5), np.full((3, dimension), 1e5)])
+        x0s[4, 0], x0s[5] = 2e6, 3e4
+        probe = run_lockstep_ensemble(obj, schedule(30), x0s, 5)
+        total = probe.record_end(5) - 1
+        sched = schedule(total - 37)
+        path = tmp_path / "trajectories.npy"
+        result = run_lockstep_ensemble(obj, sched, x0s, 5, table=path)
+        ends = [result.record_end(i) for i in range(6)]
+        assert result.diverged.tolist() == [False] * 3 + [True] * 3
+        assert ends[4] == 1 and 37 < ends[3] < ends[5] == total + 1 == sched.total_steps + 1
+        tab = np.load(path)
         assert len(tab) == sum(ends)
-        for i in range(5):
-            traj = result.trajectory(i)
-            assert len(traj) == ends[i]
-            _assert_rows_hold_record(tab[tab["trial"] == i], traj)
+        assert np.array_equal(np.lexsort((tab["trial"], tab["t"])), np.arange(len(tab)))
+        rows = np.sort(tab, order=["trial", "t"])
+        for i in range(6):
+            _assert_rows_hold_record(rows[rows["trial"] == i], result.trajectory(i))
         assert np.all(np.isnan(tab["dist2"])) == (dimension == 2)
+        # a finals-only run streams the same bytes
+        finals = run_lockstep_ensemble(obj, sched, x0s, 5, keep_history=False, table=tmp_path / "f.npy")
+        assert (tmp_path / "f.npy").read_bytes() == path.read_bytes()
+        assert _same_bits(finals.finals_x, result.finals_x)
 
     def test_long_trials_are_written_in_row_chunks(self, tmp_path):
         # on f = x^2/2, eta = 2 flips the sign of x exactly and eta = 3
-        # doubles |x|: the trial from 1 passes the cutoff at t = 50,020,
-        # inside the row chunk [49,152, 53,248), and the one from 0 stays
+        # doubles |x|: the trial from 1 passes the cutoff at t = 50,020 and
+        # the one from 0 stays
         obj = make_quadratic(1)
         zero = NoiseKernel("zero", 0.0, 1)
         sched = StepSchedule((Stage(2.0, 50_000, zero), Stage(3.0, 50_000, zero)))
-        result = run_lockstep_ensemble(obj, sched, np.array([[1.0], [0.0]]), 1)
-        assert [result.record_end(0), result.record_end(1)] == [50_021, 100_001]
-        # one trial's whole record is a 6.5 MB buffer of table rows
-        peak = _traced_peak(lambda: result.write_table(tmp_path / "t.npy"))
+        x0s = np.array([[1.0], [0.0]])
+        path = tmp_path / "t.npy"
+        stream = lambda: run_lockstep_ensemble(obj, sched, x0s, 1, keep_history=False, table=path)
+        stream()  # one-time allocations of a first call are not the run's
+        # a finals-only run holds one block and one chunk of table rows;
+        # the iterate history alone would be 1.6 MB
+        peak = _traced_peak(stream)
         assert peak < 2**20
-        tab = np.load(tmp_path / "t.npy")
+        tab = np.load(path)
         assert len(tab) == 150_022
+        result = run_lockstep_ensemble(obj, sched, x0s, 1)
+        assert [result.record_end(0), result.record_end(1)] == [50_021, 100_001]
         for i in range(2):
             _assert_rows_hold_record(tab[tab["trial"] == i], result.trajectory(i))
 
@@ -694,7 +713,7 @@ class TestEnsemble:
         expected = _reference_labels(result.finals_x, 0.05)
         assert report.cluster_count == int(expected.max()) + 1 == 3
 
-    def test_history_kept_only_when_persisting(self, tmp_path, monkeypatch):
+    def test_persisted_ensemble_is_finals_only(self, tmp_path, monkeypatch):
         # the eta = 2.5 stage makes some trials diverge
         cfg = _small_config(n_trials=12, stages=(
             StageSpec(0.05, 40, KernelSpec("uniform-ball", 1.0)),
@@ -710,8 +729,9 @@ class TestEnsemble:
         monkeypatch.setattr(pipeline_module, "emit_svg_histogram", recording)
         bare, bare_report = ensemble(cfg)
         kept, kept_report = ensemble(replace(cfg, out_dir=str(tmp_path / "out")))
-        assert bare.x_hist is None and bare.streams is None
-        assert kept.x_hist is not None and len(kept.streams) == cfg.n_trials
+        for result in (bare, kept):
+            assert result.x_hist is None and result.streams is None
+        assert len(np.load(tmp_path / "out" / "trajectories.npy")) > cfg.n_trials
         assert 0 < kept_report.diverged_count < cfg.n_trials
         # the finals histogram bins the trials that did not diverge
         assert len(binned) == 1
@@ -1206,9 +1226,11 @@ class TestFigure3:
         flags = []
         run = pipeline_module.run_lockstep_ensemble
 
-        def recording(*args, keep_history=True):
-            flags.append(keep_history)
-            return run(*args, keep_history=keep_history)
+        # no panel keeps a history: a persisted one streams its table
+        def recording(*args, keep_history=True, table=None):
+            assert not keep_history
+            flags.append(table is not None)
+            return run(*args, keep_history=keep_history, table=table)
 
         monkeypatch.setattr(pipeline_module, "run_lockstep_ensemble", recording)
         cfg = _figure3_config(
@@ -1397,6 +1419,16 @@ class TestCli:
         assert main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and "Traceback" not in err
+
+    def test_persisted_run_that_raises_leaves_no_table(self, tmp_path, capsys):
+        # the table is opened before the first step, whose draw overflows
+        data = _small_config().to_json_dict()
+        data["stages"] = [{"eta": 0.05, "steps": 4, "kernel": {"radius": 1e308}}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err == "numerical error: Range exceeds valid bounds\n"
+        assert list((tmp_path / "e").iterdir()) == []
 
     def test_config_error_is_not_wrapped_twice(self, tmp_path, capsys):
         data = _small_config().to_json_dict()

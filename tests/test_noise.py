@@ -252,3 +252,16 @@ class TestValidation:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             NoiseKernel("zero", 0.0, 0)
+
+    @pytest.mark.parametrize("dimension", [2.5, 2.0, True, "2", None])
+    def test_dimension_must_be_an_integer(self, dimension):
+        # 2.5 and True would construct and then fail inside numpy's draw
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            NoiseKernel("uniform-cube", 1.0, dimension)
+        assert NoiseKernel("uniform-cube", 1.0, np.int64(2)).dimension == 2
+
+    @pytest.mark.parametrize("seed, stream_id", [(0.5, 1), (0, 1.5), (1.0, 1), (0, True), ("0", 1)])
+    def test_stream_keys_must_be_integers(self, seed, stream_id):
+        # RngStream(0.5, 1) would replay RngStream(0, 1) draw for draw
+        with pytest.raises(ValueError, match="must be an integer"):
+            RngStream(seed, stream_id)

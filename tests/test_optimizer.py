@@ -1,5 +1,6 @@
 """Runner semantics: contraction, shadow identity, persistence, divergence."""
 import csv
+import io
 import math
 import tracemalloc
 import warnings
@@ -33,6 +34,7 @@ from sgdsmooth.optimizer import (
     lockstep_run,
     write_csv_columns,
 )
+from sgdsmooth.table import table_writer
 
 from conftest import bisect_root, read_csv_columns
 
@@ -71,7 +73,15 @@ def _reference_noise(schedule, streams):
 def _noise_history(result):
     """The (T+1, n, d) noise of a history run, replayed from its streams."""
     rows = len(result.x_hist)
-    return next(optimizer_module._replayed(result.schedule, result.streams, rows)).transpose(1, 0, 2)
+    return optimizer_module._replayed(result.schedule, result.streams, rows).transpose(1, 0, 2)
+
+
+def _streamed(path, obj, schedule, x0s, streams, keep_history=False):
+    """A `lockstep_run` that streams its table to `path` through
+    `table_writer`: its result and the table, loaded."""
+    with table_writer(path, obj, schedule, len(x0s)) as observe:
+        result = lockstep_run(obj, schedule, x0s, streams, keep_history, observe)
+    return result, np.load(path)
 
 
 def _reference_lockstep(obj, schedule, x0s, streams):
@@ -254,8 +264,7 @@ class TestSgd:
         expected = _reference_noise(sched, streams)
         assert _bits(_noise_history(result)) == _bits(expected)
         assert result.record_end(1) == 901
-        result.write_table(tmp_path / "t.npy")
-        tab = np.load(tmp_path / "t.npy")
+        _, tab = _streamed(tmp_path / "t.npy", make_quadratic(d), sched, x0s, streams)
         for i in range(3):
             end = result.record_end(i)
             assert _bits(result.trajectory(i).omegas) == _bits(expected[:end, i])
@@ -763,7 +772,7 @@ class TestFinalsOnly:
         result = _run_both(obj, sched, x0s, seed=20)
         assert np.flatnonzero(result.diverged).tolist() == [7]
 
-    def test_history_methods_raise(self, spiky_default, tmp_path):
+    def test_history_methods_raise(self, spiky_default):
         kernel = NoiseKernel("uniform-ball", 2.0, 1)
         sched = StepSchedule((Stage(0.01, 30, kernel),))
         result = lockstep_run(spiky_default, sched, np.zeros((3, 1)),
@@ -772,14 +781,12 @@ class TestFinalsOnly:
         calls = [
             lambda: result.trajectory(0),
             lambda: result.record_end(0),
-            lambda: result.write_table(tmp_path / "t.npy"),
             result.y_history,
             lambda: result.y_dist2_history(spiky_default.target),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="kept no history"):
                 call()
-        assert not (tmp_path / "t.npy").exists()
 
     @pytest.mark.parametrize("keep_history", [True, False])
     def test_one_generator_per_trial_while_its_stages_last(self, monkeypatch, keep_history):
@@ -819,10 +826,9 @@ class TestFinalsOnly:
         streams = [RngStream(7, i) for i in range(5)]
         x0s = np.zeros((5, 1))
         zeros = StepSchedule((Stage(0.1, 300, zero), Stage(0.05, 20, zero)))
-        result = lockstep_run(make_quadratic(1), zeros, x0s, streams, keep_history)
+        result, _ = _streamed(tmp_path / "t.npy", make_quadratic(1), zeros, x0s, streams, keep_history)
         if keep_history:
             result.trajectory(0)
-            result.write_table(tmp_path / "t.npy")
         assert made == []
         # a generator made at the cube stage's first draw starts where one
         # made before the zero stage would be: the stream's first draw
@@ -840,7 +846,7 @@ class TestFinalsOnly:
     @pytest.mark.parametrize("at", ["first", "middle", "last"])
     def test_zero_step_stage_draws_nothing(self, monkeypatch, tmp_path, at, keep_history):
         # a 0-step cube stage among zero stages: no generator and no
-        # `sample_trials` call, in the run or in the replay
+        # `sample_trials` call, in the run, its table or the replay
         made, drawn = [], []
         generator, sample_trials = RngStream.generator, NoiseKernel.sample_trials
         monkeypatch.setattr(RngStream, "generator", lambda stream: made.append(stream) or generator(stream))
@@ -850,10 +856,10 @@ class TestFinalsOnly:
         stages = [Stage(0.1, 40, zero), Stage(0.05, 30, zero)]
         stages.insert(["first", "middle", "last"].index(at), Stage(0.2, 0, NoiseKernel("uniform-cube", 1.0, 1)))
         streams = [RngStream(5, i) for i in range(4)]
-        result = lockstep_run(make_quadratic(1), StepSchedule(tuple(stages)), np.ones((4, 1)), streams, keep_history)
+        sched = StepSchedule(tuple(stages))
+        result, _ = _streamed(tmp_path / "t.npy", make_quadratic(1), sched, np.ones((4, 1)), streams, keep_history)
         if keep_history:
             result.trajectory(0)
-            result.write_table(tmp_path / "t.npy")
         assert made == [] and drawn == []
 
     @pytest.mark.parametrize("keep_history", [True, False])
@@ -882,12 +888,10 @@ class TestFinalsOnly:
         x0s = np.array([[_start_beyond_at(steps)], [2.0**-400], [0.0]])
         streams = [RngStream(29, i) for i in range(3)]
         result = lockstep_run(make_quadratic(1), sched, x0s, streams)
-        finals = lockstep_run(make_quadratic(1), sched, x0s, streams, keep_history=False)
+        finals, tab = _streamed(tmp_path / "t.npy", make_quadratic(1), sched, x0s, streams)
         assert result.diverged.tolist() == finals.diverged.tolist() == [True, False, False]
         assert _bits(result.finals_x) == _bits(finals.finals_x) == _bits(result.x_hist[-1])
         assert abs(result.x_hist[-1, 0, 0]) == 1.5e6 and result.record_end(0) == total + 1
-        result.write_table(tmp_path / "t.npy")
-        tab = np.load(tmp_path / "t.npy")
         for i in range(3):
             omegas = result.trajectory(i).omegas
             norms = tab["noise_norm"][tab["trial"] == i]
@@ -1022,6 +1026,61 @@ class TestFinalsOnly:
         assert draws == [_NOISE_ROWS, _NOISE_ROWS, 1, 200]
 
 
+class TestTableWriter:
+    """`table_writer`, the observer that streams a run's table, apart
+    from the records it holds (see `tests/test_expcli.py`)."""
+
+    def _run(self, path, steps=99, trials=10):
+        # on x^2/2, eta = 3 doubles |x|: trial 0 first passes the cutoff
+        # at row steps - 1, so its record loses one of the n*(T+1) rows
+        obj, sched = make_quadratic(1), StepSchedule((Stage(3.0, steps, NoiseKernel("zero", 0.0, 1)),))
+        x0s = np.zeros((trials, 1))
+        x0s[0] = _start_beyond_at(steps - 1)
+        streams = [RngStream(3, i) for i in range(trials)]
+        return _streamed(path, obj, sched, x0s, streams)
+
+    def test_header_patched_when_the_count_loses_a_digit(self, tmp_path):
+        result, tab = self._run(tmp_path / "t.npy")
+        assert result.diverged.tolist() == [True] + [False] * 9
+        assert len(tab) == 999 and tab["t"][tab["trial"] == 0].max() == 98
+        # the bytes np.save writes for the rows it read back
+        saved = tmp_path / "saved.npy"
+        np.save(saved, tab)
+        assert saved.read_bytes() == (tmp_path / "t.npy").read_bytes()
+
+    def test_shorter_header_is_padded(self, tmp_path, monkeypatch):
+        # a numpy that reserves no room for the count to grow, and pads to
+        # no alignment, writes the 999-row header one byte shorter
+        names = np.lib.format.write_array_header_1_0.__globals__
+        if "GROWTH_AXIS_MAX_DIGITS" not in names:
+            pytest.skip("this numpy reserves no room in the header")
+        monkeypatch.setitem(names, "GROWTH_AXIS_MAX_DIGITS", 0)
+        monkeypatch.setitem(names, "ARRAY_ALIGN", 1)
+        _, tab = self._run(tmp_path / "t.npy")
+        reserved = io.BytesIO()
+        np.lib.format.write_array_header_1_0(reserved, {
+            "descr": np.lib.format.dtype_to_descr(tab.dtype), "fortran_order": False, "shape": (1000,),
+        })
+        raw = (tmp_path / "t.npy").read_bytes()
+        size = 10 + int.from_bytes(raw[8:10], "little")
+        # the 1,000-row header's length, one alignment space and one of padding
+        assert size == len(reserved.getvalue())
+        assert len(tab) == 999 and raw[:size].endswith(b"(999,), }  \n")
+        assert len(raw) == size + 999 * tab.dtype.itemsize
+
+    def test_no_trials_give_an_empty_table(self, tmp_path):
+        result, tab = _streamed(tmp_path / "t.npy", make_quadratic(2), _zero_schedule(0.1, 70, d=2), np.zeros((0, 2)), [])
+        assert result.finals_x.shape == (0, 2) and tab.shape == (0,)
+
+    def test_raising_run_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.npy"
+        with pytest.raises(OverflowError):
+            with table_writer(path, make_quadratic(1), _zero_schedule(0.1, 5), 2):
+                assert path.exists()
+                raise OverflowError("Range exceeds valid bounds")
+        assert not path.exists()
+
+
 class TestStageMap:
     """`StepSchedule.row_stages`, the one map from a run's rows to their
     stages, against one `np.repeat` over the stage lengths (`_per_step`),
@@ -1042,10 +1101,10 @@ class TestStageMap:
 
     @staticmethod
     def _check_records(result, tmp_path):
-        """Every trial's CSV is the reference writer's bytes, and the table's
-        stage column and the shadow rows are those of the per-step stages."""
-        result.write_table(tmp_path / "t.npy")
-        tab = np.load(tmp_path / "t.npy")
+        """Every trial's CSV is the reference writer's bytes, and the stage
+        column of the table the same run streams and the shadow rows are
+        those of the per-step stages."""
+        _, tab = _streamed(tmp_path / "t.npy", result.objective, result.schedule, result.x_hist[0], result.streams)
         _, stage_idx = _per_step(result.schedule)
         ys = result.y_history()
         for i in range(result.n_trials):
