@@ -54,8 +54,9 @@ class RngStream:
         _require_integer("stream_id", self.stream_id)
 
     def generator(self) -> np.random.Generator:
-        # a uint64 array: numpy casts a list entry >= 2**63 through float64
-        key = np.array([self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64)
+        # a uint64 array: numpy casts a list entry >= 2**63 through float64;
+        # int() first, as a numpy integer key overflows in `% 2**64`
+        key = np.array([int(self.seed) % 2**64, int(self.stream_id) % 2**64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -6,21 +6,17 @@ one-step identity
 
     y_{t+1} = y_t - eta*omega_t - eta*grad f(y_t - eta*omega_t)
 
-bitwise within any constant-eta stage.  No shadow row is stored: the
-`y_history` methods derive them from the iterates.
+bitwise within any constant-eta stage.  No shadow row is stored:
+`_shadow` derives them from the iterates, in row chunks (`_chunks`)
+with the bits of a whole-array pass, as every oracle is row-wise.
 
-Passes that derive rows from a history read it in row chunks
-(`_chunks`), with the bits of a whole-array pass, as every oracle is
-row-wise.
-
-`lockstep_run` is the only stepping loop; `sgd_run` is a one-trial run
-of it.  A run keeps its schedule and either its (T+1, n, d) iterates
-with the trials' streams, from which `_replayed` replays the noise, or
-only the finals and flags, bitwise the same, with one piece of noise
-(`_noise`) at a time.  `_record_columns` is the one builder of the
-derived columns.  A record is persisted alone as a CSV
-(`Trajectory.write_csv`), or with every trial of an ensemble as one
-`.npy` table that `table.table_writer` streams from the run's blocks.
+`lockstep_run` is the only stepping loop.  A run keeps its schedule and
+either its (T+1, n, d) iterates with the trials' streams or only the
+finals and flags, bitwise the same, with one piece of noise (`_noise`)
+at a time.  Its observer gets each block's iterates, gradients and raw
+noise: `sgd_run` copies one trial's into a record, and
+`table.table_writer` streams an ensemble's into one `.npy` table.
+`_record_columns` is the one builder of the derived columns.
 """
 from __future__ import annotations
 
@@ -47,8 +43,7 @@ _BLOCK = 64
 _NOISE_ROWS = 4 * _BLOCK
 # rows formatted at a time by the CSV writers
 _CSV_CHUNK = 1024
-# rows built at a time by table.table_writer and _shadow, and drawn at a
-# time by a replay
+# rows built at a time by table.table_writer and _shadow
 _TABLE_ROWS = 4096
 
 
@@ -109,7 +104,7 @@ def table_dtype(dimension: int) -> np.dtype:
 @dataclass
 class Trajectory:
     """Record of one run: its objective, iterates and noise, from which
-    `y_history` and `columns` derive the shadow points and columns.
+    `columns` derives the columns and `shadow_check` the shadow points.
 
     Arrays have length T+1 (T = recorded steps); `omegas[t]` is the noise
     applied when leaving step t, with a zero row at the end, and
@@ -136,10 +131,6 @@ class Trajectory:
     def columns(self) -> dict:
         """The derived columns of every row, by `table_dtype` field name."""
         return _record_columns(self.objective, self.xs, np.linalg.norm(self.omegas, axis=1))
-
-    def y_history(self) -> np.ndarray:
-        """(T+1, d) shadow points, bit for bit `EnsembleResult.y_history`'s."""
-        return _shadow_history(self.objective, self.schedule, self.xs[:, None])[:, 0]
 
     def write_csv(self, path) -> None:
         """Write the record as CSV, one row per point: the bytes
@@ -249,25 +240,17 @@ def _shadow(obj: Objective, schedule: StepSchedule, xs: np.ndarray, overlap: int
         yield t0, eta, g
 
 
-def _shadow_history(obj: Objective, schedule: StepSchedule, xs: np.ndarray) -> np.ndarray:
-    """The whole (m, k, d) shadow history of the rows `xs`, from `_shadow`."""
-    ys = np.empty(xs.shape)
-    for t0, _, y in _shadow(obj, schedule, xs):
-        ys[t0 : t0 + len(y)] = y
-    return ys
-
-
 @dataclass
 class EnsembleResult:
     """A lockstep run: objective, schedule, history if kept, finals, flags.
 
     In `x_hist` axis 0 is the step index and axis 1 the trial.  No noise
-    is stored: `trajectory` replays it from `streams`, as `y_history`
-    derives the shadow rows from `x_hist`.  A diverged trial stays
-    frozen at its first iterate beyond the cutoff.  A finals-only run
-    has `x_hist` and `streams` None, and the methods that read them
-    raise ValueError.  `finals_x` is a copy, so a report that keeps it
-    does not pin the history.
+    or shadow row is stored: `trajectory` reruns a trial on its stream,
+    and `y_dist2_history` derives the shadow rows from `x_hist`.  A
+    diverged trial stays frozen at its first iterate beyond the cutoff.
+    A finals-only run has `x_hist` and `streams` None, and the methods
+    that read them raise ValueError.  `finals_x` is a copy, so a report
+    that keeps it does not pin the history.
     """
 
     objective: Objective
@@ -287,16 +270,11 @@ class EnsembleResult:
                 "this run kept no history; run lockstep_run with keep_history=True"
             )
 
-    def y_history(self) -> np.ndarray:
-        """(T+1, n, d) shadow points y_t = x_t - eta_t * grad f(x_t), frozen
-        rows included, bit for bit the ones the engine stepped through."""
-        self._require_history()
-        return _shadow_history(self.objective, self.schedule, self.x_hist)
-
     def y_dist2_history(self, target) -> np.ndarray:
-        """(T+1, n) squared distances of the shadow points to `target`,
-        filled from `_shadow` chunks: beyond the result it holds one chunk
-        of shadow rows, never the whole `y_history()`."""
+        """(T+1, n) squared distances of the shadow points y_t = x_t -
+        eta_t * grad f(x_t), frozen rows included, to `target`, filled from
+        `_shadow` chunks: beyond the result it holds one chunk of shadow
+        rows, never the whole shadow history."""
         self._require_history()
         target = np.asarray(target, dtype=float)
         d2 = np.empty(self.x_hist.shape[:2])
@@ -305,20 +283,11 @@ class EnsembleResult:
             np.einsum("tnd,tnd->tn", ys, ys, out=d2[t0 : t0 + len(ys)])
         return d2
 
-    def record_end(self, i: int) -> int:
-        """Row count of trial i's record.  A diverged trial's record ends at
-        the iterate that froze it, its first one beyond the cutoff."""
-        self._require_history()
-        if not self.diverged[i]:
-            return self.x_hist.shape[0]
-        return int(np.argmin(_bounded(self.x_hist[:, i]))) + 1
-
     def trajectory(self, i: int) -> Trajectory:
-        """Trial i as a Trajectory record of `record_end(i)` rows, a view of
-        its iterates and its replayed noise; no oracle is called."""
-        end = self.record_end(i)
-        (omegas,) = _replayed(self.schedule, (self.streams[i],), end)
-        return Trajectory(self.objective, self.x_hist[:end, i], omegas, self.schedule, bool(self.diverged[i]))
+        """Trial i as a Trajectory record: the `sgd_run` of it alone on its
+        stream, whose rows are bit for bit its rows here."""
+        self._require_history()
+        return _record(self.objective, self.schedule, self.x_hist[0, i], self.streams[i])
 
 
 def lockstep_run(
@@ -345,10 +314,12 @@ def lockstep_run(
 
     With `keep_history` the result holds the (T+1, n, d) iterates and
     the streams; without it, only the finals and flags, bitwise the
-    same.  `observe(t0, xs, grads, noise_norms, ends)`, if given, gets
-    each block's (m, n, d) iterates from row t0 after its check, their
-    gradients, the (m, n) norms of their noise before the eta scaling
-    and each trial's record end, then row T.
+    same.  `observe(t0, xs, grads, noise, ends)`, if given, gets each
+    block's (m, n, d) iterates from row t0 after its check, the m (n, d)
+    gradient arrays `obj.grads_at` returned for them, so a grad oracle
+    must return a new array on each call, their (m, n, d) noise before
+    the eta scaling and each trial's record end, then row T with its
+    zero noise.
     """
     x0s = np.asarray(x0s, dtype=float)
     n, d = x0s.shape
@@ -360,15 +331,14 @@ def lockstep_run(
     T = schedule.total_steps
     x_hist = np.empty((T + 1, n, d)) if keep_history else None
     x_block = None if keep_history else np.empty((_BLOCK, n, d))
-    g_block = None if observe is None else np.empty((_BLOCK, n, d))
     ends = np.full(n, T + 1)
     active = np.ones(n, dtype=bool)
     grads_at = obj.grads_at
     x = x0s
     with np.errstate(over="ignore", invalid="ignore"):
-        for stage, p0, noise in _noise(schedule, streams, _NOISE_ROWS):
+        for stage, p0, noise in _noise(schedule, streams):
             eta = stage.eta
-            norms = None if observe is None else np.linalg.norm(noise, axis=2).T
+            raw = None if observe is None else noise.transpose(1, 0, 2).copy()
             noise *= eta
             kicks = noise.transpose(1, 0, 2)
             p2 = p0 + len(kicks)
@@ -382,12 +352,12 @@ def lockstep_run(
                 xb[...] = kicks[b0 - p0 : b1 - p0]
                 # frozen trials stay in place; np.where is needed only once one is
                 keep = None if active.all() else active[:, None]
+                grads = None if observe is None else []
                 for j, kick in enumerate(xb):
-                    if g_block is None:
-                        y = x - eta * grads_at(x)
-                    else:
-                        g_block[j] = g = grads_at(x)
-                        y = x - eta * g
+                    g = grads_at(x)
+                    if grads is not None:
+                        grads.append(g)
+                    y = x - eta * g
                     x_next = y - kick if keep is None else np.where(keep, y - kick, x)
                     xb[j] = x
                     x = x_next
@@ -401,13 +371,13 @@ def lockstep_run(
                     active[i] = False
                     ends[i] = b0 + k + 1
                 if observe is not None:
-                    observe(b0, xb, g_block[: b1 - b0], norms[b0 - p0 : b1 - p0], ends)
+                    observe(b0, xb, grads, raw[b0 - p0 : b1 - p0], ends)
         # the final iterate, which no step leaves
         if x_hist is not None:
             x_hist[-1] = x
         active &= _bounded(x)
         if observe is not None:
-            observe(T, x[None], grads_at(x)[None], np.zeros((1, n)), ends)
+            observe(T, x[None], [grads_at(x)], np.zeros((1, n, d)), ends)
 
     return EnsembleResult(
         objective=obj,
@@ -419,48 +389,35 @@ def lockstep_run(
     )
 
 
-def _pieces(schedule: StepSchedule, rows: int):
+def _pieces(schedule: StepSchedule):
     """Yield a run's pieces (stage, p0, p1) stage by stage: each draws and
-    steps rows p0..p1-1, `rows` of them or the whole stage where its
-    kernel does not split by row; a 0-step stage gives none."""
+    steps rows p0..p1-1, `_NOISE_ROWS` of them or the whole stage where
+    its kernel does not split by row; a 0-step stage gives none."""
     t0 = 0
     for stage in schedule.stages:
-        size = rows if stage.kernel.splits_by_row else max(1, stage.steps)
+        size = _NOISE_ROWS if stage.kernel.splits_by_row else max(1, stage.steps)
         end = t0 + stage.steps
         for p0 in range(t0, end, size):
             yield stage, p0, min(p0 + size, end)
         t0 = end
 
 
-def _noise(schedule: StepSchedule, streams: Sequence[RngStream], rows: int):
-    """Yield (stage, p0, noise) per piece of `_pieces(schedule, rows)`:
+def _noise(schedule: StepSchedule, streams: Sequence[RngStream]):
+    """Yield (stage, p0, noise) per piece of `_pieces(schedule)`:
     the trial-major (k, m, d) noise of the piece's m rows from p0 on, of
     the trials on `streams`, a C-contiguous view of one buffer (an
     in-place product over it is unbuffered).  A zero stage makes no
     generator, so a later one's starts at the same position."""
     k, d = len(streams), schedule.dimension
-    buf = np.empty(k * d * max((p1 - p0 for _, p0, p1 in _pieces(schedule, rows)), default=0))
+    buf = np.empty(k * d * max((p1 - p0 for _, p0, p1 in _pieces(schedule)), default=0))
     gens = [None] * k
-    for stage, p0, p1 in _pieces(schedule, rows):
+    for stage, p0, p1 in _pieces(schedule):
         noise = buf[: k * (p1 - p0) * d].reshape(k, p1 - p0, d)
         if stage.kernel.is_zero:
             noise.fill(0.0)
         else:
             stage.kernel.sample_trials(_generators(streams, gens, p1 == schedule.total_steps), noise)
         yield stage, p0, noise
-
-
-def _replayed(schedule: StepSchedule, streams: Sequence[RngStream], end: int) -> np.ndarray:
-    """The trial-major (k, end, d) noise rows 0..end-1 of the records on
-    `streams`, row T, which no step uses, zero, drawn in pieces of
-    `_TABLE_ROWS` rows: bitwise the engine's where a kernel splits by
-    row, and whole stages where it does not."""
-    out = np.zeros((len(streams), end, schedule.dimension))
-    for _, p0, piece in _noise(schedule, streams, _TABLE_ROWS):
-        if p0 >= end:
-            break
-        out[:, p0 : p0 + piece.shape[1]] = piece[:, : end - p0]
-    return out
 
 
 def _generators(streams: Sequence[RngStream], gens: list, last: bool):
@@ -476,14 +433,31 @@ def _generators(streams: Sequence[RngStream], gens: list, last: bool):
 def sgd_run(obj: Objective, schedule: StepSchedule, x0, rng: RngStream = RngStream(0)) -> Trajectory:
     """Run staged SGD from x0 and record the full trajectory.
 
-    This is a one-trial `lockstep_run`, so an ensemble trial on the same
-    stream replays it bit for bit.  Leaving the domain box only sets the
-    out_of_box flag.  An iterate that is non-finite or has a coordinate
-    beyond DIVERGENCE_CUTOFF, the final one included, ends the record
-    and marks it diverged.
+    This is a one-trial finals-only `lockstep_run`, so an ensemble trial
+    on the same stream replays it bit for bit; its observer copies the
+    iterates and the noise the run draws into the record.  Leaving the
+    domain box only sets the out_of_box flag.  An iterate that is
+    non-finite or has a coordinate beyond DIVERGENCE_CUTOFF, the final
+    one included, ends the record and marks it diverged.
     """
-    x0 = as_point(x0, obj.dimension)
-    return lockstep_run(obj, schedule, x0[None, :], [rng]).trajectory(0)
+    return _record(obj, schedule, as_point(x0, obj.dimension), rng)
+
+
+def _record(obj: Objective, schedule: StepSchedule, x0: np.ndarray, stream: RngStream) -> Trajectory:
+    """`sgd_run` from the (d,) point x0, which may be non-finite, as an
+    ensemble's start may be."""
+    xs = np.empty((schedule.total_steps + 1, obj.dimension))
+    omegas = np.empty_like(xs)
+    end = len(xs)
+
+    def observe(t0, xb, grads, noise, ends):
+        nonlocal end
+        xs[t0 : t0 + len(xb)] = xb[:, 0]
+        omegas[t0 : t0 + len(xb)] = noise[:, 0]
+        end = int(ends[0])
+
+    result = lockstep_run(obj, schedule, x0[None], [stream], keep_history=False, observe=observe)
+    return Trajectory(obj, xs[:end], omegas[:end], schedule, bool(result.diverged[0]))
 
 
 def gd_run(obj: Objective, eta: float, steps: int, x0) -> Trajectory:
@@ -496,9 +470,10 @@ def gd_run(obj: Objective, eta: float, steps: int, x0) -> Trajectory:
 def shadow_check(traj: Trajectory, obj: Objective) -> float:
     """Max residual of the shadow update identity over constant-eta pairs.
 
-    The shadow points are those of `traj.y_history()`, read in `_shadow`
-    chunks with one row of overlap, so each pair (t, t+1) lies in one
-    chunk and is checked once; they are checked against `obj`.
+    The shadow points y_t = x_t - eta_t * grad f(x_t) are derived from
+    `traj.xs` in `_shadow` chunks with one row of overlap, so each pair
+    (t, t+1) lies in one chunk and is checked once; they are checked
+    against `obj`.
     Stage-boundary indices (where eta changes) are skipped: the identity
     is only defined within a stage.  NaN residuals are ignored.
     """

@@ -38,13 +38,13 @@ def table_writer(path, obj: Objective, schedule: optimizer.StepSchedule, n: int)
         rows.tofile(fh)
         filled = 0
 
-    def observe(t0, xs, grads, noise_norms, ends):
+    def observe(t0, xs, grads, noise, ends):
         nonlocal filled
         xs = xs.reshape(-1, xs.shape[2])
-        grads = grads.reshape(xs.shape)
-        norms = noise_norms.ravel()
+        grads = np.concatenate(grads)
+        norms = np.linalg.norm(noise, axis=2).ravel()
         kept = np.arange(len(xs))
-        if (ends < t0 + len(noise_norms)).any():  # a record ends in the block
+        if (ends < t0 + len(noise)).any():  # a record ends in the block
             kept = kept[kept // n + t0 < ends[kept % n]]
         while len(kept):
             r, kept = kept[: size - filled], kept[size - filled :]

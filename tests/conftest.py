@@ -69,6 +69,22 @@ def poisoned(obj, bad: float):
     return replace(obj, value=first_row(obj.value), grad=first_row(obj.grad))
 
 
+def shadow_rows(obj, schedule, xs):
+    """Reference: the shadow row y = x - eta * grads_at(x) of each row of
+    `xs`, the leading (T+1, n, d) or (T+1, d) rows of a run on `schedule`,
+    one row at a time, each with its stage's eta (the final row T with
+    the last stage's)."""
+    steps = [s.steps for s in schedule.stages]
+    steps[-1] += 1
+    etas = np.repeat([s.eta for s in schedule.stages], steps)
+    ys = np.empty(np.shape(xs))
+    # frozen rows past the cutoff may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, x in enumerate(xs):
+            ys[t] = x - etas[t] * obj.grads_at(x.reshape(-1, x.shape[-1])).reshape(x.shape)
+    return ys
+
+
 def read_csv_columns(path) -> dict[str, np.ndarray]:
     """Read a CSV the package wrote back into float column arrays, losslessly."""
     with open(path, newline="") as fh:

@@ -55,7 +55,7 @@ from sgdsmooth.expcli.pipeline import draw_inits
 from sgdsmooth.optimizer import _BLOCK, _NOISE_ROWS, lockstep_run, write_csv_columns
 from sgdsmooth.smoothing import smoothed_value_closed
 
-from conftest import local_minima, read_csv_columns
+from conftest import local_minima, read_csv_columns, shadow_rows
 
 
 def _small_config(**overrides):
@@ -526,12 +526,12 @@ class TestLockstep:
         sched = cfg.build_schedule()
         x0s = draw_inits(4, 1, cfg.init_box, cfg.seed)
         result = run_lockstep_ensemble(spiky_default, sched, x0s, cfg.seed)
-        ys = result.y_history()
+        ys = shadow_rows(spiky_default, sched, result.x_hist)
         for i in range(4):
             traj = sgd_run(spiky_default, sched, x0s[i], RngStream(cfg.seed, 1000 + i))
             assert np.array_equal(result.x_hist[:, i, :], traj.xs)
-            assert ys[:, i].tobytes() == traj.y_history().tobytes()
-            assert result.trajectory(i).y_history().tobytes() == traj.y_history().tobytes()
+            assert ys[:, i].tobytes() == shadow_rows(spiky_default, sched, traj.xs).tobytes()
+            assert result.trajectory(i).omegas.tobytes() == traj.omegas.tobytes()
 
     def test_materialized_trajectory_round_trip(self, tmp_path, spiky_default):
         cfg = _small_config(n_trials=2)
@@ -620,7 +620,7 @@ class TestEnsemble:
         obj = make_quadratic(1)
         sched = StepSchedule((Stage(3.0, 100, NoiseKernel("zero", 0.0, 1)),))
         result = run_lockstep_ensemble(obj, sched, np.array([[1.0], [0.0]]), 1, table=tmp_path / "t.npy")
-        assert [result.record_end(0), result.record_end(1)] == [21, 101]
+        assert [len(result.trajectory(0)), len(result.trajectory(1))] == [21, 101]
         tab = np.load(tmp_path / "t.npy")
         # both trials' rows 0..20, then trial 1's alone
         assert tab["trial"].tolist() == [0, 1] * 21 + [1] * 80
@@ -661,19 +661,20 @@ class TestEnsemble:
         x0s = np.vstack([draw_inits(3, dimension, (-3.0, 3.0), 5), np.full((3, dimension), 1e5)])
         x0s[4, 0], x0s[5] = 2e6, 3e4
         probe = run_lockstep_ensemble(obj, schedule(30), x0s, 5)
-        total = probe.record_end(5) - 1
+        total = len(probe.trajectory(5)) - 1
         sched = schedule(total - 37)
         path = tmp_path / "trajectories.npy"
         result = run_lockstep_ensemble(obj, sched, x0s, 5, table=path)
-        ends = [result.record_end(i) for i in range(6)]
+        records = [result.trajectory(i) for i in range(6)]
+        ends = [len(traj) for traj in records]
         assert result.diverged.tolist() == [False] * 3 + [True] * 3
         assert ends[4] == 1 and 37 < ends[3] < ends[5] == total + 1 == sched.total_steps + 1
         tab = np.load(path)
         assert len(tab) == sum(ends)
         assert np.array_equal(np.lexsort((tab["trial"], tab["t"])), np.arange(len(tab)))
         rows = np.sort(tab, order=["trial", "t"])
-        for i in range(6):
-            _assert_rows_hold_record(rows[rows["trial"] == i], result.trajectory(i))
+        for i, traj in enumerate(records):
+            _assert_rows_hold_record(rows[rows["trial"] == i], traj)
         assert np.all(np.isnan(tab["dist2"])) == (dimension == 2)
         # a finals-only run streams the same bytes
         finals = run_lockstep_ensemble(obj, sched, x0s, 5, keep_history=False, table=tmp_path / "f.npy")
@@ -698,9 +699,10 @@ class TestEnsemble:
         tab = np.load(path)
         assert len(tab) == 150_022
         result = run_lockstep_ensemble(obj, sched, x0s, 1)
-        assert [result.record_end(0), result.record_end(1)] == [50_021, 100_001]
-        for i in range(2):
-            _assert_rows_hold_record(tab[tab["trial"] == i], result.trajectory(i))
+        records = [result.trajectory(i) for i in range(2)]
+        assert [len(traj) for traj in records] == [50_021, 100_001]
+        for i, traj in enumerate(records):
+            _assert_rows_hold_record(tab[tab["trial"] == i], traj)
 
     def test_diverged_trials_cluster_as_reference(self):
         # on f = x^2/2 with eta = 3, x_t = (-2)**t * x0 stops past the cutoff

@@ -265,3 +265,13 @@ class TestValidation:
         # RngStream(0.5, 1) would replay RngStream(0, 1) draw for draw
         with pytest.raises(ValueError, match="must be an integer"):
             RngStream(seed, stream_id)
+
+    @pytest.mark.parametrize("seed, stream_id", [
+        (np.int64(3), np.int64(4)), (np.int64(-1), np.uint64(2**63)),
+        (np.uint64(2**64 - 1), np.int32(0)), (np.int32(-7), np.int8(5)),
+    ])
+    def test_numpy_integer_keys_draw_as_python_ints(self, seed, stream_id):
+        # a numpy integer key reduces mod 2**64 as the equal Python int does
+        want = RngStream(int(seed), int(stream_id)).generator().random(4)
+        got = RngStream(seed, stream_id).generator().random(4)
+        assert got.tobytes() == want.tobytes()

@@ -36,7 +36,7 @@ from sgdsmooth.optimizer import (
 )
 from sgdsmooth.table import table_writer
 
-from conftest import bisect_root, read_csv_columns
+from conftest import bisect_root, read_csv_columns, shadow_rows
 
 
 def _zero_schedule(eta, steps, d=1):
@@ -70,10 +70,21 @@ def _reference_noise(schedule, streams):
     return omegas
 
 
-def _noise_history(result):
-    """The (T+1, n, d) noise of a history run, replayed from its streams."""
-    rows = len(result.x_hist)
-    return optimizer_module._replayed(result.schedule, result.streams, rows).transpose(1, 0, 2)
+def _observed(obj, schedule, x0s, streams, keep_history=True):
+    """A `lockstep_run` whose observer keeps what its calls hand it: the
+    result and a dict of the (T+1, n, d) iterate, noise and gradient
+    rows and the record ends of the last call."""
+    x0s = np.asarray(x0s, dtype=float)
+    shape = (schedule.total_steps + 1, *x0s.shape)
+    seen = {"xs": np.empty(shape), "noise": np.empty(shape), "grads": np.empty(shape)}
+
+    def observe(t0, xs, grads, noise, ends):
+        assert len(xs) == len(grads) == len(noise)
+        for name, rows in (("xs", xs), ("grads", grads), ("noise", noise)):
+            seen[name][t0 : t0 + len(rows)] = rows
+        seen["ends"] = ends.copy()
+
+    return lockstep_run(obj, schedule, x0s, streams, keep_history, observe), seen
 
 
 def _streamed(path, obj, schedule, x0s, streams, keep_history=False):
@@ -149,7 +160,7 @@ def _shadow_check_loop(traj, obj):
     calls (not `grad_at`, which rejects the non-finite points of diverged
     runs)."""
     worst = 0.0
-    ys = traj.y_history()
+    ys = shadow_rows(traj.objective, traj.schedule, traj.xs)
     etas, _ = _per_step(traj.schedule)
     for t in range(len(traj) - 1):
         if etas[t + 1] != etas[t]:
@@ -170,7 +181,7 @@ class TestGd:
 
     def test_shadow_equals_next_iterate_without_noise(self, quadratic_1d):
         traj = gd_run(quadratic_1d, 0.1, 20, [1.0])
-        assert np.array_equal(traj.y_history()[:-1], traj.xs[1:])
+        assert np.array_equal(shadow_rows(quadratic_1d, traj.schedule, traj.xs)[:-1], traj.xs[1:])
 
     def test_full_step_converges_in_one(self, quadratic_1d):
         traj = gd_run(quadratic_1d, 1.0, 3, [2.5])
@@ -222,7 +233,7 @@ class TestSgd:
         sched = StepSchedule((Stage(0.02, 300, NoiseKernel("uniform-ball", 3.0, 1)),))
         traj = sgd_run(spiky_default, sched, [0.5], RngStream(23, 1000))
         # x_{t+1} = y_t - eta * omega_t bitwise
-        rebuilt = traj.y_history()[:-1] - 0.02 * traj.omegas[:-1]
+        rebuilt = shadow_rows(spiky_default, sched, traj.xs)[:-1] - 0.02 * traj.omegas[:-1]
         assert np.array_equal(rebuilt, traj.xs[1:])
 
     def test_determinism(self, spiky_default):
@@ -244,33 +255,41 @@ class TestSgd:
         assert out_of_box.any()
         assert not out_of_box[0]
 
-    @pytest.mark.parametrize("kind, d", [
-        ("zero", 1), ("uniform-cube", 1), ("uniform-cube", 3), ("uniform-ball", 1), ("uniform-ball", 2),
-    ])
+    @pytest.mark.parametrize(
+        "kind, d", [(kind, d) for kind in ("zero", "uniform-cube", "uniform-ball") for d in (1, 2, 3)]
+    )
     def test_replayed_noise_is_the_per_trial_draws(self, tmp_path, kind, d):
-        # stages around a piece, with a cube stage between, so a zero kind
-        # makes its generator late; a d > 1 ball stage is drawn whole.  At
-        # eta = 3 each step doubles |x| on x^2/2 and the noise is far too
-        # small to matter, so trial 1 first passes the cutoff at row 900,
-        # in the last stage, and its record ends there
-        kernel, cube = NoiseKernel(kind, 2.0**-1000, d), NoiseKernel("uniform-cube", 2.0**-1000, d)
-        sched = StepSchedule(tuple(Stage(3.0, steps, k) for steps, k in (
-            (255, kernel), (0, kernel), (256, cube), (257, kernel), (0, cube), (513, kernel),
+        # the observer is handed the per-trial draws before the eta
+        # scaling, and records and the table hold them.  Stages around a
+        # piece, with a cube stage between, so a zero kind makes its
+        # generator late; a d > 1 ball stage is drawn whole.  On x^2/2
+        # eta = 2 keeps |x| and eta = 3 doubles it.  The noise radius,
+        # whose square is still a normal double, is far too small to move
+        # trial 1, which first passes the cutoff at row 900, in the last
+        # stage, or to take the others past it
+        radius = 2.0**-510
+        kernel, cube = NoiseKernel(kind, radius, d), NoiseKernel("uniform-cube", radius, d)
+        sched = StepSchedule(tuple(Stage(eta, steps, k) for eta, steps, k in (
+            (2.0, 255, kernel), (2.0, 0, kernel), (2.0, 256, cube), (2.0, 257, kernel), (2.0, 0, cube),
+            (3.0, 513, kernel),
         )))
         x0s = np.zeros((3, d))
-        x0s[1, 0] = 1.5e6 * 2.0**-900
+        x0s[1, 0] = _start_beyond_at(900 - 768)
         streams = [RngStream(12, i) for i in range(3)]
-        result = lockstep_run(make_quadratic(d), sched, x0s, streams)
+        result, seen = _observed(make_quadratic(d), sched, x0s, streams)
         expected = _reference_noise(sched, streams)
-        assert _bits(_noise_history(result)) == _bits(expected)
-        assert result.record_end(1) == 901
+        assert _bits(seen["noise"]) == _bits(expected)
+        assert result.diverged.tolist() == [False, True, False]
         _, tab = _streamed(tmp_path / "t.npy", make_quadratic(d), sched, x0s, streams)
         for i in range(3):
-            end = result.record_end(i)
-            assert _bits(result.trajectory(i).omegas) == _bits(expected[:end, i])
-            norms = np.linalg.norm(expected[:end, i], axis=1)
+            omegas = result.trajectory(i).omegas
+            assert len(omegas) == (901 if i == 1 else 1282)
+            assert _bits(omegas) == _bits(expected[: len(omegas), i])
+            norms = np.linalg.norm(omegas, axis=1)
             assert _bits(tab["noise_norm"][tab["trial"] == i]) == _bits(norms)
-        # one stage of each length, run and replayed
+            # every drawn row has a positive norm, which scaling would move
+            assert (norms[:-1] > 0.0).all() or kind == "zero"
+        # one stage of each length, run and observed
         for steps in (0, 255, 256, 257, 513):
             _run_both(make_quadratic(d), StepSchedule((Stage(0.01, steps, NoiseKernel(kind, 2.0, d)),)),
                       np.ones((3, d)), seed=12)
@@ -322,63 +341,64 @@ class TestShadowCheck:
             assert abs(shadow_check(traj, obj) - loop) <= 4 * np.spacing(loop)
 
 
-def _counting(obj):
-    """`obj` with its `value` and `grad` oracles wrapped to count calls in
-    the returned dict."""
-    calls = {"value": 0, "grad": 0}
-
-    def counted(name, oracle):
-        def batch(xs):
-            calls[name] += 1
-            return oracle(xs)
-
-        return batch
-
-    return replace(obj, value=counted("value", obj.value), grad=counted("grad", obj.grad)), calls
-
-
 class TestRecord:
-    """A `Trajectory` is one trial's slice of the engine's iterates with its
-    replayed noise; its shadow rows and columns are derived where they
-    are read."""
+    """A `Trajectory` is one trial's iterates and the noise its run drew,
+    copied by `sgd_run`'s observer; its shadow rows and columns are
+    derived where they are read."""
 
-    def _result(self):
-        # |x_t| = 2**t |x_0|: trial 0 passes the cutoff at row 20 and trial
-        # 2 at row 30, while trial 1 sits at the minimum for all 41 rows
-        obj, calls = _counting(make_quadratic(1))
-        streams = [RngStream(8, i) for i in range(3)]
-        return lockstep_run(obj, _zero_schedule(3.0, 40), np.array([[1.0], [0.0], [1e-3]]), streams), calls
-
-    def test_trajectory_calls_no_oracle(self):
-        result, calls = self._result()
-        assert calls["grad"] > 0
-        assert [result.record_end(i) for i in range(3)] == [21, 41, 31]
-        calls.update(value=0, grad=0)
-        noise = _noise_history(result)
-        for i in range(result.n_trials):
-            traj = result.trajectory(i)
-            assert np.shares_memory(traj.xs, result.x_hist)
-            assert _bits(traj.omegas) == _bits(noise[: len(traj), i])
-        # a negative index is the trial it counts back to, noise included
-        assert _bits(result.trajectory(-1).omegas) == _bits(result.trajectory(2).omegas)
-        assert calls == {"value": 0, "grad": 0}
+    def test_sgd_run_makes_one_generator(self, monkeypatch):
+        # one gradient row per step and row T's, which the record's
+        # observer is handed; no f value, as no column is derived
+        made = []
+        generator = RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda stream: made.append(stream) or generator(stream))
+        obj = make_spiky(SpikyParams(dimension=2))
+        rows, values = [], []
+        obj = replace(obj, grad=lambda xs, grad=obj.grad: rows.append(len(xs)) or grad(xs),
+                      value=lambda xs, value=obj.value: values.append(len(xs)) or value(xs))
+        sched = StepSchedule((
+            Stage(0.1, 300, NoiseKernel("uniform-ball", 1.0, 2)),
+            Stage(0.05, 0, NoiseKernel("uniform-cube", 1.0, 2)),
+            Stage(0.05, 130, NoiseKernel("uniform-cube", 1.0, 2)),
+        ))
+        traj = sgd_run(obj, sched, [1.0, -0.5], RngStream(8, 3))
+        assert made == [RngStream(8, 3)]
+        assert sum(rows) == len(traj) == sched.total_steps + 1 and set(rows) == {1}
+        assert values == []
 
     def test_y_history_is_the_ensemble_rows_bitwise(self):
-        result, _ = self._result()
-        ys = result.y_history()
-        for i in range(result.n_trials):
-            end = result.record_end(i)
-            assert _bits(result.trajectory(i).y_history()) == _bits(ys[:end, i])
+        # a record is its trial's rows and noise bit for bit, so its shadow
+        # rows are the ensemble's; a record ends at its first row beyond
+        # the cutoff
+        result, seen = self._expanding_run()
+        for i, end in enumerate([21, 41, 31]):
+            self._check_trajectory(result, seen, i, end)
+        # a negative index is the trial it counts back to, noise included
+        assert _bits(result.trajectory(-1).omegas) == _bits(result.trajectory(2).omegas)
         # the spiky gradient in 2-d, over two stages
         obj = make_spiky(SpikyParams(dimension=2))
         sched = StepSchedule((
             Stage(0.1, 150, NoiseKernel("uniform-cube", 1.0, 2)),
             Stage(0.05, 150, NoiseKernel("uniform-ball", 0.5, 2)),
         ))
-        result = lockstep_run(obj, sched, np.ones((3, 2)), [RngStream(9, i) for i in range(3)])
-        ys = result.y_history()
+        result, seen = _observed(obj, sched, np.ones((3, 2)), [RngStream(9, i) for i in range(3)])
         for i in range(result.n_trials):
-            assert _bits(result.trajectory(i).y_history()) == _bits(ys[:, i])
+            self._check_trajectory(result, seen, i, 301)
+
+    def _expanding_run(self):
+        # |x_t| = 2**t |x_0|: trial 0 passes the cutoff at row 20 and trial
+        # 2 at row 30, while trial 1 sits at the minimum for all 41 rows
+        streams = [RngStream(8, i) for i in range(3)]
+        return _observed(make_quadratic(1), _zero_schedule(3.0, 40), np.array([[1.0], [0.0], [1e-3]]), streams)
+
+    @staticmethod
+    def _check_trajectory(result, seen, i, end):
+        traj = result.trajectory(i)
+        assert len(traj) == end and traj.diverged == result.diverged[i]
+        assert _bits(traj.xs) == _bits(result.x_hist[:end, i])
+        assert _bits(traj.omegas) == _bits(seen["noise"][:end, i])
+        ys = shadow_rows(result.objective, result.schedule, result.x_hist)
+        assert _bits(shadow_rows(traj.objective, traj.schedule, traj.xs)) == _bits(ys[:end, i])
 
 
 def _whole_record_csv(traj, path):
@@ -393,7 +413,7 @@ def _shadow_check_whole(traj, obj):
     """Reference: `shadow_check` over the whole shadow history at once."""
     etas = _per_step(traj.schedule)[0][: len(traj)]
     t = np.flatnonzero(etas[1:] == etas[:-1])
-    ys = traj.y_history()
+    ys = shadow_rows(traj.objective, traj.schedule, traj.xs)
     eta = etas[t, None]
     inner = ys[t] - eta * traj.omegas[t]
     predicted = inner - eta * obj.grads_at(inner)
@@ -444,7 +464,7 @@ class TestChunkedPasses:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d2 = result.y_dist2_history(target)
-            diff = result.y_history() - np.asarray(target, dtype=float)
+        diff = shadow_rows(result.objective, result.schedule, result.x_hist) - np.asarray(target, dtype=float)
         assert _bits(d2) == _bits(np.einsum("tnd,tnd->tn", diff, diff))
         return d2
 
@@ -515,35 +535,45 @@ class TestChunkedPasses:
 
 def _run_both(obj, schedule, x0s, seed=5):
     """(lockstep_run, reference) on the same streams, checked field by
-    field for bitwise equality, NaN equal to NaN, and the derived shadow
-    rows against the ones the reference stepped through.  A finals-only
-    run on the same streams must give the same finals and flags, and
-    both keep the schedule they ran."""
+    field for bitwise equality, NaN equal to NaN, with the rows its
+    observer is handed: the iterates and noise against the reference's,
+    and the gradients, which step the reference's shadow rows up to each
+    record's end.  A finals-only run on the same streams must give the
+    same finals, flags and observed rows, and both keep the schedule
+    they ran."""
     x0s = np.asarray(x0s, dtype=float)
     streams = [RngStream(seed, 1000 + i) for i in range(len(x0s))]
-    got = lockstep_run(obj, schedule, x0s, streams)
+    got, seen = _observed(obj, schedule, x0s, streams)
     # the reference's frozen non-finite trials warn at every step
     with np.errstate(all="ignore"):
         ref, ref_y, ref_noise = _reference_lockstep(obj, schedule, x0s, streams)
+        ys = got.x_hist - _per_step(schedule)[0][:, None, None] * seen["grads"]
     for field in ("x_hist", "diverged", "finals_x"):
         assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), field
-    assert _bits(_noise_history(got)) == _bits(ref_noise)
+    assert _bits(seen["xs"]) == _bits(ref.x_hist) and _bits(seen["noise"]) == _bits(ref_noise)
+    recorded = np.arange(len(ys))[:, None] < seen["ends"]
+    assert _bits(ys[recorded]) == _bits(ref_y[recorded])
     assert got.schedule is ref.schedule and got.streams == ref.streams
     # deriving the shadow rows of frozen non-finite trials must not warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _bits(got.y_history()) == _bits(ref_y)
-    finals = lockstep_run(obj, schedule, x0s, streams, keep_history=False)
+        d2 = got.y_dist2_history(np.zeros(x0s.shape[1]))
+    with np.errstate(all="ignore"):
+        assert _bits(d2) == _bits(np.einsum("tnd,tnd->tn", ref_y, ref_y))
+    finals, finals_seen = _observed(obj, schedule, x0s, streams, keep_history=False)
     assert finals.x_hist is None and finals.streams is None
     for field in ("finals_x", "diverged"):
         assert _bits(getattr(finals, field)) == _bits(getattr(got, field)), field
+    for name in ("xs", "noise", "grads", "ends"):
+        assert _bits(finals_seen[name]) == _bits(seen[name]), name
     assert finals.schedule is got.schedule
     return got
 
 
 def _first_beyond(result, i):
-    """Row at which trial i first fails the divergence predicate, or None."""
-    return result.record_end(i) - 1 if result.diverged[i] else None
+    """Row at which trial i first fails the divergence predicate, or None:
+    the last row of its record."""
+    return len(result.trajectory(i)) - 1 if result.diverged[i] else None
 
 
 # 130 steps make rows 0..130: blocks [0, 64), [64, 128) and [128, 131)
@@ -587,7 +617,7 @@ class TestBlockwiseDivergence:
         x0s[[0, 21]] = start
         result = _run_both(spiky_default, sched, x0s)
         assert np.flatnonzero(result.diverged).tolist() == [0, 21]
-        assert result.record_end(0) == result.record_end(21) == 1
+        assert len(result.trajectory(0)) == len(result.trajectory(21)) == 1
 
     def test_mixed_rows_across_blocks(self):
         obj, sched = _expanding()
@@ -662,7 +692,7 @@ class TestBlockwiseDivergence:
             lockstep_run(obj, sched, np.ones((1, 1)), [RngStream(0)], keep_history=False)
             traj = sgd_run(obj, sched, [1.0])
         result = _run_both(obj, sched, np.ones((1, 1)))
-        assert _bits(got.y_history()) == _bits(result.y_history())
+        assert _bits(got.x_hist) == _bits(result.x_hist)
         assert _first_beyond(result, 0) == 1
         assert traj.diverged and len(traj) == 2
         assert np.all(result.x_hist[1:, 0, 0] == -1e100)
@@ -780,8 +810,6 @@ class TestFinalsOnly:
         assert result.n_trials == 3 and result.finals_x.shape == (3, 1)
         calls = [
             lambda: result.trajectory(0),
-            lambda: result.record_end(0),
-            result.y_history,
             lambda: result.y_dist2_history(spiky_default.target),
         ]
         for call in calls:
@@ -891,7 +919,7 @@ class TestFinalsOnly:
         finals, tab = _streamed(tmp_path / "t.npy", make_quadratic(1), sched, x0s, streams)
         assert result.diverged.tolist() == finals.diverged.tolist() == [True, False, False]
         assert _bits(result.finals_x) == _bits(finals.finals_x) == _bits(result.x_hist[-1])
-        assert abs(result.x_hist[-1, 0, 0]) == 1.5e6 and result.record_end(0) == total + 1
+        assert abs(result.x_hist[-1, 0, 0]) == 1.5e6 and len(result.trajectory(0)) == total + 1
         for i in range(3):
             omegas = result.trajectory(i).omegas
             norms = tab["noise_norm"][tab["trial"] == i]
@@ -995,7 +1023,7 @@ class TestFinalsOnly:
         # without history must draw them, the final row drawn by none
         sched = StepSchedule(tuple(Stage(0.01, m, NoiseKernel(kind, 1.0, d)) for m in steps))
         listed = _listed_pieces(sched)
-        assert list(optimizer_module._pieces(sched, _NOISE_ROWS)) == listed
+        assert list(optimizer_module._pieces(sched)) == listed
         drawn = []
         sample_trials = NoiseKernel.sample_trials
 
@@ -1102,18 +1130,19 @@ class TestStageMap:
     @staticmethod
     def _check_records(result, tmp_path):
         """Every trial's CSV is the reference writer's bytes, and the stage
-        column of the table the same run streams and the shadow rows are
-        those of the per-step stages."""
+        column of the table the same run streams and the shadow rows'
+        distances are those of the per-step stages."""
         _, tab = _streamed(tmp_path / "t.npy", result.objective, result.schedule, result.x_hist[0], result.streams)
         _, stage_idx = _per_step(result.schedule)
-        ys = result.y_history()
         for i in range(result.n_trials):
             traj = result.trajectory(i)
             traj.write_csv(tmp_path / "new.csv")
             _reference_write_csv(traj, tmp_path / "ref.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
             assert _bits(tab["stage"][tab["trial"] == i]) == _bits(stage_idx[: len(traj)])
-            assert _bits(traj.y_history()) == _bits(ys[: len(traj), i])
+            assert _bits(traj.xs) == _bits(result.x_hist[: len(traj), i])
+        ys = shadow_rows(result.objective, result.schedule, result.x_hist)
+        assert _bits(result.y_dist2_history(np.zeros(1))) == _bits(np.einsum("tnd,tnd->tn", ys, ys))
 
     @pytest.mark.parametrize("steps", [(0, 60), (30, 0, 40), (30, 40, 0), (0, 30, 0, 40, 0)])
     def test_records_of_zero_step_stages(self, tmp_path, spiky_default, steps):

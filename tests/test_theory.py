@@ -25,7 +25,7 @@ from sgdsmooth import (
 from sgdsmooth.expcli.cli import main
 from sgdsmooth.expcli.pipeline import draw_inits, run_lockstep_ensemble
 
-from conftest import poisoned
+from conftest import poisoned, shadow_rows
 
 
 def _power_form(c, eta, L, r):
@@ -393,7 +393,7 @@ def _stay_validate_loop(trajectories, cons, target):
         if len(traj) < T + T2 + 1:
             raise ValueError(f"trajectory too short: {len(traj)} <= {T + T2}")
         tgt = np.asarray(target, dtype=float)
-        ys = traj.y_history()
+        ys = shadow_rows(traj.objective, traj.schedule, traj.xs)
         d2 = np.einsum("ij,ij->i", ys - tgt[None, :], ys - tgt[None, :])
         hit = d2[T] <= cons.stay_radius2
         stay = bool(np.all(d2[T : T + T2 + 1] <= cons.delta2))
