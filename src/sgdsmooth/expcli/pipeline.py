@@ -69,8 +69,7 @@ def run_lockstep_ensemble(
     keep_history: bool = True, table=None,
 ) -> EnsembleResult:
     """Advance n trials together with `optimizer.lockstep_run`; trial i
-    draws noise from stream (seed, TRIAL_STREAM_BASE + i).  Without
-    `keep_history` the result holds only the finals and flags.  A `table`
+    draws noise from stream (seed, TRIAL_STREAM_BASE + i).  A `table`
     path gets every trial's record (`table.table_writer`)."""
     streams = [RngStream(seed, TRIAL_STREAM_BASE + i) for i in range(len(x0s))]
     with contextlib.nullcontext() if table is None else table_writer(table, obj, schedule, len(x0s)) as observe:

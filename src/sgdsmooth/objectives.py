@@ -13,6 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .noise import _require_integer
+
 __all__ = [
     "Objective",
     "SpikyParams",
@@ -107,6 +109,7 @@ class SpikyParams:
             raise ValueError(f"freq must be positive, got {self.freq}")
         if not self.amp >= 0:
             raise ValueError(f"amp must be nonnegative, got {self.amp}")
+        _require_integer("dimension", self.dimension)
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 
@@ -142,11 +145,13 @@ def make_spiky(params: SpikyParams) -> Objective:
 
 def make_quadratic(dimension: int, center=0.0) -> Objective:
     """Isotropic quadratic bowl f(x) = |x - center|^2 / 2 with L = 1."""
+    _require_integer("dimension", dimension)
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
-    c = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (dimension,)).copy()
-    if np.atleast_1d(np.asarray(center)).shape[0] not in (1, dimension):
-        raise ValueError("center dimension does not match")
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    if c.shape not in ((1,), (dimension,)):
+        raise ValueError(f"center dimension does not match: shape {c.shape} for dimension {dimension}")
+    c = np.broadcast_to(c, (dimension,)).copy()
     if not np.all(np.isfinite(c)):
         raise ValueError(f"center must be finite, got {center}")
 

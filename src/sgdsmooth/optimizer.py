@@ -10,8 +10,8 @@ bitwise within any constant-eta stage.  No shadow row is stored:
 `_shadow` derives them from the iterates, in row chunks (`_chunks`)
 with the bits of a whole-array pass, as every oracle is row-wise.
 
-`lockstep_run` is the only stepping loop.  A run keeps its schedule and
-either its (T+1, n, d) iterates with the trials' streams or only the
+`lockstep_run` is the only stepping loop.  A run keeps its schedule,
+starts and streams, and either its (T+1, n, d) iterates or only the
 finals and flags, bitwise the same, with one piece of noise (`_noise`)
 at a time.  Its observer gets each block's iterates, gradients and raw
 noise: `sgd_run` copies one trial's into a record, and
@@ -107,8 +107,10 @@ class Trajectory:
     `columns` derives the columns and `shadow_check` the shadow points.
 
     Arrays have length T+1 (T = recorded steps); `omegas[t]` is the noise
-    applied when leaving step t, with a zero row at the end, and
-    `schedule.row_stages` gives each row's stage.
+    drawn for the step leaving row t, and `schedule.row_stages` gives each
+    row's stage.  The last `omegas` row is zero when the run reached row
+    T; a record that diverged earlier ends with the unused draw of its
+    last row.
     """
 
     objective: Objective
@@ -121,33 +123,27 @@ class Trajectory:
         return self.xs.shape[0]
 
     @property
-    def dimension(self) -> int:
-        return self.xs.shape[1]
-
-    @property
     def final_x(self) -> np.ndarray:
         return self.xs[-1]
 
-    def columns(self) -> dict:
-        """The derived columns of every row, by `table_dtype` field name."""
-        return _record_columns(self.objective, self.xs, np.linalg.norm(self.omegas, axis=1))
+    def columns(self, t0: int = 0, t1: Optional[int] = None) -> dict:
+        """The derived columns of the rows `xs[t0:t1]`, by `table_dtype`
+        field name."""
+        return _record_columns(self.objective, self.xs[t0:t1], np.linalg.norm(self.omegas[t0:t1], axis=1))
 
     def write_csv(self, path) -> None:
         """Write the record as CSV, one row per point: the bytes
         `write_csv_columns` writes for `{"t", "stage", x_0.., **columns()}`,
         with the columns derived `_CSV_CHUNK` rows at a time as each chunk
         is formatted, so no whole-record column is built."""
-
-        def chunks():
-            for t0, t1 in _chunks(len(self), _CSV_CHUNK):
-                xs = self.xs[t0:t1]
-                yield {
-                    "t": range(t0, t1), "stage": self.schedule.row_stages(t0, t1),
-                    **{f"x_{i}": x for i, x in enumerate(xs.T)},
-                    **_record_columns(self.objective, xs, np.linalg.norm(self.omegas[t0:t1], axis=1)),
-                }
-
-        _write_csv(path, chunks())
+        _write_csv(path, (
+            {
+                "t": range(t0, t1), "stage": self.schedule.row_stages(t0, t1),
+                **{f"x_{i}": x for i, x in enumerate(self.xs[t0:t1].T)},
+                **self.columns(t0, t1),
+            }
+            for t0, t1 in _chunks(len(self), _CSV_CHUNK)
+        ))
 
 
 def write_csv_columns(path, columns: Mapping[str, Sequence]) -> None:
@@ -242,20 +238,21 @@ def _shadow(obj: Objective, schedule: StepSchedule, xs: np.ndarray, overlap: int
 
 @dataclass
 class EnsembleResult:
-    """A lockstep run: objective, schedule, history if kept, finals, flags.
+    """A lockstep run: objective, history if kept, starts, streams,
+    schedule, flags, finals.
 
     In `x_hist` axis 0 is the step index and axis 1 the trial.  No noise
-    or shadow row is stored: `trajectory` reruns a trial on its stream,
-    and `y_dist2_history` derives the shadow rows from `x_hist`.  A
-    diverged trial stays frozen at its first iterate beyond the cutoff.
-    A finals-only run has `x_hist` and `streams` None, and the methods
-    that read them raise ValueError.  `finals_x` is a copy, so a report
-    that keeps it does not pin the history.
+    or shadow row is stored: `trajectory` reruns a trial from its start
+    on its stream, and `y_dist2_history` derives the shadow rows from
+    `x_hist`.  A diverged trial stays frozen at its first iterate beyond
+    the cutoff.  `x0s` and `finals_x` are copies, so a report that keeps
+    them pins neither the caller's starts nor the history.
     """
 
     objective: Objective
     x_hist: Optional[np.ndarray]             # (T+1, n, d)
-    streams: Optional[tuple]                 # (n,) RngStream
+    x0s: np.ndarray                          # (n, d)
+    streams: tuple                           # (n,) RngStream
     schedule: StepSchedule
     diverged: np.ndarray                     # (n,) bool
     finals_x: np.ndarray                     # (n, d)
@@ -264,18 +261,13 @@ class EnsembleResult:
     def n_trials(self) -> int:
         return self.finals_x.shape[0]
 
-    def _require_history(self) -> None:
-        if self.x_hist is None:
-            raise ValueError(
-                "this run kept no history; run lockstep_run with keep_history=True"
-            )
-
     def y_dist2_history(self, target) -> np.ndarray:
         """(T+1, n) squared distances of the shadow points y_t = x_t -
         eta_t * grad f(x_t), frozen rows included, to `target`, filled from
         `_shadow` chunks: beyond the result it holds one chunk of shadow
         rows, never the whole shadow history."""
-        self._require_history()
+        if self.x_hist is None:
+            raise ValueError("this run kept no history; run lockstep_run with keep_history=True")
         target = np.asarray(target, dtype=float)
         d2 = np.empty(self.x_hist.shape[:2])
         for t0, _, ys in _shadow(self.objective, self.schedule, self.x_hist):
@@ -284,10 +276,10 @@ class EnsembleResult:
         return d2
 
     def trajectory(self, i: int) -> Trajectory:
-        """Trial i as a Trajectory record: the `sgd_run` of it alone on its
-        stream, whose rows are bit for bit its rows here."""
-        self._require_history()
-        return _record(self.objective, self.schedule, self.x_hist[0, i], self.streams[i])
+        """Trial i as a Trajectory record: the `sgd_run` of it alone from
+        its start on its stream, whose rows are bit for bit its rows in
+        this run, kept or streamed."""
+        return _record(self.objective, self.schedule, self.x0s[i], self.streams[i])
 
 
 def lockstep_run(
@@ -312,10 +304,11 @@ def lockstep_run(
     rewritten to x_k and continues from x_k, bitwise a per-step freeze;
     its steps past the cutoff raise no overflow warning.
 
-    With `keep_history` the result holds the (T+1, n, d) iterates and
-    the streams; without it, only the finals and flags, bitwise the
-    same.  `observe(t0, xs, grads, noise, ends)`, if given, gets each
-    block's (m, n, d) iterates from row t0 after its check, the m (n, d)
+    The result holds the starts and streams, which replay any trial, and
+    the finals and flags, bitwise the same whether or not `keep_history`
+    also keeps the (T+1, n, d) iterates.
+    `observe(t0, xs, grads, noise, ends)`, if given, gets each block's
+    (m, n, d) iterates from row t0 after its check, the m (n, d)
     gradient arrays `obj.grads_at` returned for them, so a grad oracle
     must return a new array on each call, their (m, n, d) noise before
     the eta scaling and each trial's record end, then row T with its
@@ -382,7 +375,8 @@ def lockstep_run(
     return EnsembleResult(
         objective=obj,
         x_hist=x_hist,
-        streams=tuple(streams) if keep_history else None,
+        x0s=x0s.copy(),
+        streams=tuple(streams),
         schedule=schedule,
         diverged=~active,
         finals_x=x.copy(),

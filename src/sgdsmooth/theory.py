@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .noise import NoiseKernel, RngStream
+from .noise import NoiseKernel, RngStream, _require_integer
 from .objectives import Objective, as_point
 from .optimizer import EnsembleResult
 from .smoothing import bounded_mean, perturbed_points
@@ -75,6 +75,7 @@ def constants(c: float, eta: float, L: float, r: float, y0_dist2: float, T2: int
     for name, value in (("L", L), ("r", r), ("y0_dist2", y0_dist2), ("T2", T2)):
         if not (value >= 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    _require_integer("T2", T2)
 
     try:
         L2 = L**2

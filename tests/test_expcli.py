@@ -601,6 +601,13 @@ def _assert_rows_hold_record(rows, traj):
         assert _same_bits(values, rows[name]), name
 
 
+# the eta = 2.5 stage expands the quadratic part, so some trials diverge in it
+_DIVERGING_STAGES = (
+    StageSpec(0.05, 40, KernelSpec("uniform-ball", 1.0)),
+    StageSpec(2.5, 30, KernelSpec("uniform-ball", 1.0)),
+)
+
+
 class TestEnsemble:
     def test_persisted_artifacts(self, tmp_path):
         cfg = _small_config(out_dir=str(tmp_path / "run"))
@@ -716,11 +723,7 @@ class TestEnsemble:
         assert report.cluster_count == int(expected.max()) + 1 == 3
 
     def test_persisted_ensemble_is_finals_only(self, tmp_path, monkeypatch):
-        # the eta = 2.5 stage makes some trials diverge
-        cfg = _small_config(n_trials=12, stages=(
-            StageSpec(0.05, 40, KernelSpec("uniform-ball", 1.0)),
-            StageSpec(2.5, 30, KernelSpec("uniform-ball", 1.0)),
-        ))
+        cfg = _small_config(n_trials=12, stages=_DIVERGING_STAGES)
         binned = []
         emit = pipeline_module.emit_svg_histogram
 
@@ -731,8 +734,12 @@ class TestEnsemble:
         monkeypatch.setattr(pipeline_module, "emit_svg_histogram", recording)
         bare, bare_report = ensemble(cfg)
         kept, kept_report = ensemble(replace(cfg, out_dir=str(tmp_path / "out")))
+        # no history, but the starts and streams that replay each trial
+        x0s = draw_inits(cfg.n_trials, 1, cfg.init_box, cfg.seed)
+        streams = tuple(RngStream(cfg.seed, 1000 + i) for i in range(cfg.n_trials))
         for result in (bare, kept):
-            assert result.x_hist is None and result.streams is None
+            assert result.x_hist is None and result.streams == streams
+            assert _same_bits(x0s, result.x0s)
         assert len(np.load(tmp_path / "out" / "trajectories.npy")) > cfg.n_trials
         assert 0 < kept_report.diverged_count < cfg.n_trials
         # the finals histogram bins the trials that did not diverge
@@ -744,6 +751,30 @@ class TestEnsemble:
         a, b = bare_report.summary_dict(), kept_report.summary_dict()
         assert a.keys() == b.keys()
         assert all(a[k] == b[k] or (a[k] != a[k] and b[k] != b[k]) for k in a)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_finals_only_trials_replay(self, tmp_path, dimension):
+        # each trial of a persisted finals-only ensemble, diverged or not, is
+        # the sgd_run of it on its stream and its rows in the streamed table
+        cfg = _small_config(
+            objective=ObjectiveSpec(kind="spiky", dimension=dimension), n_trials=12,
+            stages=_DIVERGING_STAGES, out_dir=str(tmp_path / "out"),
+        )
+        result, _ = ensemble(cfg)
+        tab = np.load(tmp_path / "out" / "trajectories.npy")
+        x0s = draw_inits(cfg.n_trials, dimension, cfg.init_box, cfg.seed)
+        lengths = []
+        for i in range(cfg.n_trials):
+            traj = result.trajectory(i)
+            ref = sgd_run(result.objective, result.schedule, x0s[i], RngStream(cfg.seed, 1000 + i))
+            assert _same_bits(ref.xs, traj.xs) and _same_bits(ref.omegas, traj.omegas)
+            assert traj.diverged == ref.diverged == result.diverged[i]
+            _assert_rows_hold_record(tab[tab["trial"] == i], traj)
+            lengths.append(len(traj))
+        # records of diverged trials end mid-run, before row T
+        assert result.diverged.any() and min(lengths) < result.schedule.total_steps + 1
+        with pytest.raises(ValueError, match="kept no history"):
+            result.y_dist2_history(np.zeros(dimension))
 
     def test_summary_json_is_strict(self, tmp_path):
         cfg = _small_config(out_dir=str(tmp_path / "run"))

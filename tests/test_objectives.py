@@ -57,6 +57,14 @@ class TestSpiky:
         with pytest.raises(ValueError):
             SpikyParams(**kwargs)
 
+    @pytest.mark.parametrize("dimension", [2.5, 2.0, True])
+    def test_dimension_must_be_an_integer(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            SpikyParams(dimension=dimension)
+
+    def test_numpy_integer_dimension(self):
+        assert make_spiky(SpikyParams(dimension=np.int64(2))).dimension == 2
+
 
 class TestQuadratic:
     def test_values_and_gradient_norm(self):
@@ -80,6 +88,16 @@ class TestQuadratic:
     def test_center_dimension_mismatch(self):
         with pytest.raises(ValueError):
             make_quadratic(2, center=(1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("center", [(1.0, 2.0, 3.0), [[1.0, 2.0]], np.zeros((2, 2))])
+    def test_center_shape_checked_before_broadcast(self, center):
+        with pytest.raises(ValueError, match="center dimension does not match"):
+            make_quadratic(2, center=center)
+
+    @pytest.mark.parametrize("dimension", [2.5, 2.0, True])
+    def test_dimension_must_be_an_integer(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            make_quadratic(dimension)
 
     @pytest.mark.parametrize("center", [math.nan, (0.0, math.inf), (-math.inf, 1.0)])
     def test_non_finite_center_rejected(self, center):

@@ -119,6 +119,7 @@ def _reference_lockstep(obj, schedule, x0s, streams):
     return EnsembleResult(
         objective=obj,
         x_hist=x_hist,
+        x0s=x0s.copy(),
         streams=tuple(streams),
         schedule=schedule,
         diverged=~active,
@@ -130,7 +131,7 @@ def _reference_write_csv(traj, path):
     """Reference: the row-wise `csv.writer` body that `write_csv` replaced."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "stage", *(f"x_{i}" for i in range(traj.dimension)),
+        writer.writerow(["t", "stage", *(f"x_{i}" for i in range(traj.xs.shape[1])),
                          "f", "grad_norm", "noise_norm", "dist2", "out_of_box"])
         cols = traj.columns()
         _, stage_idx = _per_step(traj.schedule)
@@ -526,7 +527,8 @@ class TestChunkedPasses:
         steps, n, d = 2001, 100, 3
         x_hist = np.random.default_rng(15).uniform(-3.0, 3.0, (steps, n, d))
         result = EnsembleResult(
-            make_spiky(SpikyParams(dimension=d)), x_hist, None, _zero_schedule(0.05, steps - 1, d),
+            make_spiky(SpikyParams(dimension=d)), x_hist, x_hist[0].copy(),
+            tuple(RngStream(15, i) for i in range(n)), _zero_schedule(0.05, steps - 1, d),
             np.zeros(n, dtype=bool), x_hist[-1].copy(),
         )
         peak = _traced_peak(lambda: result.y_dist2_history(np.zeros(d)))
@@ -554,6 +556,7 @@ def _run_both(obj, schedule, x0s, seed=5):
     recorded = np.arange(len(ys))[:, None] < seen["ends"]
     assert _bits(ys[recorded]) == _bits(ref_y[recorded])
     assert got.schedule is ref.schedule and got.streams == ref.streams
+    assert _bits(got.x0s) == _bits(x0s) and got.x0s is not x0s
     # deriving the shadow rows of frozen non-finite trials must not warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -561,7 +564,8 @@ def _run_both(obj, schedule, x0s, seed=5):
     with np.errstate(all="ignore"):
         assert _bits(d2) == _bits(np.einsum("tnd,tnd->tn", ref_y, ref_y))
     finals, finals_seen = _observed(obj, schedule, x0s, streams, keep_history=False)
-    assert finals.x_hist is None and finals.streams is None
+    assert finals.x_hist is None and finals.streams == got.streams
+    assert _bits(finals.x0s) == _bits(got.x0s)
     for field in ("finals_x", "diverged"):
         assert _bits(getattr(finals, field)) == _bits(getattr(got, field)), field
     for name in ("xs", "noise", "grads", "ends"):
@@ -803,18 +807,23 @@ class TestFinalsOnly:
         assert np.flatnonzero(result.diverged).tolist() == [7]
 
     def test_history_methods_raise(self, spiky_default):
+        # a finals-only run replays any trial; only the shadow distances
+        # read the history it did not keep
         kernel = NoiseKernel("uniform-ball", 2.0, 1)
         sched = StepSchedule((Stage(0.01, 30, kernel),))
-        result = lockstep_run(spiky_default, sched, np.zeros((3, 1)),
-                              [RngStream(4, i) for i in range(3)], keep_history=False)
+        x0s = np.linspace(-1.0, 1.0, 3)[:, None]
+        streams = [RngStream(4, i) for i in range(3)]
+        result = lockstep_run(spiky_default, sched, x0s, streams, keep_history=False)
         assert result.n_trials == 3 and result.finals_x.shape == (3, 1)
-        calls = [
-            lambda: result.trajectory(0),
-            lambda: result.y_dist2_history(spiky_default.target),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match="kept no history"):
-                call()
+        # the starts are a copy: changing the caller's array changes no replay
+        x0s[:] = 5.0
+        for i in range(3):
+            traj = result.trajectory(i)
+            ref = sgd_run(spiky_default, sched, np.linspace(-1.0, 1.0, 3)[i], streams[i])
+            assert _bits(traj.xs) == _bits(ref.xs) and _bits(traj.omegas) == _bits(ref.omegas)
+            assert _bits(traj.final_x) == _bits(result.finals_x[i])
+        with pytest.raises(ValueError, match="kept no history"):
+            result.y_dist2_history(spiky_default.target)
 
     @pytest.mark.parametrize("keep_history", [True, False])
     def test_one_generator_per_trial_while_its_stages_last(self, monkeypatch, keep_history):

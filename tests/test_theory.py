@@ -173,6 +173,13 @@ class TestConstants:
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 constants(*args)
 
+    @pytest.mark.parametrize("T2", [2.5, 2.0, True])
+    def test_T2_must_be_an_integer(self, T2):
+        # a fractional window would slice the history with a float in stay_validate
+        with pytest.raises(ValueError, match="T2 must be an integer"):
+            constants(0.5, 0.1, 1.0, 1.0, 0.0, T2)
+        assert constants(0.5, 0.1, 1.0, 1.0, 0.0, np.int64(2)).mu == constants(0.5, 0.1, 1.0, 1.0, 0.0, 2).mu
+
     @pytest.mark.parametrize("args, expected", [
         # eta * L = 0: lambda = 2 eta c, and b = 0 with no inf * 0
         ((1.0, 1e200, 0.0, 0.0, 1.0, 1), {"lambda": 2e200, "b": 0.0}),
