@@ -54,9 +54,9 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _require_out(cfg: ExperimentConfig) -> str:
+    """The config's output directory, which the caller creates."""
     if cfg.out_dir is None:
         raise ConfigError("an output directory is required (--out or config out_dir)")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg.out_dir
 
 
@@ -88,6 +88,7 @@ def cmd_smooth(cfg: ExperimentConfig) -> int:
     if cfg.objective.kind != "spiky" or cfg.objective.dimension != 1:
         raise ConfigError("smooth needs the 1-d spiky objective")
     out = _require_out(cfg)
+    os.makedirs(out, exist_ok=True)
     stage = cfg.stages[0]
     ys = np.linspace(cfg.cert_grid.lo, cfg.cert_grid.hi, cfg.cert_grid.count)
     cols = smoothing_curve(
@@ -113,6 +114,7 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
         rng=RngStream(cfg.seed, CERT_STREAM), confidence=cfg.confidence,
     )
     out = _require_out(cfg)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "certify.csv")
     certs = report.certificates
     write_csv_columns(path, {
@@ -147,6 +149,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
 
 
 def cmd_figure3(cfg: ExperimentConfig) -> int:
+    # figure3 checks the rest of the config before it creates the directory
     _require_out(cfg)
     report = figure3(cfg)
     print(f"noise levels: {report.noise_levels}")

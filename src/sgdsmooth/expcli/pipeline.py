@@ -41,7 +41,7 @@ from ..optimizer import EnsembleResult, StepSchedule, lockstep_run, write_csv_co
 from ..smoothing import smoothed_value_closed, smoothed_value_mc
 from ..table import table_writer
 from .cluster import cluster_count
-from .config import ExperimentConfig, KernelSpec, StageSpec
+from .config import ConfigError, ExperimentConfig, KernelSpec, StageSpec
 from .svg import emit_svg_histogram
 
 __all__ = [
@@ -336,9 +336,9 @@ def figure3(config: ExperimentConfig) -> Figure3Report:
     finals-only.
     """
     if len(config.noise_levels) < 3:
-        raise ValueError("figure3 needs at least 3 noise levels")
+        raise ConfigError("figure3 needs at least 3 noise levels")
     if len(config.stages) < 2:
-        raise ValueError("figure3 needs at least 2 shrink stages")
+        raise ConfigError("figure3 needs at least 2 shrink stages")
     obj = config.build_objective()
     out = config.out_dir
     if out is not None:

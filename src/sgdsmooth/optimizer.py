@@ -13,9 +13,12 @@ with the bits of a whole-array pass, as every oracle is row-wise.
 `lockstep_run` is the only stepping loop.  A run keeps its schedule,
 starts and streams, and either its (T+1, n, d) iterates or only the
 finals and flags, bitwise the same, with one piece of noise (`_noise`)
-at a time.  Its observer gets each block's iterates, gradients and raw
-noise: `sgd_run` copies one trial's into a record, and
-`table.table_writer` streams an ensemble's into one `.npy` table.
+at a time.  Its observer gets each block's gradients and views of the
+block's iterates and of its rows of the noise piece before the eta
+scaling, valid only during the call, so an observer copies what it
+keeps: `sgd_run` copies one trial's rows into a record, and
+`table.table_writer` streams an ensemble's into one `.npy` table,
+holding O(`_TABLE_ROWS`) rows beyond the bare run.
 `_record_columns` is the one builder of the derived columns.
 """
 from __future__ import annotations
@@ -129,7 +132,12 @@ class Trajectory:
     def columns(self, t0: int = 0, t1: Optional[int] = None) -> dict:
         """The derived columns of the rows `xs[t0:t1]`, by `table_dtype`
         field name."""
-        return _record_columns(self.objective, self.xs[t0:t1], np.linalg.norm(self.omegas[t0:t1], axis=1))
+        xs = self.xs[t0:t1]
+        # a diverged record's last row lies past the cutoff, where the
+        # gradient norm may overflow to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad_norms = np.linalg.norm(self.objective.grads_at(xs), axis=1)
+        return _record_columns(self.objective, xs, np.linalg.norm(self.omegas[t0:t1], axis=1), grad_norms)
 
     def write_csv(self, path) -> None:
         """Write the record as CSV, one row per point: the bytes
@@ -180,19 +188,20 @@ def _csv_cells(col: np.ndarray):
     return map(str, col.astype(int).tolist())
 
 
-def _record_columns(obj: Objective, xs: np.ndarray, noise_norms: np.ndarray, grads=None) -> dict:
-    """The derived columns of the (m, d) record rows `xs`, whose noise has
-    the norms `noise_norms` and, if given, gradients `grads`, by
-    `table_dtype` field name; a row's values depend on it alone."""
+def _record_columns(obj: Objective, xs: np.ndarray, noise_norms: np.ndarray, grad_norms: np.ndarray) -> dict:
+    """The derived columns of the (m, d) record rows `xs`, whose noise and
+    gradients have the norms `noise_norms` and `grad_norms`, by
+    `table_dtype` field name; a row's values depend on it alone.  The
+    norms are the caller's: a record derives them from its rows, the
+    table from the engine's."""
     lo, hi = obj.domain_box
     # an unknown target is NaN, so the distance comes out NaN
     target = np.full(obj.dimension, np.nan) if obj.target is None else obj.target
     dx = xs - target
-    # a diverged trial's last row lies past the cutoff, where f and the
-    # gradient norm may overflow to inf
+    # a diverged trial's last row lies past the cutoff, where f may
+    # overflow to inf
     with np.errstate(over="ignore", invalid="ignore"):
         fs = obj.values_at(xs)
-        grad_norms = np.linalg.norm(obj.grads_at(xs) if grads is None else grads, axis=1)
     return {
         "f": fs,
         "grad_norm": grad_norms,
@@ -294,9 +303,11 @@ def lockstep_run(
 
     It takes exactly the T steps that leave rows 0..T-1, then records
     the final iterate, row T.  Trial i's noise comes from `streams[i]`,
-    a piece at a time (`_noise`), each piece scaled by its eta once, in
-    place.  A trial whose recorded iterate, the final one included,
-    fails the divergence predicate freezes there and is flagged.
+    a piece at a time (`_noise`); each block scales its rows by the
+    eta in the block's own iterate rows, so the piece stays unscaled and
+    is never copied.  A trial whose recorded iterate, the final one
+    included, fails the divergence predicate freezes there and is
+    flagged.
 
     Steps run in blocks of at most `_BLOCK` rows, which start at each
     stage start, with the predicate applied once per block.  A trial
@@ -312,7 +323,9 @@ def lockstep_run(
     gradient arrays `obj.grads_at` returned for them, so a grad oracle
     must return a new array on each call, their (m, n, d) noise before
     the eta scaling and each trial's record end, then row T with its
-    zero noise.
+    zero noise.  `xs` and `noise` are views of the engine's block and
+    piece, valid only during the call: the next block or piece
+    overwrites them, so an observer copies what it keeps.
     """
     x0s = np.asarray(x0s, dtype=float)
     n, d = x0s.shape
@@ -331,18 +344,18 @@ def lockstep_run(
     with np.errstate(over="ignore", invalid="ignore"):
         for stage, p0, noise in _noise(schedule, streams):
             eta = stage.eta
-            raw = None if observe is None else noise.transpose(1, 0, 2).copy()
-            noise *= eta
-            kicks = noise.transpose(1, 0, 2)
-            p2 = p0 + len(kicks)
+            raw = noise.transpose(1, 0, 2)  # step-major, unscaled
+            p2 = p0 + len(raw)
             # pieces start at a stage start or _NOISE_ROWS rows on, so the
             # blocks still start at each stage start
             for b0 in range(p0, p2, _BLOCK):
                 b1 = min(b0 + _BLOCK, p2)
                 xb = x_block[: b1 - b0] if x_hist is None else x_hist[b0:b1]
                 # the block's kicks, step-major, each held in its x row until
-                # the iterate is recorded there
-                xb[...] = kicks[b0 - p0 : b1 - p0]
+                # the iterate is recorded there; the rows are contiguous, so
+                # the in-place product needs no buffer
+                xb[...] = raw[b0 - p0 : b1 - p0]
+                xb *= eta
                 # frozen trials stay in place; np.where is needed only once one is
                 keep = None if active.all() else active[:, None]
                 grads = None if observe is None else []
@@ -399,9 +412,9 @@ def _pieces(schedule: StepSchedule):
 def _noise(schedule: StepSchedule, streams: Sequence[RngStream]):
     """Yield (stage, p0, noise) per piece of `_pieces(schedule)`:
     the trial-major (k, m, d) noise of the piece's m rows from p0 on, of
-    the trials on `streams`, a C-contiguous view of one buffer (an
-    in-place product over it is unbuffered).  A zero stage makes no
-    generator, so a later one's starts at the same position."""
+    the trials on `streams`, a C-contiguous view of one buffer that the
+    next piece overwrites.  A zero stage makes no generator, so a later
+    one's starts at the same position."""
     k, d = len(streams), schedule.dimension
     buf = np.empty(k * d * max((p1 - p0 for _, p0, p1 in _pieces(schedule)), default=0))
     gens = [None] * k

@@ -17,7 +17,16 @@ def table_writer(path, obj: Objective, schedule: optimizer.StepSchedule, n: int)
     """Yield the `observe` of a `lockstep_run` of n trials on `schedule`
     that writes each trial's record, the rows of `trajectory`, to `path`
     as one `.npy` table of `table_dtype` rows, steps in order and trials
-    in order within a step, staged and written `_TABLE_ROWS` at a time.
+    in order within a step, staged and written at most `_TABLE_ROWS` at
+    a time.
+
+    The observer reads the engine's views of each block's iterates and
+    noise during the call, a chunk of whole steps at a time: at most
+    `_TABLE_ROWS` rows, or one step when a step has more.  It derives
+    the chunk's noise and gradient norms and copies its rows into the
+    buffer by slices, across flushes; only a chunk that holds a row past
+    a record's end selects its rows, by one mask.  So a persisted run
+    holds O(`_TABLE_ROWS`) rows beyond the bare run.
 
     The header, written first, is for n*(T+1) rows; when diverged trials
     end early it is rewritten in place, padded to its length.  If the
@@ -26,40 +35,53 @@ def table_writer(path, obj: Objective, schedule: optimizer.StepSchedule, n: int)
     fmt = np.lib.format
     size = optimizer._TABLE_ROWS
     buf = np.empty(size, optimizer.table_dtype(schedule.dimension))
-    grad_rows = np.empty((size, schedule.dimension))
     header = {"descr": fmt.dtype_to_descr(buf.dtype), "fortran_order": False, "shape": (n * (schedule.total_steps + 1),)}
+    # a chunk is `per` whole steps, one when a step has more than `size`
+    # rows; its row r is trial trial_of[r] at step step_of[r] of the chunk
+    per = max(1, size // max(1, n))
+    trial_of = np.tile(np.arange(n), per)
+    step_of = np.repeat(np.arange(per), n)
     filled = 0
 
     def flush():
         nonlocal filled
         rows = buf[:filled]
-        for name, col in optimizer._record_columns(obj, rows["x"], rows["noise_norm"], grad_rows[:filled]).items():
-            rows[name] = col
+        cols = optimizer._record_columns(obj, rows["x"], rows["noise_norm"], rows["grad_norm"])
+        for name in ("f", "dist2", "out_of_box"):
+            rows[name] = cols[name]
         rows.tofile(fh)
         filled = 0
 
     def observe(t0, xs, grads, noise, ends):
         nonlocal filled
-        xs = xs.reshape(-1, xs.shape[2])
-        grads = np.concatenate(grads)
-        norms = np.linalg.norm(noise, axis=2).ravel()
-        kept = np.arange(len(xs))
-        if (ends < t0 + len(noise)).any():  # a record ends in the block
-            kept = kept[kept // n + t0 < ends[kept % n]]
-        while len(kept):
-            r, kept = kept[: size - filled], kept[size - filled :]
-            t, trial = np.divmod(r, n)
-            rows = buf[filled : filled + len(r)]
-            rows["trial"] = trial
-            rows["t"] = t0 + t
-            # a block lies in one stage
-            rows["stage"] = schedule.row_stages(t0, t0 + 1)[0]
-            rows["x"] = xs[r]
-            rows["noise_norm"] = norms[r]
-            grad_rows[filled : filled + len(r)] = grads[r]
-            filled += len(r)
-            if filled == size:
-                flush()
+        # a block lies in one stage
+        stage = schedule.row_stages(t0, t0 + 1)[0]
+        for s0 in range(0, len(xs), per):
+            s1 = min(s0 + per, len(xs))
+            m = (s1 - s0) * n
+            cols = {
+                "trial": trial_of[:m],
+                "t": step_of[:m] + (t0 + s0),
+                "x": xs[s0:s1].reshape(m, xs.shape[2]),
+                "noise_norm": np.linalg.norm(noise[s0:s1], axis=2).reshape(m),
+                "grad_norm": np.linalg.norm(np.concatenate(grads[s0:s1]), axis=1),
+            }
+            if (ends < t0 + s1).any():  # a row of the chunk lies past a record's end
+                keep = cols["t"] < ends[cols["trial"]]
+                cols = {name: col[keep] for name, col in cols.items()}
+                m = len(cols["t"])
+            # copy by slices into the buffer, flushing it whenever it fills
+            done = 0
+            while done < m:
+                k = min(size - filled, m - done)
+                rows = buf[filled : filled + k]
+                for name, col in cols.items():
+                    rows[name] = col[done : done + k]
+                rows["stage"] = stage
+                filled += k
+                done += k
+                if filled == size:
+                    flush()
 
     try:
         with open(path, "wb") as fh:

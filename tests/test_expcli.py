@@ -637,12 +637,19 @@ class TestEnsemble:
         for i in range(2):
             _assert_rows_hold_record(tab[tab["trial"] == i], result.trajectory(i))
 
-    # staged chunks of 1 or 16 rows hold part of one step's six trials,
-    # and chunks of 43 or 100 rows several steps, ending mid-step
+    # the table takes chunks of whole steps, one step when a step's six
+    # rows outnumber the buffer's: with 1 and 4 rows a step spans several
+    # flushes, with 16, 30, 43 and 100 rows a chunk is 2, 5, 7 and 16
+    # steps, and its rows may span two flushes.  Trial 3's record ends at
+    # row 49 of the eta = 2.5 stage's block from row 37: with 30 rows
+    # inside that block's third chunk, rows 47-51
     @pytest.mark.parametrize(
         "dimension, table_rows",
-        [(d, rows) for rows in (None, 1, 16, 43, 100) for d in (1, 2, 3)],
-        ids=[f"{d}" if rows is None else f"{d}-rows{rows}" for rows in (None, 1, 16, 43, 100) for d in (1, 2, 3)],
+        [(d, rows) for rows in (None, 1, 4, 16, 30, 43, 100) for d in (1, 2, 3)],
+        ids=[
+            f"{d}" if rows is None else f"{d}-rows{rows}"
+            for rows in (None, 1, 4, 16, 30, 43, 100) for d in (1, 2, 3)
+        ],
     )
     def test_table_round_trips_every_trial(self, tmp_path, monkeypatch, dimension, table_rows):
         if table_rows is not None:
@@ -675,7 +682,7 @@ class TestEnsemble:
         records = [result.trajectory(i) for i in range(6)]
         ends = [len(traj) for traj in records]
         assert result.diverged.tolist() == [False] * 3 + [True] * 3
-        assert ends[4] == 1 and 37 < ends[3] < ends[5] == total + 1 == sched.total_steps + 1
+        assert ends[4] == 1 and ends[3] == 50 < ends[5] == total + 1 == sched.total_steps + 1
         tab = np.load(path)
         assert len(tab) == sum(ends)
         assert np.array_equal(np.lexsort((tab["trial"], tab["t"])), np.arange(len(tab)))
@@ -983,6 +990,36 @@ class TestFinalsOnlyMemory:
         assert peak < n * _NOISE_ROWS * 8 + n * _BLOCK * 8 + n * 2**10 + 2**20
 
 
+class TestPersistedMemory:
+    """A persisted run streams its table from the rows the engine already
+    has: beyond the bare run it holds the table's row buffer and one
+    chunk of temporaries, O(`_TABLE_ROWS`) rows, never a second copy of a
+    noise piece or a block of table rows."""
+
+    def _extra_peak(self, tmp_path, obj, sched, x0s):
+        """Traced peak of the persisted run minus that of the bare one."""
+        path = tmp_path / "t.npy"
+        run = lambda table=None: run_lockstep_ensemble(obj, sched, x0s, 3, keep_history=False, table=table)
+        run(path)  # one-time allocations of a first call are not the run's
+        return _traced_peak(lambda: run(path)) - _traced_peak(run)
+
+    def test_wide_run_adds_table_rows_only(self, tmp_path):
+        # 1,000 trials x 600 steps in 1-d: a copy of each 256-row noise
+        # piece and (64 x 1,000)-row block temporaries added 4.5 MB
+        obj = make_spiky(SpikyParams())
+        sched = StepSchedule((Stage(0.05, 600, NoiseKernel("uniform-ball", 2.0, 1)),))
+        x0s = draw_inits(1000, 1, (-3.0, 3.0), 3)
+        assert self._extra_peak(tmp_path, obj, sched, x0s) < 1.5 * 2**20
+
+    def test_whole_stage_piece_is_not_copied(self, tmp_path):
+        # 50 trials x one 20,000-step ball stage in 2-d, drawn as one
+        # 16 MB piece: its copy for the observer added 15.2 MB
+        obj = make_spiky(SpikyParams(dimension=2))
+        sched = StepSchedule((Stage(0.05, 20_000, NoiseKernel("uniform-ball", 1.0, 2)),))
+        x0s = draw_inits(50, 2, (-3.0, 3.0), 3)
+        assert self._extra_peak(tmp_path, obj, sched, x0s) < 2**20
+
+
 class TestCalibration:
     def test_window_candidate_ladder(self):
         cands = default_window_candidates(SpikyParams(), 0.01)
@@ -1147,9 +1184,9 @@ def _figure3_config(out_dir=None, **overrides):
 
 class TestFigure3:
     def test_requires_levels_and_stages(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="at least 3 noise levels"):
             figure3(_figure3_config(noise_levels=(0.3,)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="at least 2 shrink stages"):
             figure3(
                 _figure3_config(
                     stages=(StageSpec(0.1, 10, KernelSpec("uniform-ball", 1.0)),)
@@ -1510,6 +1547,22 @@ class TestCli:
         lines = (tmp_path / "c" / "certify.csv").read_text().splitlines()
         assert lines[0].startswith("x_0,")
         assert lines[-1].startswith("# certified_c,")
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"noise_levels": (0.3, 0.2)}, "figure3 needs at least 3 noise levels"),
+            ({"stages": (StageSpec(0.1, 10, KernelSpec("uniform-ball", 1.0)),)},
+             "figure3 needs at least 2 shrink stages"),
+        ],
+        ids=["two-levels", "one-stage"],
+    )
+    def test_figure3_rejects_config_before_making_out_dir(self, tmp_path, capsys, overrides, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(_figure3_config(**overrides).dumps())
+        assert main(["figure3", "--config", str(path), "--out", str(tmp_path / "f")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "f").exists()
 
     def test_figure3_subcommand(self, tmp_path, capsys):
         cfg = _figure3_config(n_trials=4)
